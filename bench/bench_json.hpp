@@ -10,31 +10,9 @@
 #include <sstream>
 #include <string>
 
-namespace relsched::benchio {
+#include "base/json.hpp"
 
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
+namespace relsched::benchio {
 
 /// Streaming builder for one JSON value. Nested containers are built
 /// separately and spliced in with `raw()`.
@@ -44,7 +22,9 @@ class Json {
   static Json array() { return Json('[', ']'); }
 
   Json& field(const std::string& key, const std::string& value) {
-    return raw_field(key, '"' + json_escape(value) + '"');
+    std::string quoted;
+    base::append_json_string(quoted, value);
+    return raw_field(key, quoted);
   }
   Json& field(const std::string& key, const char* value) {
     return field(key, std::string(value));
@@ -88,7 +68,7 @@ class Json {
   }
   Json& element(const std::string& value) {
     separator();
-    body_ += '"' + json_escape(value) + '"';
+    base::append_json_string(body_, value);
     return *this;
   }
 
@@ -133,7 +113,9 @@ class Json {
 
   Json& raw_field(const std::string& key, const std::string& value) {
     separator();
-    body_ += '"' + json_escape(key) + "\": " + value;
+    base::append_json_string(body_, key);
+    body_ += ": ";
+    body_ += value;
     return *this;
   }
 

@@ -20,11 +20,23 @@ std::ostream& operator<<(std::ostream& os, const AnchorSetView& view) {
   return os << '}';
 }
 
-AnchorSets find_anchor_sets(const cg::ConstraintGraph& g) {
-  const graph::Digraph forward = g.project_forward();
-  const auto topo = graph::topological_order(forward);
-  RELSCHED_CHECK(topo.has_value(), "find_anchor_sets requires an acyclic Gf");
+namespace {
 
+/// Topological order of Gf, for the entry points not handed one.
+std::vector<int> forward_order(const cg::ConstraintGraph& g) {
+  auto topo = graph::topological_order(g.project_forward());
+  RELSCHED_CHECK(topo.has_value(), "anchor analysis requires an acyclic Gf");
+  return std::move(*topo);
+}
+
+}  // namespace
+
+AnchorSets find_anchor_sets(const cg::ConstraintGraph& g) {
+  return find_anchor_sets(g, forward_order(g));
+}
+
+AnchorSets find_anchor_sets(const cg::ConstraintGraph& g,
+                            std::span<const int> topo) {
   AnchorSets sets;
   sets.domain.anchors = g.anchors();
   sets.domain.index.assign(static_cast<std::size_t>(g.vertex_count()), -1);
@@ -36,7 +48,7 @@ AnchorSets find_anchor_sets(const cg::ConstraintGraph& g) {
   // in-edges (u, v) of A(u), plus {u} when the edge carries the
   // unbounded weight delta(u). Equivalent to the paper's counter-based
   // findAnchorSet traversal, one word-parallel row merge per edge.
-  for (int node : *topo) {
+  for (int node : topo) {
     const VertexId v(node);
     for (EdgeId eid : g.in_edges(v)) {
       const cg::Edge& e = g.edge(eid);
@@ -349,7 +361,16 @@ void AnchorAnalysis::compute_irredundant_at(VertexId v) {
 
 AnchorAnalysis AnchorAnalysis::compute(const cg::ConstraintGraph& g,
                                        base::WorkStealingPool* pool) {
-  AnchorAnalysis a = compute_anchor_sets_only(g);
+  return compute(g, forward_order(g), pool);
+}
+
+AnchorAnalysis AnchorAnalysis::compute(const cg::ConstraintGraph& g,
+                                       std::span<const int> topo,
+                                       base::WorkStealingPool* pool) {
+  AnchorAnalysis a;
+  a.sets_ = find_anchor_sets(g, topo);
+  a.relevant_.reset(g.vertex_count(), a.sets_.domain.count());
+  a.irredundant_.reset(g.vertex_count(), a.sets_.domain.count());
   const std::vector<VertexId>& anchors = a.sets_.domain.anchors;
   const std::size_t num_anchors = anchors.size();
   const int n = g.vertex_count();

@@ -202,6 +202,11 @@ struct AnchorSets {
 /// Precondition: Gf acyclic.
 AnchorSets find_anchor_sets(const cg::ConstraintGraph& g);
 
+/// The same, over `topo`, a topological order of Gf the caller already
+/// holds.
+AnchorSets find_anchor_sets(const cg::ConstraintGraph& g,
+                            std::span<const int> topo);
+
 /// Dirty-region description for AnchorAnalysis::update(). Produced by
 /// the engine layer from the constraint graph's edit journal.
 struct UpdatePlan {
@@ -234,6 +239,13 @@ class AnchorAnalysis {
   /// itself running on a worker) degrades to the sequential loop.
   static AnchorAnalysis compute(const cg::ConstraintGraph& g,
                                 base::WorkStealingPool* pool = nullptr);
+
+  /// The same, over `topo`, a topological order of Gf the caller
+  /// already holds (the engine's cold resolve passes the order it
+  /// maintains instead of projecting and sorting Gf again).
+  static AnchorAnalysis compute(const cg::ConstraintGraph& g,
+                                std::span<const int> topo,
+                                base::WorkStealingPool* pool);
 
   /// Anchor sets A(v) only (cheaper; enough for well-posedness checks).
   static AnchorAnalysis compute_anchor_sets_only(const cg::ConstraintGraph& g);

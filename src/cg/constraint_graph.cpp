@@ -7,7 +7,7 @@
 
 namespace relsched::cg {
 
-VertexId ConstraintGraph::add_vertex(std::string name, Delay delay) {
+VertexId ConstraintGraph::add_vertex(std::string_view name, Delay delay) {
   const VertexId id(static_cast<int>(vertices_.size()));
   vertices_.push_back(Vertex{id, names_.intern(name), delay});
   delay_code_.push_back(delay.is_unbounded() ? -1 : delay.cycles());
@@ -18,7 +18,7 @@ VertexId ConstraintGraph::add_vertex(std::string name, Delay delay) {
   in_head_.push_back(EdgeId::invalid());
   in_tail_.push_back(EdgeId::invalid());
   edits_.push_back(Edit{Edit::Kind::kAddVertex, /*structural=*/true,
-                        /*forward=*/true, id, id, {id}});
+                        /*forward=*/true, id, id});
   return id;
 }
 
@@ -113,7 +113,7 @@ void ConstraintGraph::relabel_edge(EdgeId from_id, EdgeId to_id) {
 EdgeId ConstraintGraph::add_sequencing_edge(VertexId from, VertexId to) {
   const EdgeId id = add_edge(from, to, EdgeKind::kSequencing, 0);
   edits_.push_back(Edit{Edit::Kind::kAddSequencingEdge, /*structural=*/true,
-                        /*forward=*/true, from, to, {from, to}});
+                        /*forward=*/true, from, to});
   return id;
 }
 
@@ -122,7 +122,7 @@ EdgeId ConstraintGraph::add_min_constraint(VertexId from, VertexId to,
   RELSCHED_CHECK(min_cycles >= 0, "minimum timing constraint must be >= 0");
   const EdgeId id = add_edge(from, to, EdgeKind::kMinConstraint, min_cycles);
   edits_.push_back(Edit{Edit::Kind::kAddMinConstraint, /*structural=*/false,
-                        /*forward=*/true, from, to, {from, to}});
+                        /*forward=*/true, from, to});
   return id;
 }
 
@@ -133,7 +133,7 @@ EdgeId ConstraintGraph::add_max_constraint(VertexId from, VertexId to,
   // backward edge (to, from) with weight -u (Table I).
   const EdgeId id = add_edge(to, from, EdgeKind::kMaxConstraint, -max_cycles);
   edits_.push_back(Edit{Edit::Kind::kAddMaxConstraint, /*structural=*/false,
-                        /*forward=*/false, to, from, {to, from}});
+                        /*forward=*/false, to, from});
   return id;
 }
 
@@ -145,7 +145,7 @@ void ConstraintGraph::set_delay(VertexId v, Delay delay) {
   vertices_[v.index()].delay = delay;
   delay_code_[v.index()] = delay.is_unbounded() ? -1 : delay.cycles();
   edits_.push_back(Edit{Edit::Kind::kSetDelay, /*structural=*/flips,
-                        /*forward=*/false, v, v, {v}});
+                        /*forward=*/false, v, v});
 }
 
 void ConstraintGraph::remove_constraint(EdgeId e) {
@@ -162,15 +162,10 @@ void ConstraintGraph::remove_constraint(EdgeId e) {
     RELSCHED_CHECK(forward_in_count_[removed.to.index()] > 1,
                    "removal would leave the head unreachable");
   }
-  // Endpoint seeds suffice for the dirty cone (see Edit::seeds): any
-  // path the removal kills passes through the head, and consumers flood
-  // the union of all unconsumed seeds on the post-edit graph, where the
-  // surviving suffix of every such path still hangs off some removal's
-  // head. The tail is seeded too so anchor-row reuse checks can see
-  // edits incident to an anchor's cone boundary.
-  Edit edit{Edit::Kind::kRemoveConstraint, /*structural=*/false,
-            removed.kind == EdgeKind::kMinConstraint, removed.from, removed.to,
-            {removed.to, removed.from}};
+  // Endpoint seeds suffice for the dirty cone (see Edit::seeds()).
+  const Edit edit{Edit::Kind::kRemoveConstraint, /*structural=*/false,
+                  removed.kind == EdgeKind::kMinConstraint, removed.from,
+                  removed.to};
 
   unlink_edge(e);
   if (is_forward(removed.kind)) {
@@ -202,7 +197,7 @@ void ConstraintGraph::remove_constraint(EdgeId e) {
   }
   edges_.pop_back();
   links_.pop_back();
-  edits_.push_back(std::move(edit));
+  edits_.push_back(edit);
 }
 
 void ConstraintGraph::set_constraint_bound(EdgeId e, int cycles) {
@@ -215,8 +210,7 @@ void ConstraintGraph::set_constraint_bound(EdgeId e, int cycles) {
   edge.fixed_weight =
       edge.kind == EdgeKind::kMinConstraint ? cycles : -cycles;
   edits_.push_back(Edit{Edit::Kind::kSetConstraintBound, /*structural=*/false,
-                        /*forward=*/false, edge.from, edge.to,
-                        {edge.from, edge.to}});
+                        /*forward=*/false, edge.from, edge.to});
 }
 
 VertexId ConstraintGraph::sink() const {
@@ -255,14 +249,19 @@ graph::Digraph ConstraintGraph::project_forward() const {
 }
 
 std::vector<ValidationIssue> ConstraintGraph::validate() const {
+  const graph::Digraph forward = project_forward();
+  return validate(forward, graph::is_acyclic(forward));
+}
+
+std::vector<ValidationIssue> ConstraintGraph::validate(
+    const graph::Digraph& forward, bool acyclic) const {
   std::vector<ValidationIssue> issues;
   if (vertices_.empty()) {
     issues.push_back({ValidationIssue::Kind::kNoVertices, VertexId::invalid(),
                       "graph has no vertices"});
     return issues;
   }
-  const graph::Digraph forward = project_forward();
-  if (!graph::is_acyclic(forward)) {
+  if (!acyclic) {
     issues.push_back({ValidationIssue::Kind::kForwardCycle, VertexId::invalid(),
                       "forward constraint graph Gf has a cycle"});
     return issues;  // polarity checks are meaningless on a cyclic Gf

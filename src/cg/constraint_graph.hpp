@@ -32,10 +32,12 @@
 //     incrementally per edit, never rebuilt per query.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/error.hpp"
@@ -107,11 +109,22 @@ struct Edit {
   /// anchor sets may shift.
   bool forward = false;
   /// Endpoints in graph orientation (tail, head); the touched vertex
-  /// for kSetDelay. Note: edge ids recorded before a later
-  /// kRemoveConstraint may be stale (removal swap-pops the edge list),
-  /// so consumers key off vertices, never off journaled edge ids.
+  /// (as both) for kAddVertex and kSetDelay. Note: edge ids recorded
+  /// before a later kRemoveConstraint may be stale (removal swap-pops
+  /// the edge list), so consumers key off vertices, never off journaled
+  /// edge ids.
   VertexId from = VertexId::invalid();
   VertexId to = VertexId::invalid();
+
+  /// Up to two vertices, iterable in order.
+  struct Seeds {
+    std::array<VertexId, 2> vertices;
+    std::size_t count = 0;
+
+    [[nodiscard]] const VertexId* begin() const { return vertices.data(); }
+    [[nodiscard]] const VertexId* end() const { return begin() + count; }
+  };
+
   /// Dirty seed vertices: any value derived from a path through one of
   /// these may have changed. Always the edit's endpoint vertices -- for
   /// removals too: any path that used the removed edge (t, h) passes
@@ -119,8 +132,21 @@ struct Edit {
   /// journal suffix removes survives into the current graph, so flooding
   /// from the heads of every unconsumed removal covers all shrunk paths
   /// (the engine consumes the journal suffix atomically and floods from
-  /// the union of its seeds).
-  std::vector<VertexId> seeds;
+  /// the union of its seeds). The tail is seeded too, so anchor-row
+  /// reuse checks see edits incident to an anchor's cone boundary.
+  /// Order: {from, to}; {to, from} for removals (head first); {v} for
+  /// single-vertex edits. The dirty-cone flood visits in this order.
+  [[nodiscard]] Seeds seeds() const {
+    switch (kind) {
+      case Kind::kAddVertex:
+      case Kind::kSetDelay:
+        return Seeds{{from, from}, 1};
+      case Kind::kRemoveConstraint:
+        return Seeds{{to, from}, 2};
+      default:
+        return Seeds{{from, to}, 2};
+    }
+  }
 };
 
 /// Outcome of structural validation.
@@ -144,7 +170,7 @@ class ConstraintGraph {
   // ---- Construction -----------------------------------------------------
 
   /// Adds an operation vertex. The first vertex added is the source v0.
-  VertexId add_vertex(std::string name, Delay delay);
+  VertexId add_vertex(std::string_view name, Delay delay);
 
   /// Sequencing dependency from `from` to `to`; weight is delta(from).
   EdgeId add_sequencing_edge(VertexId from, VertexId to);
@@ -205,7 +231,7 @@ class ConstraintGraph {
   /// edit history along.
   void rebase_journal() {
     journal_base_ += edits_.size();
-    edits_.clear();
+    edits_ = std::vector<Edit>();  // releases the capacity, unlike clear()
   }
 
   /// Checkpoint support: after rebuilding a graph from a snapshot, the
@@ -353,6 +379,12 @@ class ConstraintGraph {
   /// polar (single source/sink, all vertices on a source-to-sink path in
   /// Gf). Empty result means valid.
   [[nodiscard]] std::vector<ValidationIssue> validate() const;
+
+  /// The same checks on `forward`, this graph's project_forward(), with
+  /// `acyclic` its acyclicity verdict: a caller that already projected
+  /// and sorted Gf passes both instead of having them rebuilt.
+  [[nodiscard]] std::vector<ValidationIssue> validate(
+      const graph::Digraph& forward, bool acyclic) const;
 
   /// Graphviz dot rendering (forward edges solid, backward dashed,
   /// anchors double-circled like the paper's figures).

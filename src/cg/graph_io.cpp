@@ -1,8 +1,9 @@
 #include "cg/graph_io.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <sstream>
 
 #include "base/hash.hpp"
@@ -42,75 +43,166 @@ std::string to_text(const ConstraintGraph& g) {
   return os.str();
 }
 
+namespace {
+
+/// Whitespace between tokens: what `>>` skips in the C locale, except
+/// the line break, which ends the line.
+constexpr bool is_blank(char c) {
+  return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
+}
+
+/// Next whitespace-separated token of `rest`, consumed from its front;
+/// empty at the end of the line.
+std::string_view next_token(std::string_view& rest) {
+  std::size_t begin = 0;
+  while (begin < rest.size() && is_blank(rest[begin])) ++begin;
+  std::size_t end = begin;
+  while (end < rest.size() && !is_blank(rest[end])) ++end;
+  const std::string_view token = rest.substr(begin, end - begin);
+  rest.remove_prefix(end);
+  return token;
+}
+
+/// A whole decimal integer (optional '-', then digits) that fits an
+/// int; nullopt for anything else, including a numeric prefix.
+std::optional<int> parse_int(std::string_view token) {
+  int value = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
+}
+
+/// Vertex lookup by name: open addressing over (hash, id) slots, with
+/// the keys themselves read from the graph's interned names, so the
+/// table never copies a name or allocates per vertex.
+class NameTable {
+ public:
+  /// The vertex named `name` in `g`, or invalid.
+  [[nodiscard]] VertexId find(const ConstraintGraph& g,
+                              std::string_view name) const {
+    if (slots_.empty()) return VertexId::invalid();
+    const std::uint32_t hash = hash_of(name);
+    for (std::size_t i = hash & mask();; i = (i + 1) & mask()) {
+      const Slot& slot = slots_[i];
+      if (slot.id < 0) return VertexId::invalid();
+      if (slot.hash == hash && g.vertex(VertexId(slot.id)).name == name) {
+        return VertexId(slot.id);
+      }
+    }
+  }
+
+  /// Adds `v` under its name in `g`; the name must be new.
+  void insert(const ConstraintGraph& g, VertexId v) {
+    if (2 * (count_ + 1) > slots_.size()) grow();
+    place(Slot{hash_of(g.vertex(v).name), v.value()});
+    ++count_;
+  }
+
+ private:
+  struct Slot {
+    std::uint32_t hash = 0;
+    int id = -1;
+  };
+
+  static std::uint32_t hash_of(std::string_view name) {
+    return static_cast<std::uint32_t>(base::fnv1a64(name));
+  }
+  [[nodiscard]] std::size_t mask() const { return slots_.size() - 1; }
+
+  void place(Slot slot) {
+    std::size_t i = slot.hash & mask();
+    while (slots_[i].id >= 0) i = (i + 1) & mask();
+    slots_[i] = slot;
+  }
+  void grow() {
+    std::vector<Slot> old(std::max<std::size_t>(1024, 2 * slots_.size()));
+    old.swap(slots_);
+    for (const Slot& slot : old) {
+      if (slot.id >= 0) place(slot);
+    }
+  }
+
+  std::vector<Slot> slots_;  // size is a power of two
+  std::size_t count_ = 0;
+};
+
+}  // namespace
+
 ParseResult from_text(std::string_view text) {
   ParseResult result;
   std::optional<ConstraintGraph> graph;
-  std::map<std::string, VertexId, std::less<>> names;
+  NameTable names;
 
-  std::istringstream in{std::string(text)};
-  std::string line;
   int line_no = 0;
-  const auto fail = [&](const std::string& message) {
+  const auto fail = [&](std::string_view message) {
     result.graph.reset();
     result.error = cat("line ", line_no, ": ", message);
     return result;
   };
 
-  while (std::getline(in, line)) {
+  while (!text.empty()) {
+    const std::size_t newline = text.find('\n');
+    std::string_view rest = text.substr(0, newline);
+    text.remove_prefix(newline == std::string_view::npos ? text.size()
+                                                         : newline + 1);
     ++line_no;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    std::istringstream ls(line);
-    std::string keyword;
-    if (!(ls >> keyword)) continue;  // blank line
+    rest = rest.substr(0, rest.find('#'));
+    const std::string_view keyword = next_token(rest);
+    if (keyword.empty()) continue;  // blank line
 
     if (keyword == "graph") {
-      std::string name;
-      if (!(ls >> name)) return fail("expected graph name");
+      const std::string_view name = next_token(rest);
+      if (name.empty()) return fail("expected graph name");
       if (graph.has_value()) return fail("duplicate 'graph' line");
-      graph.emplace(name);
+      graph.emplace(std::string(name));
       continue;
     }
     if (!graph.has_value()) return fail("missing 'graph' header");
 
     if (keyword == "vertex") {
-      std::string name, delay;
-      if (!(ls >> name >> delay)) return fail("expected: vertex <name> <delay>");
-      if (names.count(name) != 0) return fail(cat("duplicate vertex '", name, "'"));
+      const std::string_view name = next_token(rest);
+      const std::string_view delay = next_token(rest);
+      if (delay.empty()) return fail("expected: vertex <name> <delay>");
+      if (names.find(*graph, name).is_valid()) {
+        return fail(cat("duplicate vertex '", name, "'"));
+      }
       Delay d = Delay::unbounded();
       if (delay != "unbounded") {
-        try {
-          const int cycles = std::stoi(delay);
-          if (cycles < 0) return fail("delay must be >= 0");
-          d = Delay::bounded(cycles);
-        } catch (const std::exception&) {
-          return fail(cat("bad delay '", delay, "'"));
-        }
+        const std::optional<int> cycles = parse_int(delay);
+        if (!cycles.has_value()) return fail(cat("bad delay '", delay, "'"));
+        if (*cycles < 0) return fail("delay must be >= 0");
+        d = Delay::bounded(*cycles);
       }
-      names[name] = graph->add_vertex(name, d);
+      names.insert(*graph, graph->add_vertex(name, d));
       continue;
     }
 
-    std::string from, to;
-    if (!(ls >> from >> to)) return fail("expected two vertex names");
-    const auto fi = names.find(from);
-    const auto ti = names.find(to);
-    if (fi == names.end()) return fail(cat("unknown vertex '", from, "'"));
-    if (ti == names.end()) return fail(cat("unknown vertex '", to, "'"));
+    const std::string_view from = next_token(rest);
+    const std::string_view to = next_token(rest);
+    if (to.empty()) return fail("expected two vertex names");
+    const VertexId fi = names.find(*graph, from);
+    const VertexId ti = names.find(*graph, to);
+    if (!fi.is_valid()) return fail(cat("unknown vertex '", from, "'"));
+    if (!ti.is_valid()) return fail(cat("unknown vertex '", to, "'"));
 
-    if (keyword == "seq") {
-      graph->add_sequencing_edge(fi->second, ti->second);
-    } else if (keyword == "min" || keyword == "max") {
-      int cycles = 0;
-      if (!(ls >> cycles)) return fail("expected a cycle count");
-      if (cycles < 0) return fail("constraint must be >= 0");
-      if (keyword == "min") {
-        graph->add_min_constraint(fi->second, ti->second, cycles);
-      } else {
-        graph->add_max_constraint(fi->second, ti->second, cycles);
+    int cycles = 0;
+    if (keyword != "seq") {
+      if (keyword != "min" && keyword != "max") {
+        return fail(cat("unknown keyword '", keyword, "'"));
       }
+      const std::optional<int> bound = parse_int(next_token(rest));
+      if (!bound.has_value()) return fail("expected a cycle count");
+      if (*bound < 0) return fail("constraint must be >= 0");
+      cycles = *bound;
+    }
+    if (fi == ti) return fail(cat("self loop on '", from, "'"));
+    if (keyword == "seq") {
+      graph->add_sequencing_edge(fi, ti);
+    } else if (keyword == "min") {
+      graph->add_min_constraint(fi, ti, cycles);
     } else {
-      return fail(cat("unknown keyword '", keyword, "'"));
+      graph->add_max_constraint(fi, ti, cycles);
     }
   }
   if (!graph.has_value()) return fail("empty input");

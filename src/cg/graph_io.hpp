@@ -11,7 +11,10 @@
 //   max <from> <to> <cycles>   # maximum timing constraint
 //
 // Vertices are referenced by name and must be declared before use; the
-// first declared vertex is the source.
+// first declared vertex is the source. Tokens are separated by spaces,
+// tabs, \r, \v or \f (so CRLF input parses), lines by \n; tokens past
+// the last expected one are ignored. Cycle counts are whole decimal
+// integers (-?[0-9]+ within int range) and must be >= 0.
 //
 // Binary (".cgb", the scale path): the same information framed like
 // the persist layer's files -- 8-byte magic, u32 version, payload, and
@@ -53,7 +56,9 @@ struct ParseResult {
   [[nodiscard]] bool ok() const { return graph.has_value(); }
 };
 
-/// Parses the text format; on error, `error` names the offending line.
+/// Parses the text format in one pass over views of `text`; on error,
+/// `error` starts with "line N: " naming the offending line. Never
+/// throws on malformed input (self loops included).
 ParseResult from_text(std::string_view text);
 
 inline constexpr std::string_view kBinaryGraphMagic = "RSGB0001";

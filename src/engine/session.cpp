@@ -42,6 +42,9 @@ SynthesisSession::SynthesisSession(cg::ConstraintGraph graph,
                                    SessionOptions options)
     : graph_(std::move(graph)), options_(options) {
   // Construction-time history is irrelevant: the first resolve is cold.
+  // Drop it (and its capacity) instead of holding one entry per vertex
+  // and edge for the session's lifetime; revision() is unchanged.
+  graph_.rebase_journal();
   consumed_edits_ = graph_.revision();
 }
 
@@ -89,9 +92,9 @@ const Products& SynthesisSession::commit() {
     long long sum = 0;
     std::vector<VertexId> merged_seeds;
     for (std::size_t i = begin; i < edits.size(); ++i) {
-      sum += flood_count(edits[i].seeds);
-      merged_seeds.insert(merged_seeds.end(), edits[i].seeds.begin(),
-                          edits[i].seeds.end());
+      const cg::Edit::Seeds seeds = edits[i].seeds();
+      sum += flood_count(seeds);
+      merged_seeds.insert(merged_seeds.end(), seeds.begin(), seeds.end());
     }
     stats_.last_cone_vertices_sum = sum;
     stats_.last_merged_cone_vertices = flood_count(merged_seeds);
@@ -99,7 +102,7 @@ const Products& SynthesisSession::commit() {
   return resolve();
 }
 
-int SynthesisSession::flood_count(const std::vector<VertexId>& seeds) const {
+int SynthesisSession::flood_count(std::span<const VertexId> seeds) const {
   flood_mask_.reset(graph_.vertex_count());
   flood_worklist_.clear();
   for (VertexId s : seeds) {
@@ -124,11 +127,10 @@ SynthesisSession SynthesisSession::fork() const {
   RELSCHED_CHECK(resolved_once_ && !force_cold_ && !in_txn_ &&
                      products_.revision == graph_.revision(),
                  "fork() requires a current resolve() and no open transaction");
+  // Branch point: the constructor starts the fork's journal empty at
+  // the same revision, so the parent's consumed edit history is not
+  // dragged along.
   SynthesisSession f(graph_, options_);
-  // Branch point: the fork's journal starts empty at the same revision,
-  // so the parent's consumed edit history is not dragged along.
-  f.graph_.rebase_journal();
-  f.consumed_edits_ = f.graph_.revision();
   // Copy-on-write product copy: the anchor path rows stay shared with
   // this session until the fork's own resolves patch them.
   f.products_ = products_;
@@ -194,7 +196,7 @@ const Products& SynthesisSession::resolve() {
                       e.kind == cg::Edit::Kind::kRemoveConstraint)) {
       forward_changed = true;
     }
-    for (VertexId s : e.seeds) {
+    for (VertexId s : e.seeds()) {
       // A structural edit may have grown the vertex set past the mask;
       // irrelevant, since structural forces the cold path anyway.
       if (structural) break;
@@ -275,23 +277,25 @@ void SynthesisSession::cold_resolve() {
   products_ = Products{};
   sched::ScheduleResult& out = products_.schedule;
 
-  if (const auto issues = graph_.validate(); !issues.empty()) {
-    out.status = sched::ScheduleStatus::kInvalidGraph;
-    out.message = issues.front().message;
-    // The order predates whatever made the graph invalid; reset (which
-    // fails on a forward cycle, flagging the order invalid) rather than
-    // keep serving -- and checkpointing -- a stale permutation.
-    (void)topo_.reset(graph_.project_forward());
-    return;
+  // One projection of Gf and one topological order serve the whole
+  // cold pass: validation, anchor sets and the schedule all read them.
+  // The order is reset first, on every exit path, so it stays coherent
+  // with the graph: failed resolves (invalid, infeasible, ill-posed,
+  // cancelled) do not patch the order edge-by-edge the way the warm
+  // path does, so without this reset a checkpoint taken after
+  // edit -> failed-resolve would persist an order the edited graph no
+  // longer satisfies, and restore would reject its own snapshot. (On a
+  // forward cycle the reset fails, flagging the order invalid.)
+  {
+    const graph::Digraph forward = graph_.project_forward();
+    const bool acyclic = topo_.reset(forward);
+    if (const auto issues = graph_.validate(forward, acyclic);
+        !issues.empty()) {
+      out.status = sched::ScheduleStatus::kInvalidGraph;
+      out.message = issues.front().message;
+      return;
+    }
   }
-  // Every later exit keeps the order coherent with the graph: failed
-  // resolves (infeasible, ill-posed, cancelled) do not patch the order
-  // edge-by-edge the way the warm path does, so without this reset a
-  // checkpoint taken after edit -> failed-resolve would persist an
-  // order the edited graph no longer satisfies, and restore would
-  // reject its own snapshot.
-  RELSCHED_CHECK(topo_.reset(graph_.project_forward()),
-                 "validated graph must have an acyclic Gf");
   // AnchorAnalysis::compute requires feasibility, so check() cannot be
   // deferred past it.
   if (!wellposed::is_feasible(graph_, &watchdog_)) {
@@ -305,7 +309,8 @@ void SynthesisSession::cold_resolve() {
     out.diag = certify::find_positive_cycle(graph_);
     return;
   }
-  products_.analysis = anchors::AnchorAnalysis::compute(graph_, analysis_pool());
+  products_.analysis = anchors::AnchorAnalysis::compute(
+      graph_, topo_.order(), analysis_pool());
   const wellposed::CheckResult wp =
       wellposed::check(graph_, products_.analysis.anchor_sets());
   if (wp.status == wellposed::Status::kIllPosed) {
@@ -318,7 +323,7 @@ void SynthesisSession::cold_resolve() {
   sched::ScheduleOptions sopts;
   sopts.mode = options_.schedule_mode;
   sopts.prechecks = false;
-  out = sched::schedule(graph_, products_.analysis, sopts);
+  out = sched::schedule(graph_, products_.analysis, topo_.order(), sopts);
   stats_.anchor_rows_recomputed += products_.analysis.rows_recomputed();
   stats_.anchor_rows_cold_equivalent += products_.analysis.rows_recomputed();
   if (out.ok()) adopt_schedule();
@@ -357,7 +362,7 @@ bool SynthesisSession::try_incremental(const std::vector<VertexId>& seeds,
   // graph. One flood covers the whole journal suffix -- k edits, one
   // merged cone. (Removal edits seed their endpoints: the surviving
   // suffix of any killed path hangs off some removal's head, so shrunk
-  // paths are covered too; see cg::Edit::seeds.) The mask is pooled and
+  // paths are covered too; see cg::Edit::seeds().) The mask is pooled and
   // the worklist doubles as the published cone: the flood costs
   // O(|cone|), not O(V).
   affected_mask_.reset(graph_.vertex_count());

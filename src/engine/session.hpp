@@ -46,6 +46,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -511,7 +512,7 @@ class SynthesisSession {
   void adopt_schedule();
   /// |reachable set| from `seeds` over the current full graph; the
   /// cone-accounting primitive behind commit()'s statistics.
-  [[nodiscard]] int flood_count(const std::vector<VertexId>& seeds) const;
+  [[nodiscard]] int flood_count(std::span<const VertexId> seeds) const;
   /// Replaces products_ with a kCancelled/kTimeout verdict carrying the
   /// watchdog's stop reason; the next resolve recomputes cold.
   void cancelled_products();

@@ -24,11 +24,11 @@
 #include <string>
 #include <vector>
 
+#include "base/thread_pool.hpp"
 #include "base/watchdog.hpp"
 #include "certify/certify.hpp"
 #include "cg/constraint_graph.hpp"
 #include "engine/session.hpp"
-#include "explore/thread_pool.hpp"
 #include "persist/serialize.hpp"
 
 namespace relsched::explore {

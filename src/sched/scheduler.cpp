@@ -142,51 +142,70 @@ void run_rounds(const cg::ConstraintGraph& g,
   result.message = "no convergence within |Eb|+1 iterations";
 }
 
-}  // namespace
-
-ScheduleResult schedule(const cg::ConstraintGraph& g,
-                        const anchors::AnchorAnalysis& analysis,
-                        const ScheduleOptions& options) {
-  ScheduleResult result;
-  if (options.prechecks) {
-    if (!g.validate().empty()) {
-      result.status = ScheduleStatus::kInvalidGraph;
-      result.message = g.validate().front().message;
-      return result;
-    }
-    const auto wp = wellposed::check(g);
-    if (wp.status == wellposed::Status::kInfeasible) {
-      result.status = ScheduleStatus::kInfeasible;
-      result.message = wp.message;
-      result.diag = wp.diag;
-      return result;
-    }
-    if (wp.status == wellposed::Status::kIllPosed) {
-      result.status = ScheduleStatus::kIllPosed;
-      result.message = wp.message;
-      result.diag = wp.diag;
-      return result;
-    }
-  }
-
-  const graph::Digraph forward = g.project_forward();
-  const auto topo = graph::topological_order(forward);
-  if (!topo.has_value()) {
+/// The validate() + feasibility + well-posedness prechecks. False, with
+/// `result` carrying the verdict, when one fails.
+bool passes_prechecks(const cg::ConstraintGraph& g, ScheduleResult& result) {
+  if (const auto issues = g.validate(); !issues.empty()) {
     result.status = ScheduleStatus::kInvalidGraph;
-    result.message = "forward constraint graph has a cycle";
-    return result;
+    result.message = issues.front().message;
+    return false;
   }
+  const auto wp = wellposed::check(g);
+  if (wp.status == wellposed::Status::kInfeasible) {
+    result.status = ScheduleStatus::kInfeasible;
+    result.message = wp.message;
+    result.diag = wp.diag;
+    return false;
+  }
+  if (wp.status == wellposed::Status::kIllPosed) {
+    result.status = ScheduleStatus::kIllPosed;
+    result.message = wp.message;
+    result.diag = wp.diag;
+    return false;
+  }
+  return true;
+}
 
+/// Iterates from the paper's r = 0 state: offset 0 for every tracked
+/// anchor.
+void schedule_from_zero(const cg::ConstraintGraph& g,
+                        const anchors::AnchorAnalysis& analysis,
+                        const ScheduleOptions& options,
+                        std::span<const int> topo, ScheduleResult& result) {
   RelativeSchedule sched(g.vertex_count());
-  // Initial offsets: 0 for every tracked anchor (the paper's r = 0 state).
   for (int vi = 0; vi < g.vertex_count(); ++vi) {
     const VertexId v(vi);
     for (VertexId a : analysis.set(v, options.mode)) {
       sched.offsets(v).set(a, 0);
     }
   }
+  run_rounds(g, analysis, options, topo, topo, std::move(sched), result);
+}
 
-  run_rounds(g, analysis, options, *topo, *topo, std::move(sched), result);
+}  // namespace
+
+ScheduleResult schedule(const cg::ConstraintGraph& g,
+                        const anchors::AnchorAnalysis& analysis,
+                        const ScheduleOptions& options) {
+  ScheduleResult result;
+  if (options.prechecks && !passes_prechecks(g, result)) return result;
+  const auto topo = graph::topological_order(g.project_forward());
+  if (!topo.has_value()) {
+    result.status = ScheduleStatus::kInvalidGraph;
+    result.message = "forward constraint graph has a cycle";
+    return result;
+  }
+  schedule_from_zero(g, analysis, options, *topo, result);
+  return result;
+}
+
+ScheduleResult schedule(const cg::ConstraintGraph& g,
+                        const anchors::AnchorAnalysis& analysis,
+                        std::span<const int> topo,
+                        const ScheduleOptions& options) {
+  ScheduleResult result;
+  if (options.prechecks && !passes_prechecks(g, result)) return result;
+  schedule_from_zero(g, analysis, options, topo, result);
   return result;
 }
 

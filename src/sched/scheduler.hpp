@@ -78,6 +78,14 @@ ScheduleResult schedule(const cg::ConstraintGraph& g,
                         const anchors::AnchorAnalysis& analysis,
                         const ScheduleOptions& options = {});
 
+/// The same, over `topo`, a topological order of Gf the caller already
+/// holds (the engine's cold resolve passes the order it maintains
+/// instead of projecting and sorting Gf again).
+ScheduleResult schedule(const cg::ConstraintGraph& g,
+                        const anchors::AnchorAnalysis& analysis,
+                        std::span<const int> topo,
+                        const ScheduleOptions& options);
+
 /// Convenience overload running the anchor analysis internally.
 ScheduleResult schedule(const cg::ConstraintGraph& g,
                         const ScheduleOptions& options = {});

@@ -1,23 +1,32 @@
-// Pre-refactor reference implementations of the anchor analysis.
+// Pre-refactor reference implementations, kept as independent oracles.
 //
-// These are the SmallSet-and-vector algorithms the anchors library
-// shipped before the struct-of-arrays/bitset refactor, kept verbatim as
-// an independent oracle: property_generator.cpp recomputes every
-// analysis product with them and requires the production BitMatrix
-// implementation to match bit for bit on generated designs. They are
-// deliberately naive -- O(|A| * |V|) sets, per-anchor Bellman-Ford --
-// and must stay that way: an oracle sharing the production layout
-// would share its bugs.
+// The anchor analysis: the SmallSet-and-vector algorithms the anchors
+// library shipped before the struct-of-arrays/bitset refactor, kept
+// verbatim: property_generator.cpp recomputes every analysis product
+// with them and requires the production BitMatrix implementation to
+// match bit for bit on generated designs. They are deliberately naive
+// -- O(|A| * |V|) sets, per-anchor Bellman-Ford -- and must stay that
+// way: an oracle sharing the production layout would share its bugs.
+//
+// The `.cg` text parser: the istringstream-per-line parser cg::from_text
+// replaced, kept for fuzz_graph_text.cpp's differential check.
 //
 // Test-only; never linked into the library.
 #pragma once
 
 #include <algorithm>
+#include <map>
+#include <optional>
+#include <sstream>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/error.hpp"
 #include "base/small_set.hpp"
+#include "base/strings.hpp"
 #include "cg/constraint_graph.hpp"
+#include "cg/graph_io.hpp"
 #include "graph/algorithms.hpp"
 
 namespace relsched::testing::oracle {
@@ -192,6 +201,87 @@ inline Analysis compute(const cg::ConstraintGraph& g) {
     }
   }
   return a;
+}
+
+/// The `.cg` text parser before the single-pass rewrite: one
+/// istringstream per line, `>>` tokens, a std::map name table. It reads
+/// numbers leniently (`std::stoi` and `>>` parse a prefix, so `3x` is 3)
+/// and lets the edit API's exception escape on a self loop; callers
+/// compare it with cg::from_text only where neither matters.
+inline cg::ParseResult from_text(std::string_view text) {
+  cg::ParseResult result;
+  std::optional<cg::ConstraintGraph> graph;
+  std::map<std::string, VertexId, std::less<>> names;
+
+  std::istringstream in{std::string(text)};
+  std::string line;
+  int line_no = 0;
+  const auto fail = [&](const std::string& message) {
+    result.graph.reset();
+    result.error = cat("line ", line_no, ": ", message);
+    return result;
+  };
+
+  while (std::getline(in, line)) {
+    ++line_no;
+    const auto hash = line.find('#');
+    if (hash != std::string::npos) line.erase(hash);
+    std::istringstream ls(line);
+    std::string keyword;
+    if (!(ls >> keyword)) continue;  // blank line
+
+    if (keyword == "graph") {
+      std::string name;
+      if (!(ls >> name)) return fail("expected graph name");
+      if (graph.has_value()) return fail("duplicate 'graph' line");
+      graph.emplace(name);
+      continue;
+    }
+    if (!graph.has_value()) return fail("missing 'graph' header");
+
+    if (keyword == "vertex") {
+      std::string name, delay;
+      if (!(ls >> name >> delay)) return fail("expected: vertex <name> <delay>");
+      if (names.count(name) != 0) return fail(cat("duplicate vertex '", name, "'"));
+      cg::Delay d = cg::Delay::unbounded();
+      if (delay != "unbounded") {
+        try {
+          const int cycles = std::stoi(delay);
+          if (cycles < 0) return fail("delay must be >= 0");
+          d = cg::Delay::bounded(cycles);
+        } catch (const std::exception&) {
+          return fail(cat("bad delay '", delay, "'"));
+        }
+      }
+      names[name] = graph->add_vertex(name, d);
+      continue;
+    }
+
+    std::string from, to;
+    if (!(ls >> from >> to)) return fail("expected two vertex names");
+    const auto fi = names.find(from);
+    const auto ti = names.find(to);
+    if (fi == names.end()) return fail(cat("unknown vertex '", from, "'"));
+    if (ti == names.end()) return fail(cat("unknown vertex '", to, "'"));
+
+    if (keyword == "seq") {
+      graph->add_sequencing_edge(fi->second, ti->second);
+    } else if (keyword == "min" || keyword == "max") {
+      int cycles = 0;
+      if (!(ls >> cycles)) return fail("expected a cycle count");
+      if (cycles < 0) return fail("constraint must be >= 0");
+      if (keyword == "min") {
+        graph->add_min_constraint(fi->second, ti->second, cycles);
+      } else {
+        graph->add_max_constraint(fi->second, ti->second, cycles);
+      }
+    } else {
+      return fail(cat("unknown keyword '", keyword, "'"));
+    }
+  }
+  if (!graph.has_value()) return fail("empty input");
+  result.graph = std::move(graph);
+  return result;
 }
 
 }  // namespace relsched::testing::oracle

@@ -1,12 +1,16 @@
 // SessionStats observability: transaction counters and cone-coalescing
 // accounting, fork counters and copy-on-write row sharing, fork
-// isolation, warm-path phase timings, and the fork() preconditions.
+// isolation, the construction journal dropped at session start,
+// warm-path phase timings, and the fork() preconditions.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "base/error.hpp"
+#include "cg/graph_io.hpp"
 #include "engine/session.hpp"
+#include "persist/snapshot.hpp"
 #include "testutil.hpp"
 
 namespace relsched::engine {
@@ -144,6 +148,42 @@ TEST(SessionStatsTest, ForkIsIndependentlyEditable) {
   EXPECT_TRUE(grandchild.products().ok());
   EXPECT_EQ(fork.stats().forks_taken, 1);
   EXPECT_EQ(parent.stats().forks_taken, 1);
+}
+
+/// Serialized analysis and schedule: equal bytes mean bit-identical
+/// products. The analysis record's leading i32 (rows the last update
+/// recomputed) is path history, not product, and is left out.
+std::string product_bytes(const Products& p) {
+  persist::Writer analysis;
+  persist::save_analysis(analysis, p.analysis);
+  persist::Writer schedule;
+  persist::save_schedule(schedule, p.schedule.schedule);
+  return analysis.buffer().substr(4) + schedule.buffer();
+}
+
+TEST(SessionStatsTest, ParsedGraphJournalIsDroppedAtConstruction) {
+  relsched::testing::Fig2Graph fig;
+  cg::ParseResult parsed = cg::from_text(cg::to_text(fig.g));
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  const std::uint64_t revision = parsed.graph->revision();
+  ASSERT_FALSE(parsed.graph->edits().empty());
+
+  // The construction journal is history the first (cold) resolve never
+  // reads: the session starts with none, at the parsed revision.
+  SynthesisSession session(std::move(*parsed.graph), {});
+  EXPECT_TRUE(session.graph().edits().empty());
+  EXPECT_EQ(session.graph().revision(), revision);
+
+  ASSERT_TRUE(session.resolve().ok());
+  session.set_constraint_bound(find_max_edge(session.graph()), 3);
+  session.add_min_constraint(fig.v1, fig.v3, 6);
+  ASSERT_TRUE(session.resolve().ok());
+  EXPECT_TRUE(session.last_resolve_was_warm());
+  EXPECT_EQ(session.graph().revision(), revision + 2);
+
+  SynthesisSession cold(session.graph(), {});
+  ASSERT_TRUE(cold.resolve().ok());
+  EXPECT_EQ(product_bytes(session.products()), product_bytes(cold.products()));
 }
 
 TEST(SessionStatsTest, WarmPhaseTimingsAccumulate) {

@@ -24,6 +24,8 @@
 namespace relsched::explore {
 namespace {
 
+using base::WorkStealingPool;
+
 /// A random well-posed, schedulable graph to explore around.
 cg::ConstraintGraph exploration_graph(unsigned seed) {
   std::mt19937 rng(seed);

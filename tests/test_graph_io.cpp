@@ -105,6 +105,19 @@ TEST(GraphIo, ErrorsNameTheLine) {
       from_text("graph g\nvertex v 0\nvertex v 0\n").ok());  // duplicate
   EXPECT_FALSE(
       from_text("graph g\nvertex a 0\nvertex b 0\nmin a b -1\n").ok());
+
+  // Numbers are whole decimal integers: no numeric prefix, no fraction,
+  // nothing out of int range.
+  const auto error = [](const std::string& text) {
+    return from_text(text).error;
+  };
+  EXPECT_EQ(error("graph g\nvertex a 3x\n"), "line 2: bad delay '3x'");
+  EXPECT_EQ(error("graph g\nvertex a 99999999999\n"),
+            "line 2: bad delay '99999999999'");
+  EXPECT_EQ(error("graph g\nvertex a 0\nvertex b 0\nmin a b 5x\n"),
+            "line 4: expected a cycle count");
+  EXPECT_EQ(error("graph g\nvertex a 0\nvertex b 0\nmax a b 2.5\n"),
+            "line 4: expected a cycle count");
 }
 
 TEST(GraphIo, CommentsAndBlankLinesIgnored)
@@ -113,6 +126,14 @@ TEST(GraphIo, CommentsAndBlankLinesIgnored)
       "graph g   # name\n\n# full-line comment\nvertex v0 0\n");
   ASSERT_TRUE(parsed.ok()) << parsed.error;
   EXPECT_EQ(parsed.graph->vertex_count(), 1);
+
+  // CRLF line ends and tab separators parse like plain spaces.
+  const auto crlf = from_text(
+      "graph\tg\r\nvertex v0 0\r\n\tvertex\tv1\t2 # tab\r\n\r\n"
+      "seq v0\tv1\r\nmax\tv0 v1\t4\r\n");
+  ASSERT_TRUE(crlf.ok()) << crlf.error;
+  EXPECT_EQ(to_text(*crlf.graph),
+            "graph g\nvertex v0 0\nvertex v1 2\nseq v0 v1\nmax v0 v1 4\n");
 }
 
 // Property: for generated designs across seeds and shapes, writing the

@@ -20,6 +20,7 @@
 #include <thread>
 
 #include "base/fault_fs.hpp"
+#include "bench_json.hpp"
 #include "cg/graph_io.hpp"
 #include "engine/session.hpp"
 #include "serve/client.hpp"
@@ -79,6 +80,25 @@ TEST(Json, StringEscapesSurviveRoundTrip) {
       Json::parse(R"({"s":"a\u00e9\ud83d\ude00z"})", &error);
   ASSERT_TRUE(u.has_value()) << error;
   EXPECT_EQ(field(*u, "s").as_string(), "a\xc3\xa9\xf0\x9f\x98\x80z");
+}
+
+// Bench records render strings through the shared escaper: control
+// bytes such as \r come out as escapes, so the record parses as JSON.
+TEST(Json, BenchRecordEscapesControlBytes) {
+  const std::string hairy = std::string("cr\r") + '\x01' + "\"q\"";
+  benchio::Json record = benchio::Json::object();
+  record.field("note", hairy);
+  record.field(std::string("key\r"), 1);
+  benchio::Json list = benchio::Json::array();
+  list.element(hairy);
+  record.field("list", list);
+
+  std::string error;
+  std::optional<Json> parsed = Json::parse(record.str(), &error);
+  ASSERT_TRUE(parsed.has_value()) << error << "\n" << record.str();
+  EXPECT_EQ(field(*parsed, "note").as_string(), hairy);
+  EXPECT_EQ(field(*parsed, "key\r").as_int(), 1);
+  EXPECT_EQ(field(*parsed, "list").at(0)->as_string(), hairy);
 }
 
 TEST(Json, MalformedInputsRejectedWithError) {
