@@ -5,9 +5,9 @@
 // scraping the human-readable tables.
 #pragma once
 
+#include <charconv>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include "base/json.hpp"
@@ -101,10 +101,10 @@ class Json {
  private:
   Json(char open, char close) : open_(1, open), close_(1, close) {}
 
+  /// Shortest text that parses back to exactly `v`.
   static std::string number(double v) {
-    std::ostringstream os;
-    os << v;
-    return os.str();
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
   }
 
   void separator() {

@@ -8,7 +8,6 @@
 #include <variant>
 #include <vector>
 
-#include "analyze/detail.hpp"
 #include "base/json.hpp"
 #include "base/strings.hpp"
 #include "graph/algorithms.hpp"
@@ -44,12 +43,9 @@ Weight zero_profile_delay(const cg::ConstraintGraph& g, VertexId v) {
   return 0;
 }
 
-}  // namespace
-
-// ---- Shared slack evaluation (detail.hpp) ---------------------------------
-
-namespace detail {
-
+/// Kahn's algorithm over the forward subgraph (mirrors the certifier's
+/// independent order; the analysis must not borrow the scheduler's).
+/// Empty result = cycle (with vertices present).
 std::vector<int> forward_topo_order(const cg::ConstraintGraph& g) {
   const int n = g.vertex_count();
   std::vector<int> indegree(static_cast<std::size_t>(n), 0);
@@ -72,6 +68,11 @@ std::vector<int> forward_topo_order(const cg::ConstraintGraph& g) {
   return order;
 }
 
+/// Zero-profile start times off the anchor analysis, via the Theorem 3
+/// identity sigma_a^min(v) = length(a, v):
+///   T0(v) = max(0, max_{a in A(v)} T0(a) + d0(a) + length(a, v)),
+/// evaluated in forward topological order (T0(source) = 0). Identical
+/// to the certifier's recursion over the minimum schedule's offsets.
 std::vector<Weight> zero_profile_start_times(
     const cg::ConstraintGraph& g, const anchors::AnchorAnalysis& analysis,
     const std::vector<int>& topo) {
@@ -89,21 +90,9 @@ std::vector<Weight> zero_profile_start_times(
   return t0;
 }
 
-void patch_zero_profile_start_times(const cg::ConstraintGraph& g,
-                                    const anchors::AnchorAnalysis& analysis,
-                                    std::span<const VertexId> cone_topo,
-                                    std::vector<Weight>& t0) {
-  for (const VertexId v : cone_topo) {
-    if (v == g.source()) continue;
-    Weight t = 0;
-    for (const VertexId a : analysis.anchor_set(v)) {
-      t = std::max(t, t0[a.index()] + zero_profile_delay(g, a) +
-                          analysis.length(a, v));
-    }
-    t0[v.index()] = t;
-  }
-}
-
+/// Slack record of constraint edge `eid` (min or max; never call on a
+/// sequencing edge). Preconditions: valid + feasible + well-posed
+/// graph, `t0` current zero-profile start times.
 ConstraintSlack constraint_slack(const cg::ConstraintGraph& g,
                                  const anchors::AnchorAnalysis& analysis,
                                  const std::vector<Weight>& t0, EdgeId eid) {
@@ -155,6 +144,8 @@ ConstraintSlack constraint_slack(const cg::ConstraintGraph& g,
   return s;
 }
 
+/// Criticality ranking in place: slack ascending, tight_frames
+/// descending, EdgeId ascending (deterministic total order).
 void rank(std::vector<ConstraintSlack>& slacks) {
   std::stable_sort(slacks.begin(), slacks.end(),
                    [](const ConstraintSlack& a, const ConstraintSlack& b) {
@@ -166,7 +157,7 @@ void rank(std::vector<ConstraintSlack>& slacks) {
                    });
 }
 
-}  // namespace detail
+}  // namespace
 
 // ---- Analysis -------------------------------------------------------------
 
@@ -225,14 +216,13 @@ Report analyze(const cg::ConstraintGraph& g,
     }
   }
 
-  const std::vector<int> topo = detail::forward_topo_order(g);
-  const std::vector<Weight> t0 =
-      detail::zero_profile_start_times(g, *analysis, topo);
+  const std::vector<int> topo = forward_topo_order(g);
+  const std::vector<Weight> t0 = zero_profile_start_times(g, *analysis, topo);
   for (const cg::Edge& e : g.edges()) {
     if (e.kind == cg::EdgeKind::kSequencing) continue;
-    r.slacks.push_back(detail::constraint_slack(g, *analysis, t0, e.id));
+    r.slacks.push_back(constraint_slack(g, *analysis, t0, e.id));
   }
-  detail::rank(r.slacks);
+  rank(r.slacks);
   r.status = Status::kOk;
   return r;
 }

@@ -1,26 +1,16 @@
-// Incremental slack re-analysis on top of engine::SynthesisSession.
+// Live slack report on top of engine::SynthesisSession.
 //
-// A slack record of constraint edge (t -> h) reads per-vertex products
-// at its endpoints only: A(t), length(a, t), length(a, h), and the
-// zero-profile start times T0(t), T0(h). After a warm resolve the
-// engine's dirty cone bounds every vertex whose per-vertex products may
-// have changed (SynthesisSession::last_dirty_cone), and T0 itself can
-// be patched inside the cone alone -- the cone is out-closed, so every
-// anchor of an out-of-cone vertex is out-of-cone too and its T0 inputs
-// are untouched (detail::patch_zero_profile_start_times).
-//
-// reanalyze() therefore recomputes only the slacks of constraints with
-// an endpoint in the cone and carries the rest from the cached report,
-// matched by constraint signature (kind, endpoints, bound) -- never by
-// EdgeId, which remove_constraint's swap-pop invalidates. Cold
-// resolves, failure verdicts, and the first call fall back to a full
-// analyze(). The result is property-tested identical to a fresh
-// analyze() of the current graph (tests/property_analyze.cpp).
+// A slack record is a static read of the anchor analysis (Theorem 3):
+// a few anchor-row lookups per constraint. Once the engine has cached
+// that analysis, a fresh analyze() on it is cheap enough that carrying
+// records over from the previous report does not pay for its own
+// bookkeeping (docs/algorithms.md §Live re-analysis has the
+// measurements), so reanalyze() simply resolves and re-runs the full
+// pass on the engine's products, skipping it only when nothing was
+// resolved since the cached report.
 #pragma once
 
 #include <cstdint>
-#include <tuple>
-#include <vector>
 
 #include "analyze/analyze.hpp"
 #include "engine/session.hpp"
@@ -32,30 +22,36 @@ class IncrementalAnalyzer {
   IncrementalAnalyzer() = default;
 
   /// Resolves the session (if needed) and returns the slack report for
-  /// its current graph, reusing cached out-of-cone records after warm
-  /// resolves. The reference stays valid until the next reanalyze().
-  const Report& reanalyze(engine::SynthesisSession& session);
+  /// its current graph, computed on the engine's cached anchor
+  /// analysis. The reference stays valid until the next reanalyze().
+  const Report& reanalyze(engine::SynthesisSession& session) {
+    const engine::Products& products = session.resolve();
+    const long long resolves = session.resolve_count();
+    if (valid_ && products.revision == revision_ && resolves == resolves_) {
+      return report_;  // no resolve since the cached report: still current
+    }
+    ++full_analyses_;
+    report_ = analyze(session.graph(),
+                      products.ok() ? &products.analysis : nullptr);
+    revision_ = products.revision;
+    resolves_ = resolves;
+    valid_ = true;
+    return report_;
+  }
 
-  /// How often reanalyze() ran a full analyze() vs. a cone-scoped one.
+  /// How often reanalyze() ran the full pass.
   [[nodiscard]] int full_analyses() const { return full_analyses_; }
-  [[nodiscard]] int cone_analyses() const { return cone_analyses_; }
+  /// Always 0: no report is carried over from a previous one. Kept
+  /// only because the benchmark harness (perfbench/) still reads it.
+  [[nodiscard]] int cone_analyses() const { return 0; }
 
  private:
   Report report_;
-  /// Stored-orientation signature (kind, from, to, fixed_weight) of
-  /// each cached slack record, parallel to report_.slacks. Computed at
-  /// report build time, while the EdgeIds are valid.
-  std::vector<std::tuple<int, int, int, int>> sigs_;
-  /// Zero-profile start times the cached report was computed with;
-  /// patched in place inside the dirty cone on the cone path.
-  std::vector<graph::Weight> t0_;
-  /// Graph revision + resolve count the cached report was built at;
-  /// the cone path requires exactly one warm resolve in between.
+  /// Graph revision + resolve count the cached report was built at.
   std::uint64_t revision_ = 0;
   long long resolves_ = 0;
   bool valid_ = false;
   int full_analyses_ = 0;
-  int cone_analyses_ = 0;
 };
 
 }  // namespace relsched::analyze

@@ -5,6 +5,7 @@
 #include <cstdint>
 
 #include "base/error.hpp"
+#include "base/json.hpp"
 #include "base/strings.hpp"
 #include "graph/algorithms.hpp"
 
@@ -705,34 +706,13 @@ Diag check_products(const cg::ConstraintGraph& g,
 
 namespace {
 
-void append_json_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-        break;
-    }
-  }
-}
-
 void append_json_field(std::string& out, const char* key,
                        std::string_view value, bool quote = true) {
   out += '"';
   out += key;
   out += "\":";
   if (quote) {
-    out += '"';
-    append_json_escaped(out, value);
-    out += '"';
+    base::append_json_string(out, value);
   } else {
     out += value;
   }

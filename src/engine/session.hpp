@@ -332,19 +332,9 @@ class SynthesisSession {
 
   /// True when the most recent resolve()/commit() was served by the
   /// warm path and its products survived certification (no cold
-  /// fallback, no cancellation). When true, last_dirty_cone() bounds
-  /// what changed since the previous products.
+  /// fallback, no cancellation).
   [[nodiscard]] bool last_resolve_was_warm() const {
     return last_resolve_was_warm_;
-  }
-
-  /// Dirty cone of the most recent warm resolve: every vertex whose
-  /// derived products (anchor sets, path rows, offsets) may differ from
-  /// the previous resolve. Vertices outside the cone are guaranteed
-  /// unchanged. Meaningful only while last_resolve_was_warm() is true;
-  /// consumed by lint::IncrementalLinter to re-lint only the cone.
-  [[nodiscard]] const std::vector<VertexId>& last_dirty_cone() const {
-    return last_dirty_cone_;
   }
 
   /// Arms one fault to fire during the next resolve()/commit()
@@ -353,9 +343,9 @@ class SynthesisSession {
 
   /// Total resolves served so far (cold + warm + cancelled): a cheap
   /// monotone staleness token for consumers caching reports derived
-  /// from products (lint::IncrementalLinter, analyze::IncrementalAnalyzer)
-  /// -- their cone-scoped paths require exactly one warm resolve since
-  /// the cached report was built.
+  /// from products (analyze::IncrementalAnalyzer). Together with the
+  /// products' revision it tells whether the products changed since a
+  /// report was built.
   [[nodiscard]] long long resolve_count() const {
     return static_cast<long long>(stats_.cold_resolves) +
            stats_.warm_resolves + stats_.cancelled_resolves;
@@ -550,7 +540,9 @@ class SynthesisSession {
   /// function satisfying every G0 edge, re-used as the starting point
   /// for incremental feasibility.
   std::vector<graph::Weight> potentials_;
-  /// Dirty cone of the last warm resolve (see last_dirty_cone()).
+  /// Dirty cone of the last warm resolve: every vertex whose derived
+  /// products (anchor sets, path rows, offsets) may differ from the
+  /// previous resolve. The warm path's work list.
   std::vector<VertexId> last_dirty_cone_;
   // ---- Pooled warm-path scratch ------------------------------------------
   // Reset per resolve, never shrunk: a warm resolve at 10^5 vertices

@@ -8,7 +8,6 @@
 #include "base/strings.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/digraph.hpp"
-#include "lint/detail.hpp"
 #include "wellposed/wellposed.hpp"
 
 namespace relsched::lint {
@@ -82,10 +81,6 @@ Weight implied_path(const cg::ConstraintGraph& g, VertexId from, VertexId to,
   }
   return dist[to.index()];
 }
-
-}  // namespace
-
-namespace detail {
 
 /// Is removing constraint edge `eid` provably schedule-preserving?
 ///
@@ -176,10 +171,6 @@ bool never_binding(const cg::ConstraintGraph& g,
   return sep < u;
 }
 
-}  // namespace detail
-
-namespace {
-
 /// Feasibility of `g` with the backward edges marked in `dropped`
 /// removed: no positive cycle in the remaining G0 (Theorem 1).
 bool feasible_without(const cg::ConstraintGraph& g,
@@ -193,10 +184,6 @@ bool feasible_without(const cg::ConstraintGraph& g,
   }
   return !graph::longest_paths_from(d, g.source().value()).positive_cycle;
 }
-
-}  // namespace
-
-namespace detail {
 
 Finding redundant_finding(const cg::ConstraintGraph& g,
                           const RedundantEdge& r) {
@@ -247,10 +234,6 @@ Finding dead_anchor_finding(const cg::ConstraintGraph& g, VertexId anchor) {
   f.vertices = {anchor};
   return f;
 }
-
-}  // namespace detail
-
-namespace {
 
 using base::append_json_string;
 
@@ -400,7 +383,7 @@ std::vector<RedundantEdge> redundant_constraints(
   for (const cg::Edge& e : g.edges()) {
     if (e.kind == cg::EdgeKind::kSequencing) continue;
     Weight implied = kNegInf;
-    if (detail::edge_redundant(g, analysis, e.id, &implied)) {
+    if (edge_redundant(g, analysis, e.id, &implied)) {
       out.push_back({e.id, implied});
     }
   }
@@ -431,7 +414,7 @@ std::vector<StrippedEdge> strip_redundant(cg::ConstraintGraph& g) {
     // Re-verify against the partially stripped graph: of two mutually
     // implied duplicates, the first removal invalidates the second.
     Weight implied = kNegInf;
-    if (!detail::edge_redundant(g, analysis, c.edge, &implied)) continue;
+    if (!edge_redundant(g, analysis, c.edge, &implied)) continue;
     const cg::Edge& e = g.edge(c.edge);
     StrippedEdge s;
     s.kind = e.kind;
@@ -539,7 +522,7 @@ Report analyze(const cg::ConstraintGraph& g,
     redundant = redundant_constraints(g, *analysis);
     for (const RedundantEdge& r : redundant) {
       is_redundant[r.edge.index()] = true;
-      report.findings.push_back(detail::redundant_finding(g, r));
+      report.findings.push_back(redundant_finding(g, r));
     }
   }
 
@@ -551,9 +534,9 @@ Report analyze(const cg::ConstraintGraph& g,
       if (e.kind != cg::EdgeKind::kMaxConstraint) continue;
       if (is_redundant[e.id.index()]) continue;  // stronger finding exists
       Weight separation = kNegInf;
-      if (detail::never_binding(g, *analysis, e.id, &separation)) {
+      if (never_binding(g, *analysis, e.id, &separation)) {
         report.findings.push_back(
-            detail::never_binding_finding(g, e.id, separation));
+            never_binding_finding(g, e.id, separation));
       }
     }
   }
@@ -565,7 +548,7 @@ Report analyze(const cg::ConstraintGraph& g,
     const auto relevant = analysis->relevant_set(sink);
     for (const VertexId a : analysis->anchors()) {
       if (a == g.source() || relevant.contains(a)) continue;
-      report.findings.push_back(detail::dead_anchor_finding(g, a));
+      report.findings.push_back(dead_anchor_finding(g, a));
     }
   }
   return report;

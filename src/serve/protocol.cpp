@@ -9,6 +9,7 @@
 #include <cstring>
 
 #include "base/errno_text.hpp"
+#include "base/json.hpp"
 #include "base/strings.hpp"
 
 namespace relsched::serve {
@@ -108,42 +109,6 @@ Json& Json::push(Json value) {
 
 // ---- Rendering -------------------------------------------------------------
 
-namespace {
-
-void render_string(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-}  // namespace
-
 std::string Json::render() const {
   std::string out;
   switch (kind_) {
@@ -162,7 +127,7 @@ std::string Json::render() const {
       return buf;
     }
     case Kind::kString:
-      render_string(string_, &out);
+      base::append_json_string(out, string_);
       return out;
     case Kind::kArray: {
       out.push_back('[');
@@ -179,7 +144,7 @@ std::string Json::render() const {
       for (const auto& [k, v] : fields_) {
         if (!first) out.push_back(',');
         first = false;
-        render_string(k, &out);
+        base::append_json_string(out, k);
         out.push_back(':');
         out += v.render();
       }

@@ -221,6 +221,24 @@ TEST(Rendering, HumanAndJsonCarryCodeAndWitness) {
   const std::string json = to_json(diag, g);
   EXPECT_NE(json.find("\"code\":\"positive-cycle\""), std::string::npos);
   EXPECT_NE(json.find("\"witness\""), std::string::npos);
+
+  // Vertex names are arbitrary bytes (.cgb): control bytes in a name on
+  // the cycle must come out escaped, never raw.
+  cg::ConstraintGraph hairy;
+  const VertexId h0 = hairy.add_vertex("v0", cg::Delay::bounded(0));
+  const VertexId h1 = hairy.add_vertex("v\t1\x01", cg::Delay::bounded(3));
+  const VertexId h2 = hairy.add_vertex("v2", cg::Delay::bounded(1));
+  hairy.add_sequencing_edge(h0, h1);
+  hairy.add_sequencing_edge(h1, h2);
+  hairy.add_max_constraint(h1, h2, 2);
+  const Diag hairy_diag = find_positive_cycle(hairy);
+  ASSERT_EQ(hairy_diag.code, Code::kPositiveCycle);
+  const std::string hairy_json = to_json(hairy_diag, hairy);
+  for (const char c : hairy_json) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << hairy_json;
+  }
+  EXPECT_NE(hairy_json.find("v\\t1\\u0001"), std::string::npos)
+      << hairy_json;
 }
 
 // The headline property (seeded, deterministic): every failing verdict

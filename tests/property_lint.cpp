@@ -6,20 +6,17 @@
 //   2. unsat_core extracts a verified, single-deletion-minimal core on
 //      randomized infeasible graphs: the core replays infeasible and
 //      goes feasible on ANY single core-edge removal.
-//   3. IncrementalLinter::relint over random warm edit sequences is
-//      render-identical to a fresh analyze() of the edited graph, and
-//      actually exercises the cone path.
-//   4. Fault-injection fuzz: with the engine's FaultInjector arming
-//      every fault class, lint never crashes and never contradicts the
-//      certified products (errors iff the graph is infeasible or
-//      ill-posed).
+//   3. Fault-injection fuzz: with the engine's FaultInjector arming
+//      every fault class, lint on the session's products never crashes
+//      and never contradicts them (errors iff the graph is infeasible
+//      or ill-posed), and matches a lint that computes its own anchor
+//      analysis from the edited graph.
 #include <gtest/gtest.h>
 
 #include <random>
 #include <vector>
 
 #include "engine/session.hpp"
-#include "lint/incremental.hpp"
 #include "lint/lint.hpp"
 #include "sched/scheduler.hpp"
 #include "testutil.hpp"
@@ -168,38 +165,6 @@ void random_warm_edit(std::mt19937& rng, engine::SynthesisSession& session) {
   }
 }
 
-TEST(PropertyLintIncremental, RelintMatchesFreshAnalyzeUnderRandomEdits) {
-  std::mt19937 rng(4242);
-  long long cone_lints = 0;
-  for (int trial = 0; trial < 40; ++trial) {
-    RandomGraphParams params;
-    params.vertex_count = 8 + static_cast<int>(rng() % 8);
-    params.max_constraints = 2;
-    cg::ConstraintGraph g = random_constraint_graph(rng, params);
-    if (wellposed::make_wellposed(g).status != wellposed::Status::kWellPosed) {
-      continue;
-    }
-    engine::SynthesisSession session(std::move(g));
-    lint::IncrementalLinter linter;
-    for (int step = 0; step < 12; ++step) {
-      random_warm_edit(rng, session);
-      const lint::Report& incremental = linter.relint(session);
-      const engine::Products& products = session.products();
-      const lint::Report fresh = lint::analyze(
-          session.graph(), products.ok() ? &products.analysis : nullptr, {});
-      ASSERT_EQ(lint::render_text(incremental, session.graph()),
-                lint::render_text(fresh, session.graph()))
-          << "trial " << trial << " step " << step
-          << " warm=" << session.last_resolve_was_warm();
-    }
-    cone_lints += linter.cone_lints();
-  }
-  // The equality must have exercised the cone path, not just full
-  // fallbacks. (Cold resolves and products-not-ok steps legitimately
-  // fall back, so the bar is below the step count.)
-  ASSERT_GT(cone_lints, 20);
-}
-
 TEST(PropertyLintFuzz, FaultInjectionNeverCrashesOrContradictsCertify) {
   std::mt19937 rng(13371337);
   const engine::FaultInjector::Kind kinds[] = {
@@ -218,12 +183,13 @@ TEST(PropertyLintFuzz, FaultInjectionNeverCrashesOrContradictsCertify) {
     engine::SessionOptions options;
     options.certify = true;  // faults must be caught, not believed
     engine::SynthesisSession session(std::move(g), options);
-    lint::IncrementalLinter linter;
-    linter.relint(session);
+    session.resolve();
     for (int step = 0; step < 6; ++step) {
       session.arm_fault({kinds[rng() % 4], rng()});
       random_warm_edit(rng, session);
-      const lint::Report& report = linter.relint(session);
+      const engine::Products& products = session.resolve();
+      const lint::Report report = lint::analyze(
+          session.graph(), products.ok() ? &products.analysis : nullptr, {});
       // Certified products and the lint verdict must agree on the
       // graph's health: error findings iff the graph cannot schedule.
       const bool lint_errors = report.count(lint::Severity::kError) > 0;
@@ -233,10 +199,8 @@ TEST(PropertyLintFuzz, FaultInjectionNeverCrashesOrContradictsCertify) {
               wellposed::Status::kWellPosed;
       ASSERT_EQ(lint_errors, !feasible_and_posed)
           << lint::render_text(report, session.graph());
-      // And the incremental answer still matches a fresh analyze.
-      const engine::Products& products = session.products();
-      const lint::Report fresh = lint::analyze(
-          session.graph(), products.ok() ? &products.analysis : nullptr, {});
+      // And the products' analysis answers like a freshly computed one.
+      const lint::Report fresh = lint::analyze(session.graph());
       ASSERT_EQ(lint::render_text(report, session.graph()),
                 lint::render_text(fresh, session.graph()));
     }

@@ -175,11 +175,9 @@ TEST(Analyze, IncrementalMatchesFreshAfterBoundEdit) {
   EXPECT_EQ(analyze::to_json(second, session.graph()),
             analyze::to_json(fresh, session.graph()));
   // Cached result reused while nothing resolves in between.
-  const int full = analyzer.full_analyses();
-  const int cone = analyzer.cone_analyses();
+  EXPECT_EQ(analyzer.full_analyses(), 2);
   analyzer.reanalyze(session);
-  EXPECT_EQ(analyzer.full_analyses(), full);
-  EXPECT_EQ(analyzer.cone_analyses(), cone);
+  EXPECT_EQ(analyzer.full_analyses(), 2);
 }
 
 }  // namespace

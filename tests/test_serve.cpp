@@ -67,7 +67,7 @@ TEST(Json, BuilderRenderParseRoundTrip) {
 
 TEST(Json, StringEscapesSurviveRoundTrip) {
   const std::string hairy =
-      std::string("line\nbreak\ttab \"quote\" \\ ") + '\x01' + " control";
+      std::string("line\nbreak\ttab \"quote\" \\ cr\r ") + '\x01' + " control";
   Json v = Json::object();
   v.set("s", Json::string(hairy));
   std::string error;
@@ -99,6 +99,27 @@ TEST(Json, BenchRecordEscapesControlBytes) {
   EXPECT_EQ(field(*parsed, "note").as_string(), hairy);
   EXPECT_EQ(field(*parsed, "key\r").as_int(), 1);
   EXPECT_EQ(field(*parsed, "list").at(0)->as_string(), hairy);
+}
+
+// Bench records keep every digit of a timing: shortest round-trip
+// rendering, not six significant digits (19318812.5 used to come out
+// as 1.93188e+07).
+TEST(Json, BenchRecordNumbersRoundTripExactly) {
+  benchio::Json record = benchio::Json::object();
+  record.field("cold_us", 19318812.5);
+  record.field("tiny", 1e-7);
+  benchio::Json list = benchio::Json::array();
+  list.element(0.1);
+  record.field("list", list);
+
+  std::string error;
+  std::optional<Json> parsed = Json::parse(record.str(), &error);
+  ASSERT_TRUE(parsed.has_value()) << error << "\n" << record.str();
+  EXPECT_EQ(field(*parsed, "cold_us").as_double(), 19318812.5);
+  EXPECT_EQ(field(*parsed, "tiny").as_double(), 1e-7);
+  EXPECT_EQ(field(*parsed, "list").at(0)->as_double(), 0.1);
+  EXPECT_NE(record.str().find("19318812.5"), std::string::npos)
+      << record.str();
 }
 
 TEST(Json, MalformedInputsRejectedWithError) {
