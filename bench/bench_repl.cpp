@@ -147,7 +147,6 @@ std::vector<std::string> oracle_digests(const relsched::cg::ConstraintGraph& g,
                                         int session, int steps) {
   relsched::engine::SessionOptions options;
   options.certify = false;
-  options.threads = 1;
   relsched::engine::SynthesisSession s(g, options);
   const int vertices = g.vertex_count();
   std::vector<std::string> digests;
@@ -556,14 +555,16 @@ int run_phase1(Harness& h, const std::vector<std::string>& designs,
   std::thread chaos([&h, &standby_spec, &standby_serial] {
     // Progress-based trigger, not wall clock: each kill lands while a
     // known fraction of the workload is still in flight, so the gate
-    // always exercises failover regardless of machine speed.
+    // always exercises failover regardless of machine speed. The poll
+    // is fine-grained because a whole --check-only workload can finish
+    // in a few tens of milliseconds.
     const long long total = static_cast<long long>(h.config.sessions) *
                             h.config.edits_per_session;
     for (int k = 0; k < h.config.kills; ++k) {
       const long long threshold = total * (k + 1) / (h.config.kills + 2);
       while (!h.done.load(std::memory_order_relaxed) &&
              h.requests_ok.load(std::memory_order_relaxed) < threshold) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
       if (h.done.load(std::memory_order_relaxed)) return;
 

@@ -12,20 +12,19 @@
 //              the warm path;
 //   phase    - the warm-path breakdown (topo patch / SPFA repair /
 //              anchor patch / reschedule), averaged per warm resolve;
-//   parallel - the anchor-analysis phase timed sequentially vs sharded
-//              across a work-stealing pool (cold per-anchor rows, and
-//              the whole warm edit sequence re-run on a pooled
-//              session).
+//   parallel - the cold anchor-analysis phase timed sequentially vs
+//              sharded across a work-stealing pool
+//              (AnchorAnalysis::compute(g, pool); engine resolves are
+//              always sequential).
 //
 // Gates:
 //   hard     - warm products after the edit sequence are bit-identical
 //              to a cold recompute of the edited graph (anchor sets,
 //              irredundant sets, path rows, offsets), no certificate
-//              failures, every edit served warm; AND every parallel
-//              run (cold anchor analysis, pooled warm sequence) is
-//              bit-identical to its sequential twin -- determinism is
-//              a correctness property, enforced at every tier and
-//              thread count;
+//              failures, every edit served warm; AND the pooled cold
+//              anchor analysis is bit-identical to its sequential twin
+//              -- determinism is a correctness property, enforced at
+//              every tier and thread count;
 //   timing   - the parallel anchor phase is >= 2x faster than
 //              sequential at 4 threads on the 10^5 tier. Enforced only
 //              where it is meaningful: >= 4 hardware threads, not
@@ -52,7 +51,7 @@
 //                        never fail on it (noisy shared CI runners)
 //   --check-only         sanitizer-CI mode: one size (default 10^4), a
 //                        short edit sequence, every bit-identity gate
-//                        (parallel runs included) plus the binary
+//                        (pooled anchor analysis included) plus the binary
 //                        round-trip and an explorer batch; no timing
 //                        repeats, no JSON
 //   --out FILE           JSON path (default BENCH_scale.json)
@@ -243,11 +242,10 @@ struct Row {
   double anchor_us = 0;
   double resched_us = 0;
   bool anchor_dominant = false;
-  // Parallel twins (pool of `threads` workers) of the cold
-  // anchor-analysis phase and the warm edit sequence.
+  // Cold anchor-analysis phase, sequential and on a pool of `threads`
+  // workers.
   double anchor_seq_us = 0;
   double anchor_par_us = 0;
-  double warm_par_us = 0;
   // Streamed binary format round-trip (10^6 tier and --check-only).
   bool binary_checked = false;
   double binary_write_us = 0;
@@ -258,9 +256,6 @@ struct Row {
   }
   [[nodiscard]] double anchor_speedup() const {
     return anchor_par_us > 0 ? anchor_seq_us / anchor_par_us : 0.0;
-  }
-  [[nodiscard]] double warm_parallel_speedup() const {
-    return warm_par_us > 0 ? warm_us / warm_par_us : 0.0;
   }
 };
 
@@ -304,9 +299,9 @@ bool run_edit_sequence(engine::SynthesisSession& session,
   return true;
 }
 
-/// One size of the ladder: cold timing, the sequential and pooled warm
-/// edit sequences, the anchor-phase parallel comparison, and every
-/// bit-identity gate. Returns false on a hard-gate failure.
+/// One size of the ladder: cold timing, the warm edit sequence, the
+/// anchor-phase parallel comparison, and every bit-identity gate.
+/// Returns false on a hard-gate failure.
 bool run_size(int vertices, int edits, std::uint64_t seed, bool timing,
               const std::shared_ptr<base::WorkStealingPool>& pool, Row* out) {
   cg::ConstraintGraph graph = designs::generate(params_for(vertices, seed));
@@ -381,17 +376,15 @@ bool run_size(int vertices, int edits, std::uint64_t seed, bool timing,
     row.binary_checked = true;
   }
 
-  engine::SessionOptions seq_opts;
-  seq_opts.certify = true;
-  seq_opts.threads = 1;  // resolve strictly sequentially
+  engine::SessionOptions opts;
+  opts.certify = true;
 
-  // Cold baseline: fresh certified sequential sessions over the
-  // pristine graph.
+  // Cold baseline: fresh certified sessions over the pristine graph.
   const int cold_repeats =
       !timing ? 1 : (vertices >= 1000000 ? 1 : (vertices >= 100000 ? 3 : 7));
   std::vector<double> cold_samples;
   for (int i = 0; i < cold_repeats; ++i) {
-    engine::SynthesisSession fresh(graph, seq_opts);
+    engine::SynthesisSession fresh(graph, opts);
     cold_samples.push_back(timed_us([&] { fresh.resolve(); }));
     if (!fresh.products().ok()) {
       std::cerr << vertices << ": cold resolve failed: "
@@ -401,15 +394,15 @@ bool run_size(int vertices, int edits, std::uint64_t seed, bool timing,
   }
   row.cold_us = median_us(cold_samples);
 
-  // Warm sequence, sequential: round-robin over the targets,
+  // Warm sequence: round-robin over the targets,
   // alternately loosening and restoring each bound. Constraint-only
   // edits, so every resolve must take the warm path.
-  engine::SynthesisSession session(graph, seq_opts);
+  engine::SynthesisSession session(std::move(graph), opts);
   if (!session.resolve().ok()) {
     std::cerr << vertices << ": initial resolve failed\n";
     return false;
   }
-  if (!run_edit_sequence(session, targets, bounds, edits, "sequential",
+  if (!run_edit_sequence(session, targets, bounds, edits, "warm",
                          &row.warm_us)) {
     return false;
   }
@@ -425,34 +418,9 @@ bool run_size(int vertices, int edits, std::uint64_t seed, bool timing,
       row.anchor_us > row.topo_us && row.anchor_us > row.spfa_us &&
       row.anchor_us > row.resched_us;
 
-  // Warm sequence, pooled: the same edits on a session whose anchor
-  // patching shards across the pool. End products must be
-  // bit-identical to the sequential session's -- the determinism gate.
-  {
-    engine::SessionOptions par_opts;
-    par_opts.certify = true;
-    par_opts.pool = pool;
-    engine::SynthesisSession par_session(std::move(graph), par_opts);
-    if (!par_session.resolve().ok()) {
-      std::cerr << vertices << ": parallel initial resolve failed\n";
-      return false;
-    }
-    if (!run_edit_sequence(par_session, targets, bounds, edits, "parallel",
-                           &row.warm_par_us)) {
-      return false;
-    }
-    if (!products_match(par_session.products(), session.products(),
-                        par_session.graph(),
-                        "parallel bit-identity (warm pooled vs warm seq)")) {
-      std::cerr << vertices
-                << ": pooled warm products diverged from sequential\n";
-      return false;
-    }
-  }
-
   // Hard gate: the warm-path end state is bit-identical to a cold
   // recompute of the edited graph.
-  engine::SynthesisSession reference(session.graph(), seq_opts);
+  engine::SynthesisSession reference(session.graph(), opts);
   reference.resolve();
   if (!reference.products().ok()) {
     std::cerr << vertices << ": reference cold resolve failed\n";
@@ -469,7 +437,8 @@ bool run_size(int vertices, int edits, std::uint64_t seed, bool timing,
 }
 
 /// Sanitizer-CI extra: a small explorer batch over the generated
-/// design (fork-per-candidate, transactional edits, parallel resolve),
+/// design (fork-per-candidate, transactional edits, candidates resolved
+/// in parallel),
 /// run twice to confirm the winner and scores are thread-invariant.
 bool run_explorer_check(int vertices, std::uint64_t seed) {
   cg::ConstraintGraph graph = designs::generate(params_for(vertices, seed));
@@ -566,8 +535,8 @@ int main(int argc, char** argv) {
   if (check_only) {
     // Sanitizer mode: correctness gates only, sized so ASan/TSan
     // finish in minutes. One generated design through the certified
-    // session (sequential, pooled, and binary-round-trip bit-identity
-    // included) plus the explorer batch.
+    // session (warm vs cold, pooled vs sequential anchor analysis, and
+    // binary-round-trip bit-identity included) plus the explorer batch.
     const int vertices = single_vertices > 0 ? single_vertices : 10000;
     const int check_edits = std::min(edits, 24);
     Row row;
@@ -576,8 +545,9 @@ int main(int argc, char** argv) {
     }
     std::cout << "session check: " << row.vertices << " vertices, "
               << row.anchors << " anchors, " << check_edits
-              << " certified warm edits, bit-identical to cold and across "
-              << threads << "-thread pool, binary round-trip OK\n";
+              << " certified warm edits, bit-identical to cold; anchor "
+                 "analysis bit-identical across a "
+              << threads << "-thread pool; binary round-trip OK\n";
     if (!run_explorer_check(vertices, seed)) return EXIT_FAILURE;
     std::cout << "check-only: PASS\n";
     return EXIT_SUCCESS;
@@ -625,16 +595,14 @@ int main(int argc, char** argv) {
   }
   phases.print(std::cout);
 
-  std::cout << "\nparallel speedups, sequential vs " << threads
+  std::cout << "\ncold anchor analysis, sequential vs " << threads
             << "-thread pool (bit-identity enforced)\n\n";
   TextTable par;
-  par.set_header({"|V|", "anchor seq (us)", "anchor par (us)", "speedup",
-                  "warm seq (us)", "warm par (us)", "speedup"});
+  par.set_header({"|V|", "anchor seq (us)", "anchor par (us)", "speedup"});
   for (const Row& row : rows) {
     par.add_row({cat(row.vertices), fmt(row.anchor_seq_us),
-                 fmt(row.anchor_par_us), cat(fmt(row.anchor_speedup(), 2), "x"),
-                 fmt(row.warm_us), fmt(row.warm_par_us),
-                 cat(fmt(row.warm_parallel_speedup(), 2), "x")});
+                 fmt(row.anchor_par_us),
+                 cat(fmt(row.anchor_speedup(), 2), "x")});
   }
   par.print(std::cout);
 
@@ -677,9 +645,6 @@ int main(int argc, char** argv) {
                               .field("anchor_par_us", row.anchor_par_us)
                               .field("anchor_parallel_speedup",
                                      row.anchor_speedup())
-                              .field("warm_par_us", row.warm_par_us)
-                              .field("warm_parallel_speedup",
-                                     row.warm_parallel_speedup())
                               .field("binary_round_trip", row.binary_checked);
     if (row.binary_checked) {
       entry.field("binary_write_us", row.binary_write_us)
@@ -708,8 +673,9 @@ int main(int argc, char** argv) {
   std::cout << "\nwrote " << out_path << "\n";
 
   // Hard gates (bit-identity -- warm vs cold AND pooled vs sequential
-  // -- certification, warm-path coverage, binary round-trip) all
-  // passed inside run_size. The anchor-phase speedup gate is timing:
+  // anchor analysis -- certification, warm-path coverage, binary
+  // round-trip) all passed inside run_size. The anchor-phase speedup
+  // gate is timing:
   // enforced only with real cores underneath and no advisory flag.
   std::cout << "\nbit-identity (warm vs cold, pooled vs sequential, all "
                "sizes): HOLDS\n";

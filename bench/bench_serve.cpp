@@ -149,7 +149,6 @@ std::vector<std::string> oracle_digests(const relsched::cg::ConstraintGraph& g,
                                         int session, int steps) {
   relsched::engine::SessionOptions options;
   options.certify = false;
-  options.threads = 1;
   relsched::engine::SynthesisSession s(g, options);
   const int vertices = g.vertex_count();
   std::vector<std::string> digests;

@@ -102,6 +102,19 @@ void AnchorAnalysis::corrupt_length_row_for_testing(VertexId anchor,
   }
 }
 
+void AnchorAnalysis::flip_irredundant_bit_for_testing(VertexId v,
+                                                      VertexId anchor) {
+  const int pos = sets_.domain.index[anchor.index()];
+  if (pos < 0 || v.index() >= static_cast<std::size_t>(irredundant_.rows())) {
+    return;
+  }
+  if (irredundant_.test(v.index(), pos)) {
+    irredundant_.clear(v.index(), pos);
+  } else {
+    irredundant_.set(v.index(), pos);
+  }
+}
+
 int AnchorAnalysis::rows_shared() const {
   int shared = 0;
   for (const Row& row : length_from_) shared += row.shared() ? 1 : 0;
@@ -129,22 +142,20 @@ namespace {
 /// Ownership is the determinism argument: every output slot is written
 /// by the one task that owns its index, as a pure function of inputs
 /// that no task mutates, so the result is bit-identical to the
-/// sequential loop at any thread count. Falls back to the inline loop
-/// when there is no pool, the pool has one worker, or the pool is busy
-/// with a job further up this call stack (an explorer candidate's
-/// in-resolve analysis, say) -- try_run() declines instead of nesting.
+/// sequential loop at any thread count. Runs the inline loop when
+/// there is no pool or the pool has one worker.
 void parallel_for(base::WorkStealingPool* pool, std::size_t count,
                   const std::function<void(std::size_t)>& body) {
   if (pool != nullptr && count > 1 && pool->thread_count() > 1) {
     const std::size_t chunks =
         std::min(count, static_cast<std::size_t>(pool->thread_count()) * 8);
-    const std::function<void(int)> run_chunk = [&](int c) {
+    pool->run(static_cast<int>(chunks), [&](int c) {
       const std::size_t begin = count * static_cast<std::size_t>(c) / chunks;
       const std::size_t end =
           count * (static_cast<std::size_t>(c) + 1) / chunks;
       for (std::size_t i = begin; i < end; ++i) body(i);
-    };
-    if (pool->try_run(static_cast<int>(chunks), run_chunk)) return;
+    });
+    return;
   }
   for (std::size_t i = 0; i < count; ++i) body(i);
 }
@@ -170,96 +181,24 @@ graph::Weight AnchorAnalysis::maximal_defining_path_length(VertexId anchor,
 
 namespace {
 
-/// Longest paths from `anchor` over paths whose only unbounded edge is
-/// the first: Bellman-Ford on the bounded-edge subgraph, seeded at the
-/// heads of the anchor's unbounded out-edges with distance 0 (delta(a)
-/// is excluded from defining-path lengths by Definition 8).
-std::vector<graph::Weight> defining_path_lengths(const cg::ConstraintGraph& g,
-                                                 VertexId anchor) {
-  const int n = g.vertex_count();
-  std::vector<graph::Weight> dist(static_cast<std::size_t>(n),
-                                  graph::kNegInf);
-  for (EdgeId eid : g.out_edges(anchor)) {
-    if (g.weight(eid).unbounded) {
-      dist[g.edge(eid).to.index()] =
-          std::max<graph::Weight>(dist[g.edge(eid).to.index()], 0);
-    }
-  }
-  // Relax bounded edges only. Edges *out of the anchor itself* are
-  // excluded: a defining path starts with one of the anchor's unbounded
-  // edges and cannot revisit the anchor, so its bounded out-edges (min
-  // constraints) can never continue a defining path. Feasible graphs
-  // have no positive cycles, so n passes suffice.
-  for (int pass = 0; pass < n; ++pass) {
-    bool changed = false;
-    for (const cg::Edge& e : g.edges()) {
-      if (e.from == anchor) continue;
-      const cg::EdgeWeight w = g.weight(e.id);
-      if (w.unbounded) continue;
-      const graph::Weight candidate =
-          graph::saturating_add(dist[e.from.index()], w.value);
-      if (candidate > dist[e.to.index()]) {
-        dist[e.to.index()] = candidate;
-        changed = true;
-      }
-    }
-    if (!changed) break;
-  }
-  // A vertex is its own anchor-set member never; the self entry only
-  // reflects bounded cycles back into the anchor. Clear it.
-  dist[anchor.index()] = graph::kNegInf;
-  return dist;
-}
-
-/// Cone-restricted longest paths from `anchor`: longest paths within
-/// the subgraph induced by {anchor} union {v : anchor in A(v)}, with
-/// unbounded weights 0. Equals the minimum offset sigma_a^min(v)
-/// (Theorem 3); graph::kNegInf outside the cone. The cone restriction
-/// matters: a backward edge leaving the cone (whose tail's anchor set
-/// does not carry `anchor`) would otherwise inflate the value beyond
-/// the offset the schedule actually realizes.
-std::vector<graph::Weight> cone_longest_paths(const cg::ConstraintGraph& g,
-                                              VertexId anchor,
-                                              const AnchorSets& anchor_sets) {
-  const int n = g.vertex_count();
-  std::vector<int> cone_index(static_cast<std::size_t>(n), -1);
-  std::vector<VertexId> cone_vertices;
-  for (int vi = 0; vi < n; ++vi) {
-    const VertexId v(vi);
-    if (v == anchor || anchor_sets.view(v).contains(anchor)) {
-      cone_index[v.index()] = static_cast<int>(cone_vertices.size());
-      cone_vertices.push_back(v);
-    }
-  }
-  graph::Digraph cone(static_cast<int>(cone_vertices.size()));
-  for (const cg::Edge& e : g.edges()) {
-    const int from = cone_index[e.from.index()];
-    const int to = cone_index[e.to.index()];
-    if (from < 0 || to < 0) continue;
-    cone.add_arc(from, to, g.weight(e.id).value);
-  }
-  auto lp = graph::longest_paths_from(cone, cone_index[anchor.index()]);
-  RELSCHED_CHECK(!lp.positive_cycle,
-                 "anchor analysis requires a feasible graph");
-  std::vector<graph::Weight> dist(static_cast<std::size_t>(n),
-                                  graph::kNegInf);
-  for (std::size_t i = 0; i < cone_vertices.size(); ++i) {
-    dist[cone_vertices[i].index()] = lp.dist[i];
-  }
-  return dist;
-}
-
-/// In-place variant of defining_path_lengths for update(): entries at
-/// unaffected vertices are already correct for the edited graph (a
-/// defining path whose length changed uses an edited edge, so its
-/// endpoint is reachable from a seed, i.e. affected), so only affected
-/// entries are re-derived, with unaffected in-neighbours acting as
-/// fixed boundary values. Once a path enters the affected cone it
-/// stays inside (the cone is closed under out-edges), so sweeping the
-/// affected vertices in topological order converges in one pass per
-/// backward-edge hop on the longest defining path -- never more than
-/// |affected| passes. Only the affected sublist is walked: the cost is
-/// proportional to the dirty cone, not to |V| or |E|.
+/// |rho*(anchor, v)| for the vertices in `plan.affected`, in place:
+/// longest paths whose only unbounded edge is the first (an unbounded
+/// out-edge of the anchor, whose weight delta(a) Definition 8 leaves
+/// out of the length). Edges *out of the anchor itself* are never
+/// relaxed: a defining path cannot revisit the anchor, so its bounded
+/// out-edges (min constraints) can never continue one.
+///
+/// For update(), entries at unaffected vertices are already correct
+/// for the edited graph (a defining path whose length changed uses an
+/// edited edge, so its endpoint is reachable from a seed, i.e.
+/// affected), so only affected entries are re-derived, with unaffected
+/// in-neighbours acting as fixed boundary values. Once a path enters
+/// the affected cone it stays inside (the cone is closed under
+/// out-edges), so sweeping the affected vertices in topological order
+/// converges in one pass per backward-edge hop on the longest defining
+/// path -- never more than |affected| passes. Only the affected
+/// sublist is walked: the cost is proportional to the dirty cone, not
+/// to |V| or |E|.
 void patch_defining_path_lengths(const cg::ConstraintGraph& g, VertexId anchor,
                                  const UpdatePlan& plan,
                                  std::vector<graph::Weight>& dist) {
@@ -295,11 +234,20 @@ void patch_defining_path_lengths(const cg::ConstraintGraph& g, VertexId anchor,
   dist[anchor.index()] = graph::kNegInf;
 }
 
-/// In-place variant of cone_longest_paths for update(), by the same
-/// boundary argument as patch_defining_path_lengths. `anchor_sets`
-/// must already be the post-edit sets: cone membership at affected
-/// vertices is re-evaluated against them, and unaffected membership is
-/// unchanged by construction.
+/// length(anchor, v) for the vertices in `plan.affected`, in place:
+/// longest paths from the anchor within its cone, the subgraph induced
+/// by {anchor} union {v : anchor in A(v)}, with unbounded weights 0.
+/// Equals the minimum offset sigma_a^min(v) (Theorem 3); kNegInf
+/// outside the cone. The cone restriction matters: a backward edge
+/// leaving the cone (whose tail's anchor set does not carry `anchor`)
+/// would otherwise inflate the value beyond the offset the schedule
+/// actually realizes.
+///
+/// For update(), by the same boundary argument as
+/// patch_defining_path_lengths. `anchor_sets` must already be the
+/// post-edit sets: cone membership at affected vertices is re-evaluated
+/// against them, and unaffected membership is unchanged by
+/// construction.
 void patch_cone_longest_paths(const cg::ConstraintGraph& g, VertexId anchor,
                               const AnchorSets& anchor_sets,
                               const UpdatePlan& plan,
@@ -332,6 +280,74 @@ void patch_cone_longest_paths(const cg::ConstraintGraph& g, VertexId anchor,
   RELSCHED_CHECK(!changed, "anchor analysis requires a feasible graph");
 }
 
+/// The vertices reachable from `starts` over the edges `follow`
+/// accepts, as a membership mask plus a list in the order of `topo`.
+template <typename Follow>
+void reachable_in_topo_order(const cg::ConstraintGraph& g,
+                             std::span<const VertexId> starts, Follow follow,
+                             std::span<const int> topo, base::VertexMask& mask,
+                             std::vector<VertexId>& order) {
+  mask.reset(g.vertex_count());
+  order.clear();
+  for (VertexId s : starts) {
+    if (!mask.contains(s)) {
+      mask.insert(s);
+      order.push_back(s);
+    }
+  }
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    for (EdgeId eid : g.out_edges(order[i])) {
+      const VertexId next = g.edge(eid).to;
+      if (!mask.contains(next) && follow(g.edge(eid))) {
+        mask.insert(next);
+        order.push_back(next);
+      }
+    }
+  }
+  // Re-list the region in topological order.
+  order.clear();
+  for (int node : topo) {
+    if (mask.contains(VertexId(node))) order.push_back(VertexId(node));
+  }
+}
+
+/// Both path rows of one anchor from scratch. Each row is derived with
+/// its update() patch, over the region where it can be finite as the
+/// "affected" set: an anchor's cone or defining region is usually a
+/// small part of the graph, so a cold row costs that region, not |E|.
+void compute_rows(const cg::ConstraintGraph& g, VertexId anchor,
+                  const AnchorSets& anchor_sets, std::span<const int> topo,
+                  std::vector<graph::Weight>& defining,
+                  std::vector<graph::Weight>& length) {
+  const std::size_t n = static_cast<std::size_t>(g.vertex_count());
+  base::VertexMask region;
+  std::vector<VertexId> order;
+  UpdatePlan plan;
+  plan.affected = &region;
+
+  std::vector<VertexId> heads;
+  for (EdgeId eid : g.out_edges(anchor)) {
+    if (g.weight(eid).unbounded) heads.push_back(g.edge(eid).to);
+  }
+  reachable_in_topo_order(
+      g, heads,
+      [&](const cg::Edge& e) {
+        return e.from != anchor && !g.weight(e.id).unbounded;
+      },
+      topo, region, order);
+  plan.affected_topo = order;
+  defining.assign(n, graph::kNegInf);
+  patch_defining_path_lengths(g, anchor, plan, defining);
+
+  reachable_in_topo_order(
+      g, std::span<const VertexId>(&anchor, 1),
+      [&](const cg::Edge& e) { return anchor_sets.view(e.to).contains(anchor); },
+      topo, region, order);
+  plan.affected_topo = order;
+  length.assign(n, graph::kNegInf);
+  patch_cone_longest_paths(g, anchor, anchor_sets, plan, length);
+}
+
 }  // namespace
 
 /// minimumAnchor (paper §IV-D) at one vertex: x in R(v) is redundant if
@@ -361,12 +377,17 @@ void AnchorAnalysis::compute_irredundant_at(VertexId v) {
 
 AnchorAnalysis AnchorAnalysis::compute(const cg::ConstraintGraph& g,
                                        base::WorkStealingPool* pool) {
-  return compute(g, forward_order(g), pool);
+  return compute_sharded(g, forward_order(g), pool);
 }
 
 AnchorAnalysis AnchorAnalysis::compute(const cg::ConstraintGraph& g,
-                                       std::span<const int> topo,
-                                       base::WorkStealingPool* pool) {
+                                       std::span<const int> topo) {
+  return compute_sharded(g, topo, nullptr);
+}
+
+AnchorAnalysis AnchorAnalysis::compute_sharded(const cg::ConstraintGraph& g,
+                                               std::span<const int> topo,
+                                               base::WorkStealingPool* pool) {
   AnchorAnalysis a;
   a.sets_ = find_anchor_sets(g, topo);
   a.relevant_.reset(g.vertex_count(), a.sets_.domain.count());
@@ -375,13 +396,19 @@ AnchorAnalysis AnchorAnalysis::compute(const cg::ConstraintGraph& g,
   const std::size_t num_anchors = anchors.size();
   const int n = g.vertex_count();
 
-  // Maximal defining path lengths (Definition 10). Each anchor's row
-  // is a pure function of (g, anchor), written to the slot that anchor
-  // owns.
+  // Maximal defining path lengths (Definition 10) and cone-restricted
+  // longest paths (length(a, v) = sigma_a^min(v) by Theorem 3). Each
+  // anchor's rows are a pure function of (g, A, anchor), written to the
+  // slots that anchor owns.
   a.defining_from_.resize(num_anchors);
+  a.length_from_.resize(num_anchors);
   parallel_for(pool, num_anchors, [&](std::size_t i) {
-    a.defining_from_[i] = Row(defining_path_lengths(g, anchors[i]));
+    std::vector<graph::Weight> defining, length;
+    compute_rows(g, anchors[i], a.sets_, topo, defining, length);
+    a.defining_from_[i] = Row(std::move(defining));
+    a.length_from_[i] = Row(std::move(length));
   });
+  a.rows_recomputed_ = static_cast<int>(num_anchors);
 
   // R(v): x in R(v) iff a defining path from x reaches v, i.e.
   // defining_from_[x][v] is finite (Definition 9 -- the same
@@ -398,14 +425,6 @@ AnchorAnalysis AnchorAnalysis::compute(const cg::ConstraintGraph& g,
     }
   });
 
-  // Cone-restricted longest paths (see cone_longest_paths): equals the
-  // minimum offset sigma_a^min(v) by Theorem 3.
-  a.length_from_.resize(num_anchors);
-  parallel_for(pool, num_anchors, [&](std::size_t i) {
-    a.length_from_[i] = Row(cone_longest_paths(g, anchors[i], a.sets_));
-  });
-  a.rows_recomputed_ = static_cast<int>(num_anchors);
-
   // IR(v) writes only vertex v's bit row and reads state that is
   // immutable from here on.
   parallel_for(pool, static_cast<std::size_t>(n), [&](std::size_t vi) {
@@ -415,8 +434,7 @@ AnchorAnalysis AnchorAnalysis::compute(const cg::ConstraintGraph& g,
 }
 
 void AnchorAnalysis::update(const cg::ConstraintGraph& g,
-                            const UpdatePlan& plan,
-                            base::WorkStealingPool* pool) {
+                            const UpdatePlan& plan) {
   RELSCHED_CHECK(plan.affected != nullptr, "update() needs the affected mask");
   const int n = g.vertex_count();
   RELSCHED_CHECK(sets_.matrix.rows() == n, "update() vertex sets out of sync");
@@ -487,29 +505,20 @@ void AnchorAnalysis::update(const cg::ConstraintGraph& g,
   }
 
   // write() unshares a row from any fork parent before patching it;
-  // untouched rows stay physically shared. Each touched anchor's pair
-  // of rows is patched by exactly one task (disjoint copy-on-write
-  // cells, per the cow.hpp contract), so sharding the loop is
-  // bit-identical to running it sequentially.
-  std::vector<std::size_t> touched_rows;
+  // untouched rows stay physically shared.
   for (std::size_t i = 0; i < num_anchors; ++i) {
-    if (touched[i]) touched_rows.push_back(i);
-  }
-  rows_recomputed_ = static_cast<int>(touched_rows.size());
-  parallel_for(pool, touched_rows.size(), [&](std::size_t k) {
-    const std::size_t i = touched_rows[k];
+    if (!touched[i]) continue;
+    ++rows_recomputed_;
     patch_defining_path_lengths(g, anchors[i], plan, defining_from_[i].write());
     patch_cone_longest_paths(g, anchors[i], sets_, plan,
                              length_from_[i].write());
-  });
+  }
 
   // R(v): by construction x in R(v) iff a defining path from x reaches
   // v, i.e. defining_from_[x][v] is finite (the same equivalence
   // compute() derives R from). Patch membership from the fresh rows;
   // only touched anchors' membership at affected vertices can differ.
-  // Per-vertex tasks own disjoint bit rows.
-  parallel_for(pool, plan.affected_topo.size(), [&](std::size_t k) {
-    const VertexId v = plan.affected_topo[k];
+  for (VertexId v : plan.affected_topo) {
     for (std::size_t i = 0; i < num_anchors; ++i) {
       if (!touched[i]) continue;
       if (defining_from_[i].read()[v.index()] != graph::kNegInf) {
@@ -518,7 +527,7 @@ void AnchorAnalysis::update(const cg::ConstraintGraph& g,
         relevant_.clear(v.index(), static_cast<int>(i));
       }
     }
-  });
+  }
 
   // IR(v): the redundancy test at v reads length(x, v), length(x, r)
   // and length(r, v) for x, r in R(v). Beyond affected vertices, the
@@ -527,9 +536,7 @@ void AnchorAnalysis::update(const cg::ConstraintGraph& g,
   // too. Build a column mask of affected anchors first: when it is
   // empty (the common warm case) the full-vertex scan is skipped
   // entirely, otherwise one word-AND per unaffected vertex decides.
-  parallel_for(pool, plan.affected_topo.size(), [&](std::size_t k) {
-    compute_irredundant_at(plan.affected_topo[k]);
-  });
+  for (VertexId v : plan.affected_topo) compute_irredundant_at(v);
   std::vector<std::uint64_t> affected_anchor_mask(words, 0);
   bool any_affected_anchor = false;
   for (std::size_t i = 0; i < num_anchors; ++i) {
@@ -540,17 +547,16 @@ void AnchorAnalysis::update(const cg::ConstraintGraph& g,
     }
   }
   if (any_affected_anchor) {
-    parallel_for(pool, static_cast<std::size_t>(n), [&](std::size_t vs) {
-      const int vi = static_cast<int>(vs);
+    for (int vi = 0; vi < n; ++vi) {
       const VertexId v(vi);
-      if (plan.affected->contains(v)) return;  // already recomputed
+      if (plan.affected->contains(v)) continue;  // already recomputed
       const std::uint64_t* rel = relevant_.row(vi);
       bool hit = false;
       for (std::size_t w = 0; w < words && !hit; ++w) {
         hit = (rel[w] & affected_anchor_mask[w]) != 0;
       }
       if (hit) compute_irredundant_at(v);
-    });
+    }
   }
 }
 

@@ -235,17 +235,17 @@ class AnchorAnalysis {
   /// rows are sharded across its workers. Every output slot (a row, a
   /// bit row) is written by exactly one task as a pure function of the
   /// immutable inputs, so the result is bit-identical to the
-  /// sequential path at any thread count; a busy pool (this resolve is
-  /// itself running on a worker) degrades to the sequential loop.
+  /// sequential path at any thread count. The pool parameter stays
+  /// only because the frozen benchmark (perfbench/) times this call as
+  /// anchors.compute_pool_us; the engine always passes nullptr.
   static AnchorAnalysis compute(const cg::ConstraintGraph& g,
                                 base::WorkStealingPool* pool = nullptr);
 
-  /// The same, over `topo`, a topological order of Gf the caller
-  /// already holds (the engine's cold resolve passes the order it
-  /// maintains instead of projecting and sorting Gf again).
+  /// The same, sequentially, over `topo`, a topological order of Gf
+  /// the caller already holds (the engine's cold resolve passes the
+  /// order it maintains instead of projecting and sorting Gf again).
   static AnchorAnalysis compute(const cg::ConstraintGraph& g,
-                                std::span<const int> topo,
-                                base::WorkStealingPool* pool);
+                                std::span<const int> topo);
 
   /// Anchor sets A(v) only (cheaper; enough for well-posedness checks).
   static AnchorAnalysis compute_anchor_sets_only(const cg::ConstraintGraph& g);
@@ -259,13 +259,7 @@ class AnchorAnalysis {
   /// compute() for the pre-edit graph, and `g` has the same vertices
   /// and anchors, is feasible, with Gf acyclic. The result is
   /// equivalent to compute(g) -- property-tested bit-for-bit.
-  ///
-  /// With a pool, touched per-anchor rows are patched in parallel
-  /// (deterministic per-anchor ownership, disjoint copy-on-write
-  /// cells) and the affected IR rows recomputed in parallel;
-  /// bit-identical to the sequential path at any thread count.
-  void update(const cg::ConstraintGraph& g, const UpdatePlan& plan,
-              base::WorkStealingPool* pool = nullptr);
+  void update(const cg::ConstraintGraph& g, const UpdatePlan& plan);
 
   /// Number of per-anchor path rows the last update() recomputed (the
   /// dominant cost; compute() recomputes all of them). For engine
@@ -325,6 +319,11 @@ class AnchorAnalysis {
   /// Theorem 3 cross-check (certify::check_products) must catch this.
   void corrupt_length_row_for_testing(VertexId anchor, int keep_prefix);
 
+  /// Fault-injection hook (engine::FaultInjector, tests only): toggles
+  /// `anchor`'s bit in IR(v). certify::check_irredundant must catch
+  /// every such flip.
+  void flip_irredundant_bit_for_testing(VertexId v, VertexId anchor);
+
   /// |rho*(a, v)|: the length of the *maximal defining path* from
   /// anchor `a` to `v` (Definitions 8 and 10) -- the longest path whose
   /// only unbounded edge is the first (weight delta(a), excluded from
@@ -339,6 +338,9 @@ class AnchorAnalysis {
   /// build graph.
   friend struct relsched::persist::AnchorAnalysisAccess;
 
+  static AnchorAnalysis compute_sharded(const cg::ConstraintGraph& g,
+                                        std::span<const int> topo,
+                                        base::WorkStealingPool* pool);
   void compute_irredundant_at(VertexId v);
 
   int rows_recomputed_ = 0;

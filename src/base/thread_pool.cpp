@@ -92,12 +92,10 @@ void WorkStealingPool::worker_loop(int id) {
   }
 }
 
-bool WorkStealingPool::try_run(int count, const std::function<void(int)>& fn) {
-  if (count <= 0) return true;
+void WorkStealingPool::run(int count, const std::function<void(int)>& fn) {
+  if (count <= 0) return;
   base::UniqueMutexLock lk(job_mutex_);
-  // A job is in flight (possibly ours, further up this very call
-  // stack): decline, and the caller stays sequential.
-  if (job_fn_ != nullptr) return false;
+  RELSCHED_CHECK(job_fn_ == nullptr, "run() calls must not overlap");
   // Seed while holding job_mutex_: every parked worker's wait predicate
   // requires a live job_fn_, so no worker -- including one that slept
   // through an entire previous generation -- can touch the queues
@@ -115,16 +113,11 @@ bool WorkStealingPool::try_run(int count, const std::function<void(int)>& fn) {
     done_cv_.wait(lk);
   }
   job_fn_ = nullptr;
-  return true;
 }
 
 long long WorkStealingPool::steals() const {
   const base::MutexLock lk(job_mutex_);
   return steals_;
-}
-
-void WorkStealingPool::run(int count, const std::function<void(int)>& fn) {
-  RELSCHED_CHECK(try_run(count, fn), "run() calls must not overlap");
 }
 
 int WorkStealingPool::default_thread_count() {

@@ -1,27 +1,23 @@
 // Work-stealing thread pool for index tasks.
 //
-// The pool serves two workloads that must share one set of workers:
-// the explorer's batch of independent candidate resolves, and the
-// per-anchor row sharding inside anchor analysis (cold compute and
-// warm patching). Both are batches of index tasks with wildly varying
-// costs: a candidate whose dirty cone covers the design -- or an
-// anchor whose cone covers the graph -- takes orders of magnitude
-// longer than one touching a leaf. Static partitioning would leave
-// workers idle behind one slow shard, so each worker owns a deque
-// seeded round-robin; owners pop from the front, and a worker that
-// drains its own deque steals from the back of a victim's. Queues are
-// mutex-guarded (the per-task cost here dwarfs any lock-free gain, and
-// plain locking keeps the pool trivially ThreadSanitizer-clean). All
-// shared state carries RELSCHED_GUARDED_BY annotations, so unlocked
-// access is a compile error under the clang -Wthread-safety CI leg.
+// The pool serves the explorer's batch of independent candidate
+// resolves and the pool-sharded AnchorAnalysis::compute(g, pool). Both
+// are batches of index tasks with wildly varying costs: a candidate
+// whose dirty cone covers the design -- or an anchor whose cone covers
+// the graph -- takes orders of magnitude longer than one touching a
+// leaf. Static partitioning would leave workers idle behind one slow
+// shard, so each worker owns a deque seeded round-robin; owners pop
+// from the front, and a worker that drains its own deque steals from
+// the back of a victim's. Queues are mutex-guarded (the per-task cost
+// here dwarfs any lock-free gain, and plain locking keeps the pool
+// trivially ThreadSanitizer-clean). All shared state carries
+// RELSCHED_GUARDED_BY annotations, so unlocked access is a compile
+// error under the clang -Wthread-safety CI leg.
 //
 // run() is synchronous and the pool is reusable: workers persist
 // across run() calls, parked on a condition variable between jobs.
-// try_run() is the composable entry point: it declines (returns
-// false) instead of deadlocking when a job is already in flight, so a
-// resolve that is itself running on a pool worker -- an explorer
-// candidate, say -- falls back to its sequential path rather than
-// nesting. One pool, no oversubscription.
+// Jobs never nest: session resolves are sequential, so an explorer
+// candidate running on a worker never submits work of its own.
 #pragma once
 
 #include <condition_variable>
@@ -53,18 +49,9 @@ class WorkStealingPool {
   /// Runs fn(0), ..., fn(count - 1) across the workers and blocks until
   /// every call has returned. fn must not throw. Tasks are distributed
   /// round-robin; any imbalance is evened out by stealing. Calls must
-  /// not be nested or concurrent (use try_run() where that can happen).
+  /// not be nested or concurrent (checked). An empty batch returns
+  /// without touching the workers.
   void run(int count, const std::function<void(int)>& fn)
-      RELSCHED_EXCLUDES(job_mutex_);
-
-  /// Like run(), but declines instead of asserting when another job is
-  /// already in flight: returns false without executing anything, and
-  /// the caller runs its loop inline. This is what makes one process-
-  /// wide pool safe to share between the explorer's candidate batches
-  /// and the anchor analysis running *inside* each candidate -- the
-  /// inner call sees the pool busy and stays sequential. Returns true
-  /// after all tasks ran (an empty batch trivially succeeds).
-  [[nodiscard]] bool try_run(int count, const std::function<void(int)>& fn)
       RELSCHED_EXCLUDES(job_mutex_);
 
   /// Tasks executed by a worker other than the one they were assigned
@@ -110,10 +97,8 @@ class WorkStealingPool {
 };
 
 /// The process-wide pool, created on first use with
-/// default_thread_count() workers. Sessions resolve on it by default
-/// and the explorer shares it with the analyses inside its candidates
-/// (via try_run's decline-when-busy contract), so no combination of
-/// callers oversubscribes the machine.
+/// default_thread_count() workers. Explorers with threads == 0 run
+/// their candidate batches on it.
 [[nodiscard]] const std::shared_ptr<WorkStealingPool>& shared_pool();
 
 }  // namespace relsched::base

@@ -29,6 +29,8 @@ const char* to_string(Code code) {
       return "verdict-mismatch";
     case Code::kTimeout:
       return "timeout";
+    case Code::kIrredundantSet:
+      return "irredundant-set";
   }
   return "?";
 }
@@ -373,6 +375,9 @@ std::optional<std::string> verify_witness(const cg::ConstraintGraph& g,
 
     case Code::kTimeout:
       return "timeout diags carry no witness";
+
+    case Code::kIrredundantSet:
+      return "irredundant-set diags carry no witness";
   }
   return "unknown diag code";
 }
@@ -698,6 +703,67 @@ Diag check_products(const cg::ConstraintGraph& g,
                 vname(g, e.from), ")+w=", bound,
                 " (row misses cone edge '", vname(g, e.from), "' -> '",
                 vname(g, e.to), "')"));
+      }
+    }
+  }
+  return check_irredundant(g, analysis);
+}
+
+Diag check_irredundant(const cg::ConstraintGraph& g,
+                       const anchors::AnchorAnalysis& analysis) {
+  const auto irredundant_diag = [&](std::string message) {
+    Diag d;
+    d.code = Code::kIrredundantSet;
+    d.message = std::move(message);
+    return d;
+  };
+  for (int vi = 0; vi < g.vertex_count(); ++vi) {
+    const VertexId v(vi);
+    const auto full = analysis.anchor_set(v);
+    const auto kept = analysis.irredundant_set(v);
+    if (const VertexId stray = kept.first_missing_in(full); stray.is_valid()) {
+      return irredundant_diag(cat("IR(", vname(g, v), ") holds '",
+                                  vname(g, stray), "', which is not in A(",
+                                  vname(g, v), ")"));
+    }
+    const auto relevant = analysis.relevant_set(v);
+    for (VertexId a : full) {
+      // A witness that `a` can be dropped: no defining path reaches v
+      // (a is irrelevant), or a relevant anchor r that a reaches at
+      // least as late through r as directly (a is redundant).
+      const bool irrelevant =
+          analysis.maximal_defining_path_length(a, v) == graph::kNegInf;
+      VertexId via = VertexId::invalid();
+      if (!irrelevant) {
+        const graph::Weight direct = analysis.length(a, v);
+        for (VertexId r : relevant) {
+          if (r == a || !analysis.anchor_set(r).contains(a)) continue;
+          const graph::Weight to_r = analysis.length(a, r);
+          const graph::Weight from_r = analysis.length(r, v);
+          if (to_r != graph::kNegInf && from_r != graph::kNegInf &&
+              to_r + from_r >= direct) {
+            via = r;
+            break;
+          }
+        }
+      }
+      const bool droppable = irrelevant || via.is_valid();
+      if (kept.contains(a) && droppable) {
+        return irredundant_diag(
+            irrelevant
+                ? cat("IR(", vname(g, v), ") keeps '", vname(g, a),
+                      "', which has no defining path to '", vname(g, v), "'")
+                : cat("IR(", vname(g, v), ") keeps '", vname(g, a),
+                      "', which is redundant through '", vname(g, via),
+                      "' (length(", vname(g, a), ", ", vname(g, via),
+                      ") + length(", vname(g, via), ", ", vname(g, v),
+                      ") >= length(", vname(g, a), ", ", vname(g, v), "))"));
+      }
+      if (!kept.contains(a) && !droppable) {
+        return irredundant_diag(cat("IR(", vname(g, v), ") drops '",
+                                    vname(g, a),
+                                    "', which is neither irrelevant nor "
+                                    "redundant through any relevant anchor"));
       }
     }
   }

@@ -62,6 +62,10 @@ enum class Code {
                        // the resolve before a verdict; carries no
                        // witness -- the result is undecided, not a
                        // constraint failure
+  kIrredundantSet,     // check_irredundant: an IR(v) set keeps an anchor
+                       // that has a redundancy witness or drops one
+                       // that has none (paper §III-D); carries no
+                       // witness, the message names vertex and anchor
 };
 
 [[nodiscard]] const char* to_string(Code code);
@@ -180,8 +184,8 @@ struct Diag {
 ///   plus the zero-profile numeric check T0(h) >= T0(t) + w, which
 ///   covers the max(0, ...) floor of the start-time recursion.
 ///
-/// Sound for schedules tracking FULL anchor sets (the engine's
-/// default); restricted modes (kRelevant/kIrredundant) satisfy the
+/// Sound for schedules tracking FULL anchor sets (all the engine
+/// produces); restricted modes (kRelevant/kIrredundant) satisfy the
 /// constraints via anchor nesting that these per-anchor inequalities
 /// do not model, so certify their kFull parent instead.
 /// O(|A| * |E|); computes its own topological order and start times.
@@ -194,9 +198,23 @@ struct Diag {
 /// restricted longest path). Catches corruption that leaves the
 /// schedule valid but non-minimal (stale offsets) and corruption of
 /// the analysis rows themselves (truncated row vs. healthy schedule).
-/// Requires a kFull-mode schedule.
+/// Once the length rows are certified, ends with check_irredundant, so
+/// the IR(v) sets control is built from are certified wherever
+/// products are. Requires a kFull-mode schedule.
 [[nodiscard]] Diag check_products(const cg::ConstraintGraph& g,
                                   const anchors::AnchorAnalysis& analysis,
                                   const sched::RelativeSchedule& schedule);
+
+/// Certifies the irredundant anchor sets (paper §III-D, Theorems 5-6)
+/// against the analysis's A(v), R(v), defining-path and length rows.
+/// For every vertex v: IR(v) is a subset of A(v), and an anchor a of
+/// A(v) is dropped from IR(v) exactly when it has a witness -- no
+/// defining path reaches v (maximal_defining_path_length(a, v) is
+/// kNegInf), or some r in R(v) with a in A(r) satisfies
+/// length(a, r) + length(r, v) >= length(a, v). Precondition: a
+/// well-posed graph (where R(v) is a subset of A(v)).
+/// O(sum over v of |A(v)| * |R(v)|).
+[[nodiscard]] Diag check_irredundant(const cg::ConstraintGraph& g,
+                                     const anchors::AnchorAnalysis& analysis);
 
 }  // namespace relsched::certify

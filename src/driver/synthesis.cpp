@@ -136,9 +136,7 @@ AttemptStatus attempt_graph(seq::SeqGraph& sg, GraphSynthesis& gs,
   // product; driver-level retries build a fresh session, while
   // interactive callers (examples/design_explorer) keep editing one
   // session and resolve incrementally.
-  engine::SessionOptions eopts;
-  eopts.schedule_mode = options.schedule_mode;
-  engine::SynthesisSession session(std::move(gs.constraint_graph), eopts);
+  engine::SynthesisSession session(std::move(gs.constraint_graph));
   const engine::Products& products = session.resolve();
   gs.constraint_graph = session.graph();
   gs.analysis = products.analysis;

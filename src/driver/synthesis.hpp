@@ -38,8 +38,6 @@ struct SynthesisOptions {
   bind::ResourceLibrary library = bind::ResourceLibrary::standard();
   /// Attempt minimal serialization when a graph is ill-posed.
   bool apply_make_wellposed = true;
-  /// Anchor sets tracked while scheduling.
-  anchors::AnchorMode schedule_mode = anchors::AnchorMode::kFull;
   /// Constrained conflict resolution (paper SSVII): when a graph's
   /// binding serialization makes its timing constraints unschedulable,
   /// retry with up to this many perturbed serialization orders before

@@ -258,19 +258,6 @@ void SynthesisSession::adopt_schedule() {
       products_.schedule.schedule.start_times(graph_, {}, topo_.order());
 }
 
-base::WorkStealingPool* SynthesisSession::analysis_pool() {
-  if (options_.pool != nullptr) return options_.pool.get();
-  if (options_.threads == 1) return nullptr;
-  if (options_.threads > 1) {
-    // Dedicated pool, created once and then pinned via options_.pool so
-    // forks of this session share it rather than spawning their own.
-    options_.pool =
-        std::make_shared<base::WorkStealingPool>(options_.threads);
-    return options_.pool.get();
-  }
-  return base::shared_pool().get();
-}
-
 void SynthesisSession::cold_resolve() {
   last_resolve_was_warm_ = false;
   last_dirty_cone_.clear();
@@ -309,8 +296,8 @@ void SynthesisSession::cold_resolve() {
     out.diag = certify::find_positive_cycle(graph_);
     return;
   }
-  products_.analysis = anchors::AnchorAnalysis::compute(
-      graph_, topo_.order(), analysis_pool());
+  products_.analysis =
+      anchors::AnchorAnalysis::compute(graph_, topo_.order());
   const wellposed::CheckResult wp =
       wellposed::check(graph_, products_.analysis.anchor_sets());
   if (wp.status == wellposed::Status::kIllPosed) {
@@ -321,7 +308,6 @@ void SynthesisSession::cold_resolve() {
   }
 
   sched::ScheduleOptions sopts;
-  sopts.mode = options_.schedule_mode;
   sopts.prechecks = false;
   out = sched::schedule(graph_, products_.analysis, topo_.order(), sopts);
   stats_.anchor_rows_recomputed += products_.analysis.rows_recomputed();
@@ -393,7 +379,7 @@ bool SynthesisSession::try_incremental(const std::vector<VertexId>& seeds,
     fault_.kind = FaultInjector::Kind::kNone;
   }
   // The cone in forward topological order: the anchor patch's
-  // relaxation sweeps and the restricted reschedule both walk it
+  // relaxation sweeps and the cone-restricted reschedule both walk it
   // front-to-back instead of scanning all V positions for dirty bits.
   // (Filtered through the mask so an injected kFlipDirtyBit victim is
   // skipped by every downstream consumer, like the old bit-scan was.)
@@ -446,11 +432,10 @@ bool SynthesisSession::try_incremental(const std::vector<VertexId>& seeds,
   plan.affected_topo = affected_topo_;
   plan.seeds = seeds;
   plan.forward_changed = forward_changed;
-  const std::vector<int>& topo = topo_.order();
   // In place: the cached analysis holds valid pre-edit products (the
   // incremental path is only taken when the last resolve succeeded).
   anchors::AnchorAnalysis& analysis = products_.analysis;
-  analysis.update(graph_, plan, analysis_pool());
+  analysis.update(graph_, plan);
   stats_.anchor_rows_recomputed += analysis.rows_recomputed();
   stats_.anchor_rows_cold_equivalent +=
       static_cast<long long>(analysis.anchors().size());
@@ -461,6 +446,15 @@ bool SynthesisSession::try_incremental(const std::vector<VertexId>& seeds,
     analysis.corrupt_length_row_for_testing(
         analysis.anchors()[fault_.seed % analysis.anchors().size()],
         graph_.vertex_count() / 2);
+    fault_.kind = FaultInjector::Kind::kNone;
+  }
+  // Fault injection (tests): flip one IR(v) bit of the patched analysis.
+  if (fault_.kind == FaultInjector::Kind::kFlipIrredundantBit &&
+      !analysis.anchors().empty()) {
+    const std::uint64_t n = static_cast<std::uint64_t>(graph_.vertex_count());
+    analysis.flip_irredundant_bit_for_testing(
+        VertexId(static_cast<int>(fault_.seed % n)),
+        analysis.anchors()[(fault_.seed / n) % analysis.anchors().size()]);
     fault_.kind = FaultInjector::Kind::kNone;
   }
 
@@ -479,10 +473,9 @@ bool SynthesisSession::try_incremental(const std::vector<VertexId>& seeds,
   }
 
   sched::ScheduleOptions sopts;
-  sopts.mode = options_.schedule_mode;
   sopts.prechecks = false;
   sched::ScheduleResult rescheduled = sched::reschedule(
-      graph_, analysis, topo, std::move(products_.schedule.schedule),
+      graph_, analysis, std::move(products_.schedule.schedule),
       affected_mask_, affected_topo_, sopts);
   products_.schedule = std::move(rescheduled);
   if (products_.ok()) adopt_schedule();
@@ -494,19 +487,12 @@ certify::Diag SynthesisSession::certify_warm_products() {
   if (!options_.certify) return certify::Diag{};
   const Clock::time_point t0 = Clock::now();
   certify::Diag caught;
-  bool certified = true;
   if (products_.ok()) {
-    if (options_.schedule_mode == anchors::AnchorMode::kFull) {
-      // The schedule validated over all delay profiles plus the
-      // Theorem 3 minimality cross-check against the patched analysis,
-      // with zero dependence on the warm path's data structures.
-      caught = certify::check_products(graph_, products_.analysis,
-                                       products_.schedule.schedule);
-    } else {
-      // The per-anchor inequalities are only sound for full anchor
-      // tracking; restricted modes go uncertified.
-      certified = false;
-    }
+    // The schedule validated over all delay profiles plus the
+    // Theorem 3 minimality cross-check against the patched analysis,
+    // with zero dependence on the warm path's data structures.
+    caught = certify::check_products(graph_, products_.analysis,
+                                     products_.schedule.schedule);
   } else {
     // A warm failure verdict is cross-checked against an independent
     // cold check of the same graph, which also extracts the
@@ -530,16 +516,15 @@ certify::Diag SynthesisSession::certify_warm_products() {
     }
   }
   stats_.certify_us += us_between(t0, Clock::now());
-  if (caught.ok() && certified) ++stats_.certified_resolves;
+  if (caught.ok()) ++stats_.certified_resolves;
   return caught;
 }
 
 void SynthesisSession::certify_cold_products() {
-  if (!options_.certify || !products_.ok() ||
-      options_.schedule_mode != anchors::AnchorMode::kFull) {
+  if (!options_.certify || !products_.ok()) {
     // Cold failure verdicts ARE the independent check (there is no
-    // second implementation to cross-check them against), and
-    // restricted modes go uncertified; nothing to do.
+    // second implementation to cross-check them against); nothing to
+    // do.
     return;
   }
   const Clock::time_point t0 = Clock::now();
@@ -578,7 +563,9 @@ persist::Error SynthesisSession::checkpoint(const std::string& dir) {
 
   persist::Writer w;
   persist::save_graph(w, graph_);
-  w.u8(static_cast<std::uint8_t>(options_.schedule_mode));
+  // Mode byte: sessions always schedule against the full anchor sets
+  // (AnchorMode::kFull == 0). Kept so the RSNAP001 layout is unchanged.
+  w.u8(0);
   w.b(resolved_once_);
   // Pending state (unresolved edits or a forced-cold marker) cannot be
   // warm-resumed: the restored session recomputes cold on its first
@@ -637,16 +624,8 @@ std::optional<SynthesisSession> SynthesisSession::restore(
   if (!persist::load_graph(r, &g)) {
     return reject("snapshot graph payload is invalid");
   }
-  const std::uint8_t mode = r.u8();
-  if (!r.ok() ||
-      mode > static_cast<std::uint8_t>(anchors::AnchorMode::kIrredundant)) {
-    return reject("snapshot schedule_mode is out of range");
-  }
-  if (static_cast<anchors::AnchorMode>(mode) != options.schedule_mode) {
-    rep.error = persist::Error::make(
-        persist::ErrorCode::kStateMismatch,
-        "snapshot was taken under a different schedule_mode", snap);
-    return std::nullopt;
+  if (const std::uint8_t mode = r.u8(); !r.ok() || mode != 0) {
+    return reject("snapshot schedule mode is not full anchor sets");
   }
 
   SynthesisSession s(std::move(g), options);
@@ -799,13 +778,9 @@ void SynthesisSession::verify_restored(RestoreReport& report) {
   }
   bool trusted = true;
   if (products_.ok()) {
-    if (options_.schedule_mode == anchors::AnchorMode::kFull) {
-      const certify::Diag caught = certify::check_products(
-          graph_, products_.analysis, products_.schedule.schedule);
-      trusted = caught.ok();
-    }
-    // Restricted modes have no sound product certificate; the framed
-    // checksum plus the load-time structural validation is the bar.
+    trusted = certify::check_products(graph_, products_.analysis,
+                                      products_.schedule.schedule)
+                  .ok();
   } else {
     // Failure verdicts (and any restored kCancelled placeholder) are
     // cross-checked against an independent cold check, mirroring

@@ -19,7 +19,10 @@
 //           and warm-start the scheduler from the previous offsets.
 //
 // Warm results are bit-identical to a cold recompute of the edited
-// graph (property-tested in tests/property_engine.cpp).
+// graph (property-tested in tests/property_engine.cpp). Every resolve
+// runs sequentially on the calling thread and schedules against the
+// full anchor sets A(v); consumers that want R(v)/IR(v) offsets
+// project them with sched::restrict_schedule (Theorems 4 and 6).
 //
 // Two batching mechanisms sit on top of single-edit resolves:
 //
@@ -51,7 +54,6 @@
 #include <vector>
 
 #include "anchors/anchor_analysis.hpp"
-#include "base/thread_pool.hpp"
 #include "base/vertex_mask.hpp"
 #include "base/watchdog.hpp"
 #include "cg/constraint_graph.hpp"
@@ -71,18 +73,14 @@ namespace relsched::engine {
 [[nodiscard]] bool certify_default();
 
 struct SessionOptions {
-  /// Anchor sets tracked while scheduling (Theorems 4/6: identical
-  /// start times for all three on well-posed graphs).
-  anchors::AnchorMode schedule_mode = anchors::AnchorMode::kFull;
   /// Independently certify every resolve: successful products pass
   /// through certify::check_products (schedule valid over all delay
-  /// profiles + Theorem 3 minimality), failure verdicts are
-  /// cross-checked against a cold wellposed::check. A certificate
-  /// failure increments SessionStats::certificate_failures, records
-  /// the caught diag in Products::certificate, and transparently falls
-  /// back to a cold recompute. Product certification requires kFull
-  /// schedule_mode (the per-anchor inequalities are only sound there);
-  /// restricted modes certify failure verdicts only.
+  /// profiles, Theorem 3 minimality, and the IR(v) sets control is
+  /// built from), failure verdicts are cross-checked against a cold
+  /// wellposed::check. A certificate failure increments
+  /// SessionStats::certificate_failures, records the caught diag in
+  /// Products::certificate, and transparently falls back to a cold
+  /// recompute.
   bool certify = certify_default();
 
   // ---- Cooperative cancellation ------------------------------------------
@@ -101,23 +99,6 @@ struct SessionOptions {
   /// the safety net against a pathological graph whose O(V*E) feasibility
   /// check would outlive any wall-clock budget between polls.
   std::uint64_t step_limit = 0;
-
-  // ---- In-resolve parallelism --------------------------------------------
-  // The anchor-analysis phases (per-anchor path rows, per-vertex R/IR
-  // bit rows) shard across a work-stealing pool, bit-identical to the
-  // sequential path at any thread count (see AnchorAnalysis::compute).
-
-  /// nullptr: pick by `threads`. Non-null: run the anchor phases on
-  /// this pool. An Explorer installs its own pool here so candidate
-  /// parallelism and in-resolve parallelism share one set of workers
-  /// -- the pool declines nested jobs (base::WorkStealingPool::try_run)
-  /// and the inner resolve stays sequential, never oversubscribing.
-  std::shared_ptr<base::WorkStealingPool> pool;
-  /// Used when `pool` is null. 0: the process-wide base::shared_pool()
-  /// (sized from hardware_concurrency / RELSCHED_THREADS). 1: fully
-  /// sequential, no pool touched. N > 1: a dedicated pool of N
-  /// workers, created lazily at first resolve.
-  int threads = 0;
 };
 
 /// Deterministic fault-injection hook (tests/fuzz_certify.cpp). One
@@ -140,6 +121,9 @@ struct FaultInjector {
     /// Truncate one anchor's longest-path row (kNegInf tail), as if a
     /// row recompute had been interrupted.
     kTruncateAnchorRow,
+    /// Flip one IR(v) bit of the patched analysis, as if the
+    /// redundancy test had misjudged one (vertex, anchor) pair.
+    kFlipIrredundantBit,
   };
   Kind kind = Kind::kNone;
   /// Selects the victim (vertex / journal entry / anchor) by modular
@@ -381,14 +365,6 @@ class SynthesisSession {
 
   [[nodiscard]] bool certify_enabled() const { return options_.certify; }
 
-  /// Replaces the pool the anchor-analysis phases run on (the
-  /// Explorer installs its candidate pool here so in-resolve and
-  /// candidate parallelism share one set of workers); nullptr reverts
-  /// to the SessionOptions::threads policy. Forks inherit it.
-  void set_thread_pool(std::shared_ptr<base::WorkStealingPool> pool) {
-    options_.pool = std::move(pool);
-  }
-
   // ---- Crash safety ------------------------------------------------------
 
   /// Attaches a write-ahead log at `path` (created empty at the current
@@ -451,8 +427,9 @@ class SynthesisSession {
   /// certify::check_products on the recovered products before trusting
   /// them -- on certificate failure the products are recomputed cold
   /// and the fallback is counted. Returns nullopt (with report->error
-  /// set) when the snapshot or WAL is missing, torn mid-file, corrupt,
-  /// or inconsistent with `options`. Does not attach the WAL; call
+  /// set) when the snapshot or WAL is missing, torn mid-file, corrupt
+  /// (a nonzero schedule-mode byte included), or out of step with each
+  /// other. Does not attach the WAL; call
   /// attach_wal() afterwards to keep journaling.
   [[nodiscard]] static std::optional<SynthesisSession> restore(
       const std::string& dir, SessionOptions options, RestoreReport* report);
@@ -521,10 +498,6 @@ class SynthesisSession {
   /// Re-certifies just-restored products; discards them (cold
   /// re-resolve) when the certificate fails.
   void verify_restored(RestoreReport& report);
-  /// The pool the anchor-analysis phases of this resolve run on, per
-  /// the SessionOptions policy (explicit pool > threads); nullptr
-  /// means sequential.
-  [[nodiscard]] base::WorkStealingPool* analysis_pool();
 
   cg::ConstraintGraph graph_;
   SessionOptions options_;
@@ -550,7 +523,7 @@ class SynthesisSession {
   /// Membership mask of the merged dirty cone in flight.
   base::VertexMask affected_mask_;
   /// The cone listed in forward topological order (UpdatePlan /
-  /// restricted reschedule input).
+  /// cone-restricted reschedule input).
   std::vector<VertexId> affected_topo_;
   /// Seed dedup for the journal-suffix fold.
   base::VertexMask fold_seen_;

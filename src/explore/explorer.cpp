@@ -120,12 +120,6 @@ Explorer::Explorer(engine::SynthesisSession base, ExplorerOptions options)
     : base_(std::move(base)),
       options_(std::move(options)),
       pool_(resolve_pool(options_.threads)) {
-  // One pool for everything under this explorer: the base session's
-  // resolves shard their anchor phases across it, and forks inherit it,
-  // so a candidate resolving on a pool worker falls back to its
-  // sequential path (try_run declines while the batch job is live)
-  // instead of nesting or spawning more threads.
-  base_.set_thread_pool(pool_);
   const engine::Products& products = base_.resolve();
   RELSCHED_CHECK(products.ok(),
                  "explorer base session must resolve to a schedule");

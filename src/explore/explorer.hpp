@@ -8,7 +8,9 @@
 // its dirty cone), applies the candidate's edits inside one transaction
 // (one merged-cone resolve per candidate, however many edits it holds),
 // scores the resolved products, and reduces to the best feasible
-// candidate.
+// candidate. Parallelism is at candidate level only: the batch runs on
+// a work-stealing pool, and each fork resolves sequentially on the
+// worker that picked it up.
 //
 // Determinism guarantee: candidates are resolved on independent forks
 // with no shared mutable state, every fork resolve is bit-identical to
@@ -206,12 +208,9 @@ class Explorer {
 
   engine::SynthesisSession base_;
   ExplorerOptions options_;
-  /// Candidate batches and the anchor analysis inside every fork's
-  /// resolve share these workers: the pool is installed into the base
-  /// session (inherited by forks), and a fork resolving *on* a worker
-  /// sees the pool busy and stays sequential (try_run declines), so
-  /// the two layers of parallelism never oversubscribe. threads == 0
-  /// shares the process-wide base::shared_pool().
+  /// Candidate batches run on these workers, one candidate per task;
+  /// each fork resolves sequentially on the worker that picked it up.
+  /// threads == 0 shares the process-wide base::shared_pool().
   std::shared_ptr<base::WorkStealingPool> pool_;
 };
 

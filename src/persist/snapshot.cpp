@@ -305,7 +305,7 @@ void save_diag(Writer& w, const certify::Diag& diag) {
 bool load_diag(Reader& r, certify::Diag* out) {
   certify::Diag diag;
   const std::uint8_t code = r.u8();
-  if (code > static_cast<std::uint8_t>(certify::Code::kTimeout)) {
+  if (code > static_cast<std::uint8_t>(certify::Code::kIrredundantSet)) {
     r.fail();
     return false;
   }

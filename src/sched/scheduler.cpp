@@ -30,10 +30,9 @@ const char* to_string(ScheduleStatus status) {
 
 namespace {
 
-/// IncrementalOffset: one forward longest-path sweep in topological
-/// order, raising offsets monotonically from their current values. The
-/// span may be a suffix of the full order (warm restarts skip the
-/// settled prefix).
+/// One vertex of IncrementalOffset (the forward longest-path sweep in
+/// topological order): raises v's offsets monotonically from their
+/// current values over its forward in-edges.
 void offset_step(const cg::ConstraintGraph& g,
                  const anchors::AnchorAnalysis& analysis,
                  anchors::AnchorMode mode, VertexId v,
@@ -54,13 +53,6 @@ void offset_step(const cg::ConstraintGraph& g,
       if (tracked.contains(a)) sched.offsets(v).raise(a, sigma_p + w);
     }
   }
-}
-
-void incremental_offset(const cg::ConstraintGraph& g,
-                        const anchors::AnchorAnalysis& analysis,
-                        anchors::AnchorMode mode, std::span<const int> topo,
-                        RelativeSchedule& sched) {
-  for (int node : topo) offset_step(g, analysis, mode, VertexId(node), sched);
 }
 
 /// One sweep over the backward edges, returning the number of violated
@@ -100,22 +92,23 @@ int backward_edge_sweep(const cg::ConstraintGraph& g,
 }
 
 /// The shared iteration loop (paper Fig 8): alternate IncrementalOffset
-/// and ReadjustOffsets until a sweep produces no violations, at most
-/// |Eb|+1 rounds (Theorem 8 / Corollary 2). `first_sweep` is the
-/// portion of `topo` the first round propagates over -- the full order
-/// for cold starts, the suffix from the first affected position for
-/// warm restarts (the settled prefix already satisfies its forward
-/// constraints); later rounds always sweep the full order.
+/// (one forward sweep over `order`, a topological order of Gf or a
+/// topologically sorted part of it) and ReadjustOffsets over
+/// `backward` until a sweep produces no violations, at most |Eb|+1
+/// rounds (Theorem 8 / Corollary 2). Cold starts pass all of V and
+/// every backward edge; warm restarts pass the dirty cone and the
+/// backward edges with a head inside it.
+template <typename Order>
 void run_rounds(const cg::ConstraintGraph& g,
                 const anchors::AnchorAnalysis& analysis,
-                const ScheduleOptions& options, std::span<const int> topo,
-                std::span<const int> first_sweep, RelativeSchedule sched,
+                const ScheduleOptions& options, const Order& order,
+                std::span<const EdgeId> backward, RelativeSchedule sched,
                 ScheduleResult& result) {
-  const std::span<const EdgeId> backward = g.backward_edges();
   const int max_rounds = g.backward_edge_count() + 1;
   for (int round = 1; round <= max_rounds; ++round) {
-    incremental_offset(g, analysis, options.mode,
-                       round == 1 ? first_sweep : topo, sched);
+    for (const auto node : order) {
+      offset_step(g, analysis, options.mode, VertexId(node), sched);
+    }
     result.iterations = round;
 
     IterationTrace trace;
@@ -179,7 +172,8 @@ void schedule_from_zero(const cg::ConstraintGraph& g,
       sched.offsets(v).set(a, 0);
     }
   }
-  run_rounds(g, analysis, options, topo, topo, std::move(sched), result);
+  run_rounds(g, analysis, options, topo, g.backward_edges(), std::move(sched),
+             result);
 }
 
 }  // namespace
@@ -209,111 +203,37 @@ ScheduleResult schedule(const cg::ConstraintGraph& g,
   return result;
 }
 
-namespace {
-
-/// Cone-restricted iteration for AnchorMode::kFull (see the header's
-/// contract): every forward sweep walks `affected_topo` only, every
-/// backward sweep walks the backward edges with an affected head only
-/// (the cone is out-closed, so an affected tail implies an affected
-/// head, and an edge with both endpoints unaffected joins two vertices
-/// whose offsets never move off the previous fixpoint). The schedule is
-/// patched in place; the untouched majority is never copied or
-/// re-derived.
-void run_rounds_restricted(const cg::ConstraintGraph& g,
-                           const anchors::AnchorAnalysis& analysis,
-                           const ScheduleOptions& options,
-                           std::span<const VertexId> affected_topo,
-                           std::span<const EdgeId> candidates,
-                           RelativeSchedule sched, ScheduleResult& result) {
-  const int max_rounds = g.backward_edge_count() + 1;
-  for (int round = 1; round <= max_rounds; ++round) {
-    for (VertexId v : affected_topo) {
-      offset_step(g, analysis, options.mode, v, sched);
-    }
-    result.iterations = round;
-
-    IterationTrace trace;
-    if (options.record_trace) {
-      trace.iteration = round;
-      trace.after_compute = sched;
-    }
-
-    if (backward_edge_sweep(g, sched, nullptr, candidates) == 0) {
-      if (options.record_trace) result.trace.push_back(std::move(trace));
-      result.status = ScheduleStatus::kScheduled;
-      result.schedule = std::move(sched);
-      return;
-    }
-    trace.violated_backward_edges =
-        backward_edge_sweep(g, sched, &sched, candidates);
-    if (options.record_trace) {
-      trace.after_readjust = sched;
-      result.trace.push_back(std::move(trace));
-    }
-  }
-
-  result.status = ScheduleStatus::kInconsistent;
-  result.message = "no convergence within |Eb|+1 iterations";
-}
-
-}  // namespace
-
 ScheduleResult reschedule(const cg::ConstraintGraph& g,
                           const anchors::AnchorAnalysis& analysis,
-                          const std::vector<int>& topo,
                           RelativeSchedule&& previous,
                           const base::VertexMask& affected,
                           std::span<const VertexId> affected_topo,
                           const ScheduleOptions& options) {
+  RELSCHED_CHECK(options.mode == anchors::AnchorMode::kFull,
+                 "reschedule() tracks full anchor sets only");
   ScheduleResult result;
   // Warm seed: a vertex outside the affected cone keeps its previous
-  // offsets (any path whose length changed runs through an edit seed,
-  // so its endpoints are affected -- unaffected minima are unchanged);
-  // affected vertices restart from the paper's r = 0 state. Every seed
-  // is therefore <= the minimum schedule, and the monotone-raise
-  // iteration converges to exactly the offsets a cold schedule() of `g`
-  // would produce, in at most as many rounds.
-  if (options.mode == anchors::AnchorMode::kFull) {
-    // Reseed only the affected vertices, in place.
-    for (VertexId v : affected_topo) {
-      OffsetMap& offsets = previous.offsets(v);
-      offsets.clear();
-      for (VertexId a : analysis.set(v, options.mode)) offsets.set(a, 0);
-    }
-    std::vector<EdgeId> candidates;
-    for (EdgeId eid : g.backward_edges()) {
-      if (affected.contains(g.edge(eid).to)) candidates.push_back(eid);
-    }
-    run_rounds_restricted(g, analysis, options, affected_topo, candidates,
-                          std::move(previous), result);
-    return result;
+  // offsets in place (any path whose length changed runs through an
+  // edit seed, so its endpoints are affected -- unaffected minima are
+  // unchanged); affected vertices restart from the paper's r = 0
+  // state. Every seed is therefore <= the minimum schedule, and the
+  // monotone-raise iteration converges to exactly the offsets a cold
+  // schedule() of `g` would produce, in at most as many rounds.
+  for (VertexId v : affected_topo) {
+    OffsetMap& offsets = previous.offsets(v);
+    offsets.clear();
+    for (VertexId a : analysis.anchor_set(v)) offsets.set(a, 0);
   }
-
-  // Restricted anchor modes: IR(v) can change at an unaffected vertex
-  // (a via-anchor moved), so rebuild every tracked set's seeds and run
-  // full-order sweeps. Anchors newly tracked at an unaffected vertex
-  // start at 0 like any other lower bound.
-  RelativeSchedule sched(g.vertex_count());
-  for (int vi = 0; vi < g.vertex_count(); ++vi) {
-    const VertexId v(vi);
-    for (VertexId a : analysis.set(v, options.mode)) {
-      const graph::Weight seed =
-          affected.contains(v) ? 0 : previous.offsets(v).get(a).value_or(0);
-      sched.offsets(v).set(a, seed);
-    }
+  // An edge with both endpoints unaffected joins two vertices whose
+  // offsets never move off the previous fixpoint, and the cone is
+  // out-closed (an affected tail implies an affected head): only
+  // backward edges with an affected head can be violated.
+  std::vector<EdgeId> candidates;
+  for (EdgeId eid : g.backward_edges()) {
+    if (affected.contains(g.edge(eid).to)) candidates.push_back(eid);
   }
-
-  // The settled prefix of the topological order (before the first
-  // affected vertex) already satisfies its forward constraints; the
-  // first sweep starts at the frontier.
-  std::size_t frontier = 0;
-  while (frontier < topo.size() &&
-         !affected.contains(VertexId(topo[frontier]))) {
-    ++frontier;
-  }
-  run_rounds(g, analysis, options, topo,
-             std::span<const int>(topo).subspan(frontier), std::move(sched),
-             result);
+  run_rounds(g, analysis, options, affected_topo, candidates,
+             std::move(previous), result);
   return result;
 }
 

@@ -101,15 +101,13 @@ ScheduleResult schedule(const cg::ConstraintGraph& g,
 /// bit-for-bit. Skips prechecks: callers have already re-established
 /// validity, feasibility, and well-posedness.
 ///
-/// Under AnchorMode::kFull every sweep -- forward and backward -- is
-/// restricted to the affected cone: an unaffected vertex's in-neighbours
-/// are all unaffected (the cone is out-closed), its tracked set A(v) is
-/// unchanged, and its previous offsets are already the cold minima, so
-/// no sweep could change it. Restricted modes fall back to full-order
-/// sweeps (IR(v) may change at unaffected vertices via a moved anchor).
+/// Tracks full anchor sets only (`options.mode` must be kFull). Every
+/// sweep -- forward and backward -- is restricted to the affected cone:
+/// an unaffected vertex's in-neighbours are all unaffected (the cone is
+/// out-closed), its tracked set A(v) is unchanged, and its previous
+/// offsets are already the cold minima, so no sweep could change it.
 ScheduleResult reschedule(const cg::ConstraintGraph& g,
                           const anchors::AnchorAnalysis& analysis,
-                          const std::vector<int>& topo,
                           RelativeSchedule&& previous,
                           const base::VertexMask& affected,
                           std::span<const VertexId> affected_topo,

@@ -10,7 +10,6 @@
 //   --max-pending-total N pending-request cap for the server (256)
 //   --deadline-ms N       per-request deadline, 0 = none (5000)
 //   --retry-after-ms N    backoff suggested in RETRY_AFTER replies (20)
-//   --threads N           SessionOptions::threads (0 = shared pool)
 //   --certify / --no-certify
 //                         baseline certification for healthy sessions
 //                         (default: RELSCHED_CERTIFY)
@@ -55,7 +54,7 @@ int usage(const char* argv0) {
                "usage: %s --socket PATH --state-dir DIR [--max-live N] "
                "[--max-connections N] [--max-pending N] "
                "[--max-pending-total N] [--deadline-ms N] "
-               "[--retry-after-ms N] [--threads N] [--certify|--no-certify] "
+               "[--retry-after-ms N] [--certify|--no-certify] "
                "[--standby] [--replicate-to PATH] [--repl-batch-max N] "
                "[--repl-queue-cap N] [--repl-ack-ms N] [--repl-io-ms N] "
                "[--repl-corrupt-at N]\n",
@@ -96,8 +95,6 @@ int main(int argc, char** argv) {
       options.default_deadline = std::chrono::milliseconds(v);
     } else if (arg == "--retry-after-ms" && int_arg(i, 1, 60'000, &v)) {
       options.retry_after_ms = static_cast<int>(v);
-    } else if (arg == "--threads" && int_arg(i, 0, 1024, &v)) {
-      options.threads = static_cast<int>(v);
     } else if (arg == "--certify") {
       options.certify = true;
     } else if (arg == "--no-certify") {

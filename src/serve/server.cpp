@@ -361,7 +361,6 @@ struct Server::Impl {
   [[nodiscard]] engine::SessionOptions session_options() const {
     engine::SessionOptions so;
     so.certify = options.certify;
-    so.threads = options.threads;
     return so;
   }
 

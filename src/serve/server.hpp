@@ -8,10 +8,9 @@
 //                hash of the design's canonical text. Each session has
 //                its own mutex -- a single-writer serialization point
 //                -- so request handling on one design never blocks or
-//                corrupts another. Heavy resolves still share the
-//                process-wide base::shared_pool() for their anchor
-//                phases (SessionOptions::threads == 0), so concurrency
-//                across sessions does not oversubscribe the machine.
+//                corrupts another. Each resolve runs sequentially on
+//                the connection thread that serves it, so the server's
+//                concurrency is its connections, never a hidden pool.
 //
 //   Admission    Two bounded queues -- per-session and whole-server
 //                pending-request counts -- shed excess load with an
@@ -91,8 +90,6 @@ struct ServerOptions {
   /// Baseline certification policy for healthy sessions (quarantined
   /// sessions are always certified, regardless).
   bool certify = engine::certify_default();
-  /// SessionOptions::threads for every session (0 = shared pool).
-  int threads = 0;
   /// WAL durability policy for every session.
   persist::WalOptions wal = persist::WalOptions::from_env();
 

@@ -44,6 +44,12 @@ bool analyses_equal(const cg::ConstraintGraph& g,
                     const anchors::AnchorAnalysis& a,
                     const anchors::AnchorAnalysis& b) {
   if (a.anchors() != b.anchors()) return false;
+  for (int v = 0; v < g.vertex_count(); ++v) {
+    if (!(a.relevant_set(VertexId(v)) == b.relevant_set(VertexId(v))) ||
+        !(a.irredundant_set(VertexId(v)) == b.irredundant_set(VertexId(v)))) {
+      return false;
+    }
+  }
   for (VertexId anchor : a.anchors()) {
     for (int v = 0; v < g.vertex_count(); ++v) {
       if (a.length(anchor, VertexId(v)) != b.length(anchor, VertexId(v))) {
@@ -231,6 +237,8 @@ constexpr FaultScenario kFaultMatrix[] = {
     {engine::FaultInjector::Kind::kDropJournalEntry, "drop-journal-entry",
      true},
     {engine::FaultInjector::Kind::kTruncateAnchorRow, "truncate-anchor-row",
+     true},
+    {engine::FaultInjector::Kind::kFlipIrredundantBit, "flip-irredundant-bit",
      true},
 };
 

@@ -224,6 +224,7 @@ TEST(PropertyAnalyzeFuzz, FaultInjectionNeverCrashesOrContradictsCertify) {
       engine::FaultInjector::Kind::kFlipDirtyBit,
       engine::FaultInjector::Kind::kDropJournalEntry,
       engine::FaultInjector::Kind::kTruncateAnchorRow,
+      engine::FaultInjector::Kind::kFlipIrredundantBit,
   };
   for (int trial = 0; trial < 60; ++trial) {
     RandomGraphParams params;
@@ -238,7 +239,7 @@ TEST(PropertyAnalyzeFuzz, FaultInjectionNeverCrashesOrContradictsCertify) {
     analyze::IncrementalAnalyzer analyzer;
     analyzer.reanalyze(session);
     for (int step = 0; step < 6; ++step) {
-      session.arm_fault({kinds[rng() % 4], rng()});
+      session.arm_fault({kinds[rng() % std::size(kinds)], rng()});
       random_warm_edit(rng, session);
       const analyze::Report& report = analyzer.reanalyze(session);
       // The analyze verdict must agree with ground truth on the

@@ -328,5 +328,47 @@ TEST(CertifierProperty, RandomSchedulesCertifyAndRejectCorruption) {
   EXPECT_GT(schedules_checked, 50);
 }
 
+// The IR(v) sets of every well-posed random graph certify cleanly, and
+// flipping any single IR bit -- each (vertex, anchor) pair in turn, so
+// both dropping a kept anchor and keeping a dropped or foreign one --
+// is caught by check_irredundant with its own code.
+TEST(CertifierProperty, EveryIrredundantBitFlipIsCaught) {
+  std::mt19937 rng(424242);
+  RandomGraphParams params;
+  params.vertex_count = 12;
+  int graphs = 0;
+  long long flips = 0;
+  int redundant_seen = 0;
+  for (int iter = 0; iter < 600; ++iter) {
+    cg::ConstraintGraph g = random_constraint_graph(rng, params);
+    if (wellposed::make_wellposed(g).status != wellposed::Status::kWellPosed) {
+      continue;
+    }
+    auto analysis = anchors::AnchorAnalysis::compute(g);
+    ASSERT_EQ(check_irredundant(g, analysis).code, Code::kNone)
+        << check_irredundant(g, analysis).message;
+    ++graphs;
+    for (int vi = 0; vi < g.vertex_count(); ++vi) {
+      const VertexId v(vi);
+      if (analysis.relevant_set(v).size() > analysis.irredundant_set(v).size()) {
+        ++redundant_seen;
+      }
+      for (VertexId a : analysis.anchors()) {
+        analysis.flip_irredundant_bit_for_testing(v, a);
+        EXPECT_EQ(check_irredundant(g, analysis).code, Code::kIrredundantSet)
+            << "flip of '" << g.vertex(a).name << "' in IR('"
+            << g.vertex(v).name << "') not caught";
+        analysis.flip_irredundant_bit_for_testing(v, a);
+        ++flips;
+      }
+    }
+    ASSERT_EQ(check_irredundant(g, analysis).code, Code::kNone);
+  }
+  EXPECT_GT(graphs, 50);
+  EXPECT_GT(flips, 1000);
+  // Redundant anchors must occur, or the "drop" half is never tested.
+  EXPECT_GT(redundant_seen, 0);
+}
+
 }  // namespace
 }  // namespace relsched::certify

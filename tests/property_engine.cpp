@@ -8,7 +8,6 @@
 // agree with the cold pipeline at every step.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <optional>
 #include <random>
 #include <vector>
@@ -31,8 +30,7 @@ struct ColdProducts {
   sched::RelativeSchedule schedule;
 };
 
-ColdProducts cold_pipeline(const cg::ConstraintGraph& g,
-                           anchors::AnchorMode mode) {
+ColdProducts cold_pipeline(const cg::ConstraintGraph& g) {
   ColdProducts c;
   if (const auto issues = g.validate(); !issues.empty()) {
     c.status = sched::ScheduleStatus::kInvalidGraph;
@@ -52,7 +50,6 @@ ColdProducts cold_pipeline(const cg::ConstraintGraph& g,
     return c;
   }
   sched::ScheduleOptions sopts;
-  sopts.mode = mode;
   sopts.prechecks = false;
   auto result = sched::schedule(g, *c.analysis, sopts);
   c.status = result.status;
@@ -261,17 +258,14 @@ TEST_P(EngineProperties, IncrementalResolveMatchesColdRecompute) {
       continue;
     }
 
-    const auto mode = static_cast<anchors::AnchorMode>(rng() % 3);
-    SessionOptions opts;
-    opts.schedule_mode = mode;
-    SynthesisSession session(std::move(g), opts);
+    SynthesisSession session(std::move(g), {});
     if (!session.resolve().ok()) continue;
     ++corpora;
 
     for (int step = 0; step < 10; ++step) {
       if (!random_edit(session, rng)) continue;
       const Products& products = session.resolve();
-      const ColdProducts cold = cold_pipeline(session.graph(), mode);
+      const ColdProducts cold = cold_pipeline(session.graph());
       expect_equivalent(products, cold, session.graph(), step);
       if (::testing::Test::HasFatalFailure()) return;
     }
@@ -325,12 +319,9 @@ TEST_P(EngineProperties, TransactionsMatchPerEditResolves) {
     if (wellposed::make_wellposed(g).status != wellposed::Status::kWellPosed) {
       continue;
     }
-    const auto mode = static_cast<anchors::AnchorMode>(rng() % 3);
-    SessionOptions opts;
-    opts.schedule_mode = mode;
     cg::ConstraintGraph mirror = g;  // identical copy, identical edge ids
-    SynthesisSession txn(std::move(g), opts);
-    SynthesisSession step(std::move(mirror), opts);
+    SynthesisSession txn(std::move(g), {});
+    SynthesisSession step(std::move(mirror), {});
     if (!txn.resolve().ok()) continue;
     step.resolve();
     ++corpora;
@@ -365,7 +356,7 @@ TEST_P(EngineProperties, TransactionsMatchPerEditResolves) {
       }
 
       expect_sessions_match(committed, step.products(), txn.graph(), batch);
-      expect_equivalent(committed, cold_pipeline(txn.graph(), mode),
+      expect_equivalent(committed, cold_pipeline(txn.graph()),
                         txn.graph(), batch);
       if (::testing::Test::HasFatalFailure()) return;
     }
@@ -376,86 +367,46 @@ TEST_P(EngineProperties, TransactionsMatchPerEditResolves) {
   EXPECT_GT(overlapping, 0) << "no batch ever coalesced overlapping cones";
 }
 
-// Parallel anchor analysis must be bit-identical to sequential at any
-// thread count -- including when an armed fault corrupts the warm
-// state mid-resolve and certification rejects it. Three sessions (1
-// thread, a 2-worker pool, an 8-worker pool) receive identical edit
-// sequences and identical armed faults drawn from the whole
-// FaultInjector matrix; their products must match after every resolve,
-// and the certifier must catch the same faults on every path.
-TEST_P(EngineProperties, ParallelResolveMatchesSequentialUnderFaults) {
+// The pool-sharded cold anchor analysis, AnchorAnalysis::compute(g,
+// pool), must be bit-identical to the sequential one at any pool
+// width: same A / R / IR sets, same length and defining-path rows.
+TEST_P(EngineProperties, PooledAnalysisMatchesSequential) {
   std::mt19937 rng(GetParam() * 2654435761u + 9u);
-  const FaultInjector::Kind kinds[] = {
-      FaultInjector::Kind::kNone,
-      FaultInjector::Kind::kCorruptPotential,
-      FaultInjector::Kind::kFlipDirtyBit,
-      FaultInjector::Kind::kDropJournalEntry,
-      FaultInjector::Kind::kTruncateAnchorRow,
-  };
-  const auto pool2 = std::make_shared<base::WorkStealingPool>(2);
-  const auto pool8 = std::make_shared<base::WorkStealingPool>(8);
-
+  base::WorkStealingPool pool2(2);
+  base::WorkStealingPool pool8(8);
   int corpora = 0;
-  long long caught = 0;
   for (int trial = 0; trial < 80; ++trial) {
     relsched::testing::RandomGraphParams params;
     params.vertex_count = 10 + static_cast<int>(rng() % 14);
     params.unbounded_fraction = 0.15 + 0.2 * (rng() % 3);
     params.max_constraints = 1 + static_cast<int>(rng() % 3);
-    auto g = relsched::testing::random_constraint_graph(rng, params);
-    if (!g.validate().empty()) continue;
-    if (wellposed::make_wellposed(g).status != wellposed::Status::kWellPosed) {
-      continue;
-    }
-
-    SessionOptions opts;
-    opts.certify = true;  // a fired fault must be caught, not propagated
-    opts.threads = 1;
-    cg::ConstraintGraph copy2 = g, copy8 = g;
-    SynthesisSession seq(std::move(g), opts);
-    opts.threads = 0;
-    opts.pool = pool2;
-    SynthesisSession par2(std::move(copy2), opts);
-    opts.pool = pool8;
-    SynthesisSession par8(std::move(copy8), opts);
-    if (!seq.resolve().ok()) continue;
-    par2.resolve();
-    par8.resolve();
+    const auto g = relsched::testing::random_constraint_graph(rng, params);
+    if (!g.validate().empty() || !wellposed::is_feasible(g)) continue;
     ++corpora;
 
-    for (int step = 0; step < 12; ++step) {
-      const auto spec = pick_random_edit(seq.graph(), rng);
-      if (!spec.has_value()) continue;
-      apply_edit(seq, *spec);
-      apply_edit(par2, *spec);
-      apply_edit(par8, *spec);
-
-      FaultInjector fault;
-      fault.kind = kinds[rng() % (sizeof kinds / sizeof kinds[0])];
-      fault.seed = rng();
-      seq.arm_fault(fault);
-      par2.arm_fault(fault);
-      par8.arm_fault(fault);
-
-      seq.resolve();
-      par2.resolve();
-      par8.resolve();
-      expect_sessions_match(seq.products(), par2.products(), seq.graph(),
-                            step);
-      expect_sessions_match(seq.products(), par8.products(), seq.graph(),
-                            step);
-      if (::testing::Test::HasFatalFailure()) return;
+    const auto seq = anchors::AnchorAnalysis::compute(g, nullptr);
+    for (base::WorkStealingPool* pool : {&pool2, &pool8}) {
+      const auto par = anchors::AnchorAnalysis::compute(g, pool);
+      ASSERT_EQ(par.anchors(), seq.anchors()) << pool->thread_count();
+      for (int vi = 0; vi < g.vertex_count(); ++vi) {
+        const VertexId v(vi);
+        EXPECT_EQ(par.anchor_set(v), seq.anchor_set(v)) << "A(v" << vi << ")";
+        EXPECT_EQ(par.relevant_set(v), seq.relevant_set(v))
+            << "R(v" << vi << ")";
+        EXPECT_EQ(par.irredundant_set(v), seq.irredundant_set(v))
+            << "IR(v" << vi << ")";
+        for (VertexId a : seq.anchors()) {
+          EXPECT_EQ(par.length(a, v), seq.length(a, v))
+              << "length(v" << a << ", v" << vi << ")";
+          EXPECT_EQ(par.maximal_defining_path_length(a, v),
+                    seq.maximal_defining_path_length(a, v))
+              << "|rho*(v" << a << ", v" << vi << ")|";
+        }
+      }
+      if (::testing::Test::HasFailure()) return;
     }
-    // The certifier's verdicts are part of the determinism contract:
-    // every thread count catches exactly the same injected faults.
-    EXPECT_EQ(seq.stats().certificate_failures,
-              par2.stats().certificate_failures);
-    EXPECT_EQ(seq.stats().certificate_failures,
-              par8.stats().certificate_failures);
-    caught += seq.stats().certificate_failures;
   }
-  EXPECT_GT(corpora, 3) << "corpus too thin for seed " << GetParam();
-  EXPECT_GT(caught, 0) << "no injected fault was ever caught";
+  EXPECT_GT(corpora, 20) << "corpus too thin for seed " << GetParam();
 }
 
 // Deterministic excursions: a transaction may pass through an

@@ -172,6 +172,7 @@ TEST(PropertyLintFuzz, FaultInjectionNeverCrashesOrContradictsCertify) {
       engine::FaultInjector::Kind::kFlipDirtyBit,
       engine::FaultInjector::Kind::kDropJournalEntry,
       engine::FaultInjector::Kind::kTruncateAnchorRow,
+      engine::FaultInjector::Kind::kFlipIrredundantBit,
   };
   for (int trial = 0; trial < 60; ++trial) {
     RandomGraphParams params;
@@ -185,7 +186,7 @@ TEST(PropertyLintFuzz, FaultInjectionNeverCrashesOrContradictsCertify) {
     engine::SynthesisSession session(std::move(g), options);
     session.resolve();
     for (int step = 0; step < 6; ++step) {
-      session.arm_fault({kinds[rng() % 4], rng()});
+      session.arm_fault({kinds[rng() % std::size(kinds)], rng()});
       random_warm_edit(rng, session);
       const engine::Products& products = session.resolve();
       const lint::Report report = lint::analyze(

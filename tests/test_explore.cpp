@@ -389,32 +389,6 @@ TEST(WorkStealingPoolTest, EmptyRunAndThreadClamping) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-// The sharing contract between the explorer's candidate batches and the
-// anchor analysis running inside each candidate: a try_run() issued
-// while a job is in flight -- here, from inside that job's own tasks --
-// declines instead of deadlocking, and the caller stays sequential.
-TEST(WorkStealingPoolTest, TryRunDeclinesWhileAJobIsInFlight) {
-  WorkStealingPool pool(2);
-  std::atomic<int> outer{0};
-  std::atomic<int> declined{0};
-  pool.run(8, [&](int) {
-    outer.fetch_add(1, std::memory_order_relaxed);
-    if (!pool.try_run(4, [](int) { std::abort(); })) {
-      declined.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  EXPECT_EQ(outer.load(), 8);
-  EXPECT_EQ(declined.load(), 8);
-
-  // Idle again: try_run accepts and runs the whole batch.
-  std::atomic<int> inner{0};
-  EXPECT_TRUE(pool.try_run(
-      4, [&](int) { inner.fetch_add(1, std::memory_order_relaxed); }));
-  EXPECT_EQ(inner.load(), 4);
-  // An empty batch trivially succeeds without touching the workers.
-  EXPECT_TRUE(pool.try_run(0, [](int) { std::abort(); }));
-}
-
 // RELSCHED_THREADS overrides hardware_concurrency() through the strict
 // base/env.hpp parsers; unparsable or out-of-range values warn and fall
 // back to the hardware width.

@@ -20,6 +20,7 @@
 #include "cg/graph_io.hpp"
 #include "engine/session.hpp"
 #include "persist/serialize.hpp"
+#include "persist/snapshot.hpp"
 #include "persist/wal.hpp"
 #include "testutil.hpp"
 
@@ -720,6 +721,10 @@ TEST(SessionCheckpoint, CorruptSnapshotRejectedStructurally) {
   EXPECT_EQ(report.error.code, ErrorCode::kIo);
 }
 
+// Sessions only schedule against full anchor sets, so a snapshot whose
+// mode byte (right after the graph payload) names a restricted mode is
+// malformed. The framing is rewritten around the patched payload so the
+// checksum passes and the mode check itself is reached.
 TEST(SessionCheckpoint, ScheduleModeMismatchRejected) {
   const std::string dir = persist::temp_dir("ckpt_mode");
   testing::Fig2Graph fig;
@@ -727,11 +732,34 @@ TEST(SessionCheckpoint, ScheduleModeMismatchRejected) {
   ASSERT_TRUE(session.resolve().ok());
   ASSERT_TRUE(session.checkpoint(dir).ok());
 
-  SessionOptions other;
-  other.schedule_mode = anchors::AnchorMode::kIrredundant;
+  constexpr std::string_view kMagic = "RSNAP001";
+  constexpr std::uint32_t kVersion = 3;
+  std::string payload;
+  ASSERT_TRUE(
+      persist::read_framed_file(snapshot_path(dir), kMagic, kVersion, &payload)
+          .ok());
+  persist::Writer graph_bytes;
+  persist::save_graph(graph_bytes, session.graph());
+  const std::size_t mode_at = graph_bytes.buffer().size();
+  ASSERT_LT(mode_at, payload.size());
+  ASSERT_EQ(payload[mode_at], '\0');  // the one mode sessions write
+
   SynthesisSession::RestoreReport report;
-  EXPECT_FALSE(SynthesisSession::restore(dir, other, &report).has_value());
-  EXPECT_EQ(report.error.code, ErrorCode::kStateMismatch);
+  for (const char mode : {'\1', '\2', '\xff'}) {
+    std::string patched = payload;
+    patched[mode_at] = mode;
+    ASSERT_TRUE(persist::write_framed_file(snapshot_path(dir), kMagic,
+                                           kVersion, patched, false)
+                    .ok());
+    EXPECT_FALSE(SynthesisSession::restore(dir, {}, &report).has_value());
+    EXPECT_EQ(report.error.code, ErrorCode::kFormat);
+  }
+  // The untouched payload still restores.
+  ASSERT_TRUE(persist::write_framed_file(snapshot_path(dir), kMagic, kVersion,
+                                         payload, false)
+                  .ok());
+  EXPECT_TRUE(SynthesisSession::restore(dir, {}, &report).has_value())
+      << report.error.message;
 }
 
 /// Regression: a checkpoint taken after edit -> *failed* resolve used

@@ -284,7 +284,6 @@ TEST(ServeEndToEnd, OpenEditResolveAgreeWithLocalOracle) {
   testing::Fig2Graph oracle_fig;
   engine::SessionOptions oracle_options;
   oracle_options.certify = false;
-  oracle_options.threads = 1;
   engine::SynthesisSession oracle(std::move(oracle_fig.g), oracle_options);
   oracle.add_min_constraint(fig.v0, fig.v4, 4);
   const engine::Products& products = oracle.resolve();
