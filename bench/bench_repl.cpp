@@ -24,7 +24,9 @@
 //       oracle's final digest for every session (the whole chain
 //       converged, not just the acked prefix);
 //     - zero divergences (clean streams must never trip the digest
-//       oracle), zero quarantined sessions, zero leaked temp files.
+//       oracle), zero quarantined sessions, zero leaked temp files
+//       once a daemon has started (running the startup janitor) on
+//       every killed primary's state directory.
 //
 // Phase 2 (divergence injection):
 //   A fresh primary/standby pair runs with --repl-corrupt-at N: the
@@ -55,24 +57,24 @@
 
 #include "bench_json.hpp"
 #include "cg/graph_io.hpp"
-#include "designs/generator.hpp"
 #include "engine/session.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
+#include "serve_script.hpp"
 
 extern char** environ;
 
 namespace {
 
+using relsched::benchio::edit_request;
+using relsched::benchio::ScriptEdit;
 using relsched::serve::Json;
 
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+constexpr relsched::benchio::ServeScript kScript{
+    .salt = 0x5e971ULL, .design_seed = 4200, .small_vertices = 64,
+    .base_vertices = 80, .vertex_steps = 4, .vertex_step = 12,
+    .max_anchors = 5, .name = "repl"};
 
 struct Config {
   int sessions = 16;
@@ -83,126 +85,6 @@ struct Config {
   std::string faults = "11,120,60,90,30";  // seed,write,fsync,rename,enospc
   std::string out_json = "BENCH_repl.json";
 };
-
-/// One scripted edit, drawn deterministically from (session, step) --
-/// the same function the serial oracle evaluates.
-struct ScriptEdit {
-  enum class Kind { kAddMin, kAddMax, kSetDelay };
-  Kind kind = Kind::kAddMin;
-  int a = 0;
-  int b = 0;
-  long long cycles = 0;
-};
-
-ScriptEdit script_edit(int session, int step, int vertices) {
-  ScriptEdit e;
-  const std::uint64_t r =
-      mix64((static_cast<std::uint64_t>(session) << 20) ^
-            static_cast<std::uint64_t>(step) ^ 0x5e971ULL);
-  const int span = vertices - 2;
-  int from = 1 + static_cast<int>((r >> 8) % static_cast<std::uint64_t>(span));
-  int to = 1 + static_cast<int>((r >> 24) % static_cast<std::uint64_t>(span));
-  if (from == to) to = from == span ? 1 : from + 1;
-  if (from > to) std::swap(from, to);
-  switch (r % 5) {
-    case 0:
-    case 1:
-    case 2:
-      e.kind = ScriptEdit::Kind::kAddMin;
-      e.a = from;
-      e.b = to;
-      e.cycles = 1 + static_cast<long long>((r >> 40) % 6);
-      break;
-    case 3:
-      e.kind = ScriptEdit::Kind::kAddMax;
-      e.a = from;
-      e.b = to;
-      e.cycles = 4000 + static_cast<long long>((r >> 40) % 512);
-      break;
-    default:
-      e.kind = ScriptEdit::Kind::kSetDelay;
-      e.a = from;
-      e.cycles = static_cast<long long>((r >> 40) % 7);
-      break;
-  }
-  return e;
-}
-
-relsched::cg::ConstraintGraph make_design(int session, bool small) {
-  relsched::designs::GeneratorParams params;
-  params.seed = 4200 + static_cast<std::uint64_t>(session);
-  params.vertices = small ? 64 : 80 + (session % 4) * 12;
-  params.width = 3 + session % 3;
-  params.anchor_density = 250;
-  params.max_anchors = 5;
-  params.min_density = 1800;
-  params.max_density = 900;
-  params.max_delay = 6;
-  params.name = "repl";
-  return relsched::designs::generate(params);
-}
-
-/// Serial oracle: digest after each script step, no server, no faults.
-std::vector<std::string> oracle_digests(const relsched::cg::ConstraintGraph& g,
-                                        int session, int steps) {
-  relsched::engine::SessionOptions options;
-  options.certify = false;
-  relsched::engine::SynthesisSession s(g, options);
-  const int vertices = g.vertex_count();
-  std::vector<std::string> digests;
-  digests.reserve(static_cast<std::size_t>(steps));
-  for (int j = 0; j < steps; ++j) {
-    const ScriptEdit e = script_edit(session, j, vertices);
-    switch (e.kind) {
-      case ScriptEdit::Kind::kAddMin:
-        s.add_min_constraint(relsched::VertexId(e.a), relsched::VertexId(e.b),
-                             static_cast<int>(e.cycles));
-        break;
-      case ScriptEdit::Kind::kAddMax:
-        s.add_max_constraint(relsched::VertexId(e.a), relsched::VertexId(e.b),
-                             static_cast<int>(e.cycles));
-        break;
-      case ScriptEdit::Kind::kSetDelay:
-        s.set_delay(relsched::VertexId(e.a),
-                    relsched::cg::Delay::bounded(static_cast<int>(e.cycles)));
-        break;
-    }
-    const relsched::engine::Products& products = s.resolve();
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(
-                      relsched::serve::products_digest(products)));
-    digests.emplace_back(buf);
-  }
-  return digests;
-}
-
-Json edit_request(const std::string& sid, const ScriptEdit& e) {
-  Json edit = Json::object();
-  switch (e.kind) {
-    case ScriptEdit::Kind::kAddMin:
-    case ScriptEdit::Kind::kAddMax:
-      edit.set("kind", Json::string(e.kind == ScriptEdit::Kind::kAddMin
-                                        ? "add_min"
-                                        : "add_max"));
-      edit.set("from", Json::number(static_cast<long long>(e.a)));
-      edit.set("to", Json::number(static_cast<long long>(e.b)));
-      edit.set("cycles", Json::number(e.cycles));
-      break;
-    case ScriptEdit::Kind::kSetDelay:
-      edit.set("kind", Json::string("set_delay"));
-      edit.set("vertex", Json::number(static_cast<long long>(e.a)));
-      edit.set("cycles", Json::number(e.cycles));
-      break;
-  }
-  Json request = Json::object();
-  request.set("op", Json::string("edit"));
-  request.set("session", Json::string(sid));
-  Json edits = Json::array();
-  edits.push(std::move(edit));
-  request.set("edits", std::move(edits));
-  return request;
-}
 
 // ---- Daemon child management -----------------------------------------------
 
@@ -383,7 +265,7 @@ void drive_session(Harness& h, int session, const std::string& design_text,
     if (applied >= steps) break;
 
     const ScriptEdit e =
-        script_edit(session, static_cast<int>(applied), vertices);
+        kScript.edit(session, static_cast<int>(applied), vertices);
     Json reply;
     std::string error;
     if (!client.call_with_backoff(edit_request(sid, e), &reply,
@@ -517,6 +399,11 @@ int run_phase1(Harness& h, const std::vector<std::string>& designs,
     return spec;
   };
 
+  // State directories of the current roles and of every primary a
+  // chaos kill took down; only the chaos thread changes them.
+  std::string primary_dir;
+  std::string standby_dir;
+  std::vector<std::string> killed_dirs;
   {
     const ChildSpec sspec = standby_spec(standby_serial++);
     ChildSpec pspec;
@@ -530,6 +417,8 @@ int run_phase1(Harness& h, const std::vector<std::string>& designs,
     h.primary_pid = spawn_daemon(h.self_exe, pspec);
     h.standby_socket = sspec.socket_path;
     h.primary_socket = pspec.socket_path;
+    standby_dir = sspec.state_dir;
+    primary_dir = pspec.state_dir;
     if (h.standby_pid <= 0 || h.primary_pid <= 0) {
       std::fprintf(stderr, "bench_repl: failed to spawn daemons\n");
       return 1;
@@ -552,7 +441,7 @@ int run_phase1(Harness& h, const std::vector<std::string>& designs,
 
   // Chaos: SIGKILL the primary mid-stream, promote the standby into a
   // primary that replicates onward to a fresh standby, repoint clients.
-  std::thread chaos([&h, &standby_spec, &standby_serial] {
+  std::thread chaos([&] {
     // Progress-based trigger, not wall clock: each kill lands while a
     // known fraction of the workload is still in flight, so the gate
     // always exercises failover regardless of machine speed. The poll
@@ -580,6 +469,7 @@ int run_phase1(Harness& h, const std::vector<std::string>& designs,
       ::kill(old_primary, SIGKILL);
       int status = 0;
       ::waitpid(old_primary, &status, 0);
+      killed_dirs.push_back(primary_dir);
 
       const ChildSpec next = standby_spec(standby_serial++);
       const pid_t next_pid = spawn_daemon(h.self_exe, next);
@@ -609,6 +499,8 @@ int run_phase1(Harness& h, const std::vector<std::string>& designs,
         h.standby_pid = next_pid;
         h.standby_socket = next.socket_path;
       }
+      primary_dir = standby_dir;
+      standby_dir = next.state_dir;
       std::fprintf(stderr, "bench_repl: promoted %s, new standby %s\n",
                    promote_target.c_str(), next.socket_path.c_str());
     }
@@ -714,6 +606,22 @@ int run_phase1(Harness& h, const std::vector<std::string>& designs,
   stop_daemon(h, primary_pid, primary_socket, "primary");
   stop_daemon(h, standby_pid, standby_socket, "standby");
 
+  // A chaos SIGKILL can land inside the dead primary's snapshot write
+  // and strand its temp file. The recovery contract for such temps is
+  // the startup janitor, so run it: start and stop a daemon once on
+  // every killed primary's state directory, then count.
+  for (std::size_t k = 0; k < killed_dirs.size(); ++k) {
+    ChildSpec spec;
+    spec.socket_path = h.root + "/janitor" + std::to_string(k) + ".sock";
+    spec.state_dir = killed_dirs[k];
+    const pid_t pid = spawn_daemon(h.self_exe, spec);
+    if (pid <= 0) {
+      h.fail("janitor: failed to spawn a daemon on " + spec.state_dir);
+    } else {
+      stop_daemon(h, pid, spec.socket_path, "janitor daemon");
+    }
+  }
+
   long long leaked_temps = 0;
   {
     const std::string cmd = "find " + h.root + " -name '*.tmp.*' | wc -l";
@@ -753,9 +661,10 @@ int run_phase1(Harness& h, const std::vector<std::string>& designs,
 /// must still be bit-identical to the serial oracle.
 int run_phase2(Harness& h, relsched::benchio::Json& out) {
   const int steps = std::max(10, h.config.edits_per_session / 2);
-  const relsched::cg::ConstraintGraph g = make_design(97, true);
+  const relsched::cg::ConstraintGraph g = kScript.design(97, true);
   const std::string design_text = relsched::cg::to_text(g);
-  const std::vector<std::string> oracle = oracle_digests(g, 97, steps);
+  const std::vector<std::string> oracle =
+      kScript.oracle_digests(g, 97, steps);
 
   ChildSpec sspec;
   sspec.socket_path = h.root + "/p2_standby.sock";
@@ -800,7 +709,7 @@ int run_phase2(Harness& h, relsched::benchio::Json& out) {
       return 1;
     }
     for (int j = 0; j < steps; ++j) {
-      const ScriptEdit e = script_edit(97, j, g.vertex_count());
+      const ScriptEdit e = kScript.edit(97, j, g.vertex_count());
       Json reply;
       if (!client.call_with_backoff(edit_request(sid, e), &reply,
                                     std::chrono::seconds(30), &error) ||
@@ -914,9 +823,10 @@ int run_harness(const Config& config, const std::string& self_exe) {
   std::vector<std::vector<std::string>> oracles;
   designs.reserve(static_cast<std::size_t>(config.sessions));
   for (int i = 0; i < config.sessions; ++i) {
-    const relsched::cg::ConstraintGraph g = make_design(i, config.check_only);
+    const relsched::cg::ConstraintGraph g =
+        kScript.design(i, config.check_only);
     designs.push_back(relsched::cg::to_text(g));
-    oracles.push_back(oracle_digests(g, i, config.edits_per_session));
+    oracles.push_back(kScript.oracle_digests(g, i, config.edits_per_session));
   }
   std::fprintf(stderr, "bench_repl: oracle digests computed\n");
 
@@ -957,10 +867,8 @@ int main(int argc, char** argv) {
   // Both roles write to sockets whose peer may be SIGKILLed at any
   // moment; that must be an EPIPE, not a death sentence.
   ::signal(SIGPIPE, SIG_IGN);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--serve-child") == 0) {
-      return run_serve_child(argc, argv);
-    }
+  if (argc >= 2 && std::strcmp(argv[1], "--serve-child") == 0) {
+    return run_serve_child(argc, argv);
   }
 
   Config config;
@@ -1008,28 +916,15 @@ int main(int argc, char** argv) {
 namespace {
 
 int run_serve_child(int argc, char** argv) {
+  // argv[1] is --serve-child; the flags after it are relsched_serve's.
   relsched::serve::ServerOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--socket" && i + 1 < argc) {
-      options.socket_path = argv[++i];
-    } else if (arg == "--state-dir" && i + 1 < argc) {
-      options.state_dir = argv[++i];
-    } else if (arg == "--max-live" && i + 1 < argc) {
-      options.max_live_sessions = std::atoi(argv[++i]);
-    } else if (arg == "--deadline-ms" && i + 1 < argc) {
-      options.default_deadline =
-          std::chrono::milliseconds(std::atoll(argv[++i]));
-    } else if (arg == "--standby") {
-      options.standby = true;
-    } else if (arg == "--replicate-to" && i + 1 < argc) {
-      options.replicate_to = argv[++i];
-    } else if (arg == "--repl-corrupt-at" && i + 1 < argc) {
-      options.repl_corrupt_record_at = std::atoll(argv[++i]);
-    }
+  std::string error;
+  if (!relsched::serve::parse_server_flags(argc - 1, argv + 1, &options,
+                                           &error)) {
+    std::fprintf(stderr, "bench_repl child: %s\n", error.c_str());
+    return 2;
   }
   relsched::serve::Server server(std::move(options));
-  std::string error;
   if (!server.start(&error)) {
     std::fprintf(stderr, "bench_repl child: %s\n", error.c_str());
     return 1;

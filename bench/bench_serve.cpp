@@ -52,24 +52,25 @@
 
 #include "bench_json.hpp"
 #include "cg/graph_io.hpp"
-#include "designs/generator.hpp"
 #include "engine/session.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
+#include "serve_script.hpp"
 
 extern char** environ;
 
 namespace {
 
+using relsched::benchio::edit_request;
+using relsched::benchio::mix64;
+using relsched::benchio::ScriptEdit;
 using relsched::serve::Json;
 
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+constexpr relsched::benchio::ServeScript kScript{
+    .salt = 0xc0ffee, .design_seed = 1000, .small_vertices = 80,
+    .base_vertices = 120, .vertex_steps = 5, .vertex_step = 16,
+    .max_anchors = 6, .name = "serve"};
 
 struct Config {
   int sessions = 64;
@@ -82,129 +83,6 @@ struct Config {
   std::string socket_path;
   std::string state_dir;
 };
-
-/// One scripted edit, drawn deterministically from (session, step).
-struct ScriptEdit {
-  enum class Kind { kAddMin, kAddMax, kSetDelay };
-  Kind kind = Kind::kAddMin;
-  int a = 0;
-  int b = 0;
-  long long cycles = 0;
-};
-
-ScriptEdit script_edit(int session, int step, int vertices) {
-  ScriptEdit e;
-  const std::uint64_t r =
-      mix64((static_cast<std::uint64_t>(session) << 20) ^
-            static_cast<std::uint64_t>(step) ^ 0xc0ffee);
-  // Interior vertices only: the source/sink keep their roles.
-  const int span = vertices - 2;
-  int from = 1 + static_cast<int>((r >> 8) % static_cast<std::uint64_t>(span));
-  int to = 1 + static_cast<int>((r >> 24) % static_cast<std::uint64_t>(span));
-  if (from == to) to = from == span ? 1 : from + 1;
-  if (from > to) std::swap(from, to);
-  switch (r % 5) {
-    case 0:
-    case 1:
-    case 2:
-      e.kind = ScriptEdit::Kind::kAddMin;
-      e.a = from;
-      e.b = to;
-      e.cycles = 1 + static_cast<long long>((r >> 40) % 6);
-      break;
-    case 3:
-      // Generous bound: usually feasible; when not, infeasible is a
-      // valid, digest-covered outcome the oracle reproduces too.
-      e.kind = ScriptEdit::Kind::kAddMax;
-      e.a = from;
-      e.b = to;
-      e.cycles = 4000 + static_cast<long long>((r >> 40) % 512);
-      break;
-    default:
-      e.kind = ScriptEdit::Kind::kSetDelay;
-      e.a = from;
-      e.cycles = static_cast<long long>((r >> 40) % 7);  // 0..6, bounded
-      break;
-  }
-  return e;
-}
-
-relsched::cg::ConstraintGraph make_design(int session, bool small) {
-  relsched::designs::GeneratorParams params;
-  params.seed = 1000 + static_cast<std::uint64_t>(session);
-  params.vertices = small ? 80 : 120 + (session % 5) * 16;
-  params.width = 3 + session % 3;
-  params.anchor_density = 250;
-  params.max_anchors = 6;
-  params.min_density = 1800;
-  params.max_density = 900;
-  params.max_delay = 6;
-  params.name = "serve";
-  return relsched::designs::generate(params);
-}
-
-/// Serial oracle: digest after each script step, computed on a local
-/// session with no server, no faults, no concurrency.
-std::vector<std::string> oracle_digests(const relsched::cg::ConstraintGraph& g,
-                                        int session, int steps) {
-  relsched::engine::SessionOptions options;
-  options.certify = false;
-  relsched::engine::SynthesisSession s(g, options);
-  const int vertices = g.vertex_count();
-  std::vector<std::string> digests;
-  digests.reserve(static_cast<std::size_t>(steps));
-  for (int j = 0; j < steps; ++j) {
-    const ScriptEdit e = script_edit(session, j, vertices);
-    switch (e.kind) {
-      case ScriptEdit::Kind::kAddMin:
-        s.add_min_constraint(relsched::VertexId(e.a), relsched::VertexId(e.b),
-                             static_cast<int>(e.cycles));
-        break;
-      case ScriptEdit::Kind::kAddMax:
-        s.add_max_constraint(relsched::VertexId(e.a), relsched::VertexId(e.b),
-                             static_cast<int>(e.cycles));
-        break;
-      case ScriptEdit::Kind::kSetDelay:
-        s.set_delay(relsched::VertexId(e.a),
-                    relsched::cg::Delay::bounded(static_cast<int>(e.cycles)));
-        break;
-    }
-    const relsched::engine::Products& products = s.resolve();
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(
-                      relsched::serve::products_digest(products)));
-    digests.emplace_back(buf);
-  }
-  return digests;
-}
-
-Json edit_request(const std::string& sid, const ScriptEdit& e) {
-  Json edit = Json::object();
-  switch (e.kind) {
-    case ScriptEdit::Kind::kAddMin:
-    case ScriptEdit::Kind::kAddMax:
-      edit.set("kind", Json::string(e.kind == ScriptEdit::Kind::kAddMin
-                                        ? "add_min"
-                                        : "add_max"));
-      edit.set("from", Json::number(static_cast<long long>(e.a)));
-      edit.set("to", Json::number(static_cast<long long>(e.b)));
-      edit.set("cycles", Json::number(e.cycles));
-      break;
-    case ScriptEdit::Kind::kSetDelay:
-      edit.set("kind", Json::string("set_delay"));
-      edit.set("vertex", Json::number(static_cast<long long>(e.a)));
-      edit.set("cycles", Json::number(e.cycles));
-      break;
-  }
-  Json request = Json::object();
-  request.set("op", Json::string("edit"));
-  request.set("session", Json::string(sid));
-  Json edits = Json::array();
-  edits.push(std::move(edit));
-  request.set("edits", std::move(edits));
-  return request;
-}
 
 // ---- Server child management ----------------------------------------------
 
@@ -365,8 +243,8 @@ void drive_session(Harness& h, int session, const std::string& design_text,
     }
     if (applied >= steps) break;
 
-    const ScriptEdit e = script_edit(session, static_cast<int>(applied),
-                                     vertices);
+    const ScriptEdit e =
+        kScript.edit(session, static_cast<int>(applied), vertices);
     Json reply;
     std::string error;
     const auto t0 = Clock::now();
@@ -493,9 +371,10 @@ int run_harness(const Config& config_in, const std::string& self_exe) {
   std::vector<std::vector<std::string>> oracles;
   designs.reserve(static_cast<std::size_t>(config.sessions));
   for (int i = 0; i < config.sessions; ++i) {
-    const relsched::cg::ConstraintGraph g = make_design(i, config.check_only);
+    const relsched::cg::ConstraintGraph g =
+        kScript.design(i, config.check_only);
     designs.push_back(relsched::cg::to_text(g));
-    oracles.push_back(oracle_digests(g, i, config.edits_per_session));
+    oracles.push_back(kScript.oracle_digests(g, i, config.edits_per_session));
   }
   std::fprintf(stderr, "bench_serve: oracle digests computed\n");
 
@@ -680,10 +559,8 @@ int main(int argc, char** argv) {
   ::signal(SIGPIPE, SIG_IGN);
   // Child mode: this same binary re-execs as the server, so the
   // harness never depends on where relsched_serve was installed.
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--serve-child") == 0) {
-      return run_serve_child(argc, argv);
-    }
+  if (argc >= 2 && std::strcmp(argv[1], "--serve-child") == 0) {
+    return run_serve_child(argc, argv);
   }
 
   Config config;
@@ -731,26 +608,15 @@ int main(int argc, char** argv) {
 namespace {
 
 int run_serve_child(int argc, char** argv) {
+  // argv[1] is --serve-child; the flags after it are relsched_serve's.
   relsched::serve::ServerOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--socket" && i + 1 < argc) {
-      options.socket_path = argv[++i];
-    } else if (arg == "--state-dir" && i + 1 < argc) {
-      options.state_dir = argv[++i];
-    } else if (arg == "--max-live" && i + 1 < argc) {
-      options.max_live_sessions = std::atoi(argv[++i]);
-    } else if (arg == "--max-pending" && i + 1 < argc) {
-      options.max_pending_per_session = std::atoi(argv[++i]);
-    } else if (arg == "--max-pending-total" && i + 1 < argc) {
-      options.max_pending_total = std::atoi(argv[++i]);
-    } else if (arg == "--deadline-ms" && i + 1 < argc) {
-      options.default_deadline = std::chrono::milliseconds(
-          std::atoll(argv[++i]));
-    }
+  std::string error;
+  if (!relsched::serve::parse_server_flags(argc - 1, argv + 1, &options,
+                                           &error)) {
+    std::fprintf(stderr, "bench_serve child: %s\n", error.c_str());
+    return 2;
   }
   relsched::serve::Server server(std::move(options));
-  std::string error;
   if (!server.start(&error)) {
     std::fprintf(stderr, "bench_serve child: %s\n", error.c_str());
     return 1;

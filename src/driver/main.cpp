@@ -2,13 +2,13 @@
 //
 //   relsched_cli lint [--lint-json] [--strip-redundant]
 //                     [--fail-on error|warning|info|never]
-//                     (--suite | <design.hwc | graph.cg>)
+//                     (--suite | <design.hwc | graph.cg | graph.cgb>)
 //     Static design analysis without scheduling: feasibility (with an
 //     irreducible unsat core), well-posedness per backward edge,
 //     redundant constraints, never-binding max constraints, dead
 //     anchors. Exit 0 when no finding reaches the --fail-on gate
 //     (default: error), else 3/4/5 for a worst severity of
-//     error/warning/info. --strip-redundant (.cg inputs) writes the
+//     error/warning/info. --strip-redundant (graph inputs) writes the
 //     graph with redundant constraints removed to stdout.
 //
 //   relsched_cli analyze [--analyze-json] [--extract] [--top <n>]
@@ -55,18 +55,22 @@
 //                             on stdout)
 //   SIGINT/SIGTERM request cooperative cancellation: the run stops at
 //   the next watchdog poll, writes a final checkpoint, and exits 6.
+#include <algorithm>
 #include <csignal>
-#include <limits>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <unistd.h>
 
+#include "analyze/analyze.hpp"
 #include "base/watchdog.hpp"
 #include "certify/certify.hpp"
 #include "cg/graph_io.hpp"
@@ -79,7 +83,6 @@
 #include "driver/synthesis.hpp"
 #include "engine/session.hpp"
 #include "hdl/lower.hpp"
-#include "analyze/analyze.hpp"
 #include "lint/lint.hpp"
 #include "persist/serialize.hpp"
 #include "rtl/datapath.hpp"
@@ -97,7 +100,7 @@ int usage() {
                "[--deadline-ms <n>] <design.hwc | graph.cg>\n"
                "       relsched_cli lint [--lint-json] [--strip-redundant] "
                "[--fail-on error|warning|info|never] "
-               "(--suite | <design.hwc | graph.cg>)\n"
+               "(--suite | <design.hwc | graph.cg | graph.cgb>)\n"
                "       relsched_cli analyze [--analyze-json] [--extract] "
                "[--top <n>] (--suite | <design.hwc | graph.cg | graph.cgb>)\n"
                "       relsched_cli gen [--seed <n>] [--vertices <n>] "
@@ -112,102 +115,100 @@ int usage() {
   return 2;
 }
 
-/// Severity-aware combination of lint exit codes (0 clean, 3 errors,
-/// 4 warnings, 5 infos): the more severe verdict wins. Plain max()
-/// would rank info (5) above warning (4).
-int combine_lint_exit(int a, int b) {
-  const auto rank = [](int c) {
-    switch (c) {
-      case 3:
-        return 3;
-      case 4:
-        return 2;
-      case 5:
-        return 1;
-      default:
-        return 0;
-    }
-  };
-  return rank(a) >= rank(b) ? a : b;
+/// Reads the value of the flag at argv[*i] as a decimal integer in
+/// [lo, hi], advancing *i past it. False when the value is missing,
+/// malformed or out of range.
+bool int_arg(int argc, char** argv, int* i, long long lo, long long hi,
+             long long* out) {
+  if (++*i >= argc) return false;
+  char* end = nullptr;
+  const long long v = std::strtoll(argv[*i], &end, 10);
+  if (end == argv[*i] || *end != '\0' || v < lo || v > hi) return false;
+  *out = v;
+  return true;
 }
 
-/// Lints every graph of one compiled design through the synthesis
-/// pipeline (binding + make_wellposed first, so the analyzer sees the
-/// graphs the scheduler would). Returns the combined lint exit code;
-/// JSON reports are appended to `jsons` instead of printed when set.
-int lint_synthesized(seq::Design& design, lint::FailOn fail_on,
-                     std::vector<std::string>* jsons) {
-  driver::SynthesisOptions sopts;
-  sopts.lint = true;
-  const auto result = driver::synthesize(design, sopts);
-  int code = 0;
-  for (const auto& gs : result.graphs) {
-    if (jsons != nullptr) {
-      jsons->push_back(lint::to_json(gs.lint_report, gs.constraint_graph));
-    } else {
-      std::cout << lint::render_text(gs.lint_report, gs.constraint_graph);
-    }
-    code = combine_lint_exit(code,
-                             lint::exit_code(gs.lint_report, fail_on));
+/// Reads `path` whole into *text; prints "cannot open" and returns
+/// false when it cannot be read.
+bool read_file(const std::string& path, std::string* text) {
+  std::ifstream in(path);
+  if (!in) {
+    std::cerr << "cannot open '" << path << "'\n";
+    return false;
   }
-  if (!result.ok()) {
-    std::cerr << "process '" << design.name()
-              << "': " << driver::to_string(result.status) << ": "
-              << result.message << "\n";
-    code = combine_lint_exit(code, 3);
-  }
-  return code;
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  *text = buffer.str();
+  return true;
 }
+
+/// Binary graphs are loaded streamed -- never slurped into a string
+/// like the text formats -- so a 10^6-vertex design stays inside the
+/// memory ceiling. The suffix check catches files the sniff cannot
+/// open (read_binary_file then reports the I/O error).
+bool is_binary_graph(const std::string& path) {
+  return path.ends_with(".cgb") || cg::is_binary_graph_file(path);
+}
+
+bool is_graph_file(const std::string& path) {
+  return path.ends_with(".cg") || is_binary_graph(path);
+}
+
+/// Loads a constraint graph in either format; prints the error and
+/// returns nullopt when it cannot.
+std::optional<cg::ConstraintGraph> load_graph(const std::string& path) {
+  cg::ParseResult parsed;
+  if (is_binary_graph(path)) {
+    parsed = cg::read_binary_file(path);
+  } else {
+    std::string text;
+    if (!read_file(path, &text)) return std::nullopt;
+    parsed = cg::from_text(text);
+  }
+  if (!parsed.ok()) std::cerr << parsed.error << "\n";
+  return std::move(parsed.graph);
+}
+
+// ---- gen --------------------------------------------------------------------
+
+struct GenIntFlag {
+  const char* name;
+  long long lo, hi;
+  int designs::GeneratorParams::* field;
+};
+
+constexpr GenIntFlag kGenIntFlags[] = {
+    {"--vertices", 3, 10'000'000, &designs::GeneratorParams::vertices},
+    {"--width", 1, 1'000'000, &designs::GeneratorParams::width},
+    {"--anchor-density", 0, 10000, &designs::GeneratorParams::anchor_density},
+    {"--max-anchors", 0, 10'000'000, &designs::GeneratorParams::max_anchors},
+    {"--min-density", 0, 100000, &designs::GeneratorParams::min_density},
+    {"--max-density", 0, 100000, &designs::GeneratorParams::max_density},
+    {"--max-delay", 1, 1'000'000, &designs::GeneratorParams::max_delay},
+};
 
 int gen_main(int argc, char** argv) {
   designs::GeneratorParams params;
   std::string out_path;
   bool binary = false;
-  const auto int_flag = [&](int& i, int argc_, char** argv_, long long lo,
-                            long long hi, long long* out) {
-    if (++i >= argc_) return false;
-    char* end = nullptr;
-    const long long v = std::strtoll(argv_[i], &end, 10);
-    if (end == argv_[i] || *end != '\0' || v < lo || v > hi) return false;
-    *out = v;
-    return true;
-  };
   for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
+    const std::string_view arg = argv[i];
+    const auto* flag =
+        std::find_if(std::begin(kGenIntFlags), std::end(kGenIntFlags),
+                     [&](const GenIntFlag& f) { return arg == f.name; });
     long long v = 0;
-    if (arg == "--seed") {
-      if (!int_flag(i, argc, argv, 0, std::numeric_limits<long long>::max(),
-                    &v)) {
+    if (flag != std::end(kGenIntFlags)) {
+      if (!int_arg(argc, argv, &i, flag->lo, flag->hi, &v)) return usage();
+      params.*(flag->field) = static_cast<int>(v);
+    } else if (arg == "--seed") {
+      if (!int_arg(argc, argv, &i, 0, std::numeric_limits<long long>::max(),
+                   &v)) {
         return usage();
       }
       params.seed = static_cast<std::uint64_t>(v);
-    } else if (arg == "--vertices") {
-      if (!int_flag(i, argc, argv, 3, 10'000'000, &v)) return usage();
-      params.vertices = static_cast<int>(v);
-    } else if (arg == "--width") {
-      if (!int_flag(i, argc, argv, 1, 1'000'000, &v)) return usage();
-      params.width = static_cast<int>(v);
-    } else if (arg == "--anchor-density") {
-      if (!int_flag(i, argc, argv, 0, 10000, &v)) return usage();
-      params.anchor_density = static_cast<int>(v);
-    } else if (arg == "--max-anchors") {
-      if (!int_flag(i, argc, argv, 0, 10'000'000, &v)) return usage();
-      params.max_anchors = static_cast<int>(v);
-    } else if (arg == "--min-density") {
-      if (!int_flag(i, argc, argv, 0, 100000, &v)) return usage();
-      params.min_density = static_cast<int>(v);
-    } else if (arg == "--max-density") {
-      if (!int_flag(i, argc, argv, 0, 100000, &v)) return usage();
-      params.max_density = static_cast<int>(v);
-    } else if (arg == "--max-delay") {
-      if (!int_flag(i, argc, argv, 1, 1'000'000, &v)) return usage();
-      params.max_delay = static_cast<int>(v);
-    } else if (arg == "--name") {
+    } else if (arg == "--name" || arg == "--out") {
       if (++i >= argc) return usage();
-      params.name = argv[i];
-    } else if (arg == "--out") {
-      if (++i >= argc) return usage();
-      out_path = argv[i];
+      (arg == "--name" ? params.name : out_path) = argv[i];
     } else if (arg == "--binary") {
       binary = true;
     } else {
@@ -215,9 +216,7 @@ int gen_main(int argc, char** argv) {
     }
   }
   const cg::ConstraintGraph g = designs::generate(params);
-  const bool cgb_suffix = out_path.size() >= 4 &&
-                          out_path.compare(out_path.size() - 4, 4, ".cgb") == 0;
-  if (binary || cgb_suffix) {
+  if (binary || out_path.ends_with(".cgb")) {
     // The binary writer streams; a 10^6-vertex design never exists as
     // one text blob in memory on this path.
     if (out_path.empty()) {
@@ -247,290 +246,252 @@ int gen_main(int argc, char** argv) {
   return 0;
 }
 
-int lint_main(int argc, char** argv) {
-  bool json = false, strip = false, suite = false;
-  lint::FailOn fail_on = lint::FailOn::kError;
+// ---- lint and analyze: one report runner ------------------------------------
+
+/// A report subcommand (lint, analyze). run_report() owns the input
+/// side -- --suite, a .cg/.cgb graph or HardwareC, each HardwareC
+/// process synthesized first so the report sees the graphs the
+/// scheduler would -- plus the JSON array and the exit-code combiner.
+/// The subcommand supplies its flags and the fields below.
+struct ReportCommand {
+  bool json = false;
+  bool suite = false;
   std::string path;
+
+  /// Exit codes from most to least severe; 0 and unlisted codes rank
+  /// below all of them.
+  std::vector<int> severity;
+  int input_error = 1;        // unreadable or unparsable input
+  int synthesis_failure = 2;  // a process the pipeline cannot synthesize
+  driver::SynthesisOptions synthesis;
+  /// lint prints a graph file's JSON report as a bare object, analyze
+  /// as a one-element array (both pinned by golden files).
+  bool graph_json_bare = false;
+  /// Set when the run needs a graph file: --suite and HardwareC inputs
+  /// are refused with this message (exit 2).
+  const char* graph_only = nullptr;
+  /// Reports one graph and returns its exit code. `synthesized` is
+  /// null for a graph file, which is reported exactly as written (no
+  /// make_wellposed repair: ill-posedness is a verdict there). JSON
+  /// goes to *jsons when non-null, text to stdout otherwise.
+  std::function<int(cg::ConstraintGraph& g,
+                    const driver::GraphSynthesis* synthesized,
+                    std::vector<std::string>* jsons)>
+      report;
+};
+
+/// Parses a report subcommand's command line: --suite, `json_flag`,
+/// one input path, and the subcommand's own flags through `own` (which
+/// may consume a value at ++*i). False on a usage error.
+bool parse_report_args(
+    int argc, char** argv, std::string_view json_flag,
+    const std::function<bool(std::string_view arg, int* i)>& own,
+    ReportCommand* cmd) {
   for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--lint-json") {
-      json = true;
-    } else if (arg == "--strip-redundant") {
-      strip = true;
+    const std::string_view arg = argv[i];
+    if (arg == json_flag) {
+      cmd->json = true;
     } else if (arg == "--suite") {
-      suite = true;
-    } else if (arg == "--fail-on") {
-      if (++i >= argc) return usage();
-      const std::string v = argv[i];
-      if (v == "error") {
-        fail_on = lint::FailOn::kError;
-      } else if (v == "warning") {
-        fail_on = lint::FailOn::kWarning;
-      } else if (v == "info") {
-        fail_on = lint::FailOn::kInfo;
-      } else if (v == "never") {
-        fail_on = lint::FailOn::kNever;
-      } else {
-        return usage();
-      }
-    } else if (!arg.empty() && arg[0] == '-') {
-      return usage();
+      cmd->suite = true;
+    } else if (arg.starts_with('-')) {
+      if (!own(arg, &i)) return false;
     } else {
-      path = arg;
+      cmd->path = arg;
     }
   }
-  if (suite ? !path.empty() : path.empty()) return usage();
-
-  const auto flush_json = [&](std::vector<std::string>& jsons) {
-    std::cout << "[";
-    for (std::size_t i = 0; i < jsons.size(); ++i) {
-      if (i > 0) std::cout << ", ";
-      std::cout << jsons[i];
-    }
-    std::cout << "]\n";
-  };
-
-  if (suite) {
-    if (strip) {
-      std::cerr << "--strip-redundant applies to .cg inputs only\n";
-      return 2;
-    }
-    int code = 0;
-    std::vector<std::string> jsons;
-    for (const auto& bd : designs::benchmark_suite()) {
-      seq::Design design = designs::build(bd.name);
-      code = combine_lint_exit(
-          code, lint_synthesized(design, fail_on, json ? &jsons : nullptr));
-    }
-    if (json) flush_json(jsons);
-    return code;
-  }
-
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "cannot open '" << path << "'\n";
-    return 1;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-
-  const bool is_cg =
-      path.size() > 3 && path.substr(path.size() - 3) == ".cg";
-  if (!is_cg) {
-    if (strip) {
-      std::cerr << "--strip-redundant applies to .cg inputs only\n";
-      return 2;
-    }
-    auto compiled = hdl::compile(buffer.str());
-    if (!compiled.ok()) {
-      std::cerr << path << ":\n" << compiled.diagnostics.to_string();
-      return 1;
-    }
-    int code = 0;
-    std::vector<std::string> jsons;
-    for (seq::Design& design : compiled.designs) {
-      code = combine_lint_exit(
-          code, lint_synthesized(design, fail_on, json ? &jsons : nullptr));
-    }
-    if (json) flush_json(jsons);
-    return code;
-  }
-
-  // Raw constraint graph: lint exactly what was written, with no
-  // make_wellposed repair in between -- reporting ill-posedness (and
-  // how to fix it) is the analyzer's job here.
-  auto parsed = cg::from_text(buffer.str());
-  if (!parsed.ok()) {
-    std::cerr << parsed.error << "\n";
-    return 1;
-  }
-  cg::ConstraintGraph& g = *parsed.graph;
-  const lint::Report report = lint::analyze(g);
-  if (strip) {
-    if (report.count(lint::Severity::kError) > 0) {
-      std::cerr << lint::render_text(report, g);
-      return lint::exit_code(report, lint::FailOn::kError);
-    }
-    const auto stripped = lint::strip_redundant(g);
-    std::cerr << "stripped " << stripped.size()
-              << " redundant constraint(s)\n";
-    std::cout << cg::to_text(g);
-    return 0;
-  }
-  if (json) {
-    std::cout << lint::to_json(report, g) << "\n";
-  } else {
-    std::cout << lint::render_text(report, g);
-  }
-  return lint::exit_code(report, fail_on);
+  return cmd->suite == cmd->path.empty();  // exactly one input
 }
 
-/// Worse analyze exit code wins: a certification failure (1) outranks
-/// every verdict, then structural invalidity (2), ill-posedness (4),
-/// infeasibility (3), clean (0).
-int combine_analyze_exit(int a, int b) {
-  const auto rank = [](int c) {
-    switch (c) {
-      case 1:
-        return 4;
-      case 2:
-        return 3;
-      case 4:
-        return 2;
-      case 3:
-        return 1;
-      default:
-        return 0;
-    }
+/// The more severe of two exit codes under `severity` (most severe
+/// first); `a` on a tie.
+int worse_exit(int a, int b, const std::vector<int>& severity) {
+  const auto rank = [&](int code) {
+    return severity.end() - std::find(severity.begin(), severity.end(), code);
   };
   return rank(a) >= rank(b) ? a : b;
 }
 
-/// Analyzes one constraint graph (slack report + optional certified
-/// extraction), printing or collecting JSON, and returns the analyze
-/// exit code. `analysis` as in analyze::analyze().
-int analyze_graph(const cg::ConstraintGraph& g,
-                  const anchors::AnchorAnalysis* analysis, bool extract,
-                  int top, std::vector<std::string>* jsons) {
-  const analyze::Report report = analyze::analyze(g, analysis);
-  std::optional<analyze::Extraction> extraction;
-  if (extract && report.status != analyze::Status::kInvalid) {
-    extraction = analyze::extract_critical(g, report, analysis);
-  }
-  const analyze::Extraction* ex = extraction ? &*extraction : nullptr;
-  if (jsons != nullptr) {
-    jsons->push_back(analyze::to_json(report, g, ex));
-  } else {
-    std::cout << analyze::render_text(report, g, top);
-    if (ex != nullptr) std::cout << analyze::render_text(*ex);
-  }
-  return analyze::exit_code(report, ex);
-}
-
-/// Analyzes every graph of one compiled design through the synthesis
-/// pipeline (binding + make_wellposed first, exactly like lint), so
-/// the slacks describe the graphs the scheduler actually ran on.
-int analyze_synthesized(seq::Design& design, bool extract, int top,
-                        std::vector<std::string>* jsons) {
-  const auto result = driver::synthesize(design, {});
+int run_report(const ReportCommand& cmd) {
   int code = 0;
-  for (const auto& gs : result.graphs) {
-    const anchors::AnchorAnalysis* analysis =
-        gs.schedule.ok() ? &gs.analysis : nullptr;
-    code = combine_analyze_exit(
-        code, analyze_graph(gs.constraint_graph, analysis, extract, top,
-                            jsons));
+  std::vector<std::string> docs;
+  std::vector<std::string>* jsons = cmd.json ? &docs : nullptr;
+  const auto refuse = [&] {
+    std::cerr << cmd.graph_only << "\n";
+    return 2;
+  };
+  const auto report_design = [&](seq::Design& design) {
+    driver::SynthesisResult result = driver::synthesize(design, cmd.synthesis);
+    for (driver::GraphSynthesis& gs : result.graphs) {
+      code = worse_exit(code, cmd.report(gs.constraint_graph, &gs, jsons),
+                        cmd.severity);
+    }
+    if (!result.ok()) {
+      std::cerr << "process '" << design.name()
+                << "': " << driver::to_string(result.status) << ": "
+                << result.message << "\n";
+      code = worse_exit(code, cmd.synthesis_failure, cmd.severity);
+    }
+  };
+
+  if (cmd.suite) {
+    if (cmd.graph_only != nullptr) return refuse();
+    for (const auto& bd : designs::benchmark_suite()) {
+      seq::Design design = designs::build(bd.name);
+      report_design(design);
+    }
+  } else if (is_graph_file(cmd.path)) {
+    std::optional<cg::ConstraintGraph> g = load_graph(cmd.path);
+    if (!g.has_value()) return cmd.input_error;
+    code = cmd.report(*g, nullptr, jsons);
+    if (cmd.graph_json_bare) {
+      for (const std::string& doc : docs) std::cout << doc << "\n";
+      return code;
+    }
+  } else {
+    std::string text;
+    if (!read_file(cmd.path, &text)) return cmd.input_error;
+    if (cmd.graph_only != nullptr) return refuse();
+    auto compiled = hdl::compile(text);
+    if (!compiled.ok()) {
+      std::cerr << cmd.path << ":\n" << compiled.diagnostics.to_string();
+      return cmd.input_error;
+    }
+    for (seq::Design& design : compiled.designs) report_design(design);
   }
-  if (!result.ok()) {
-    std::cerr << "process '" << design.name()
-              << "': " << driver::to_string(result.status) << ": "
-              << result.message << "\n";
-    code = combine_analyze_exit(code, 2);
+  if (cmd.json) {
+    std::cout << "[";
+    for (std::size_t i = 0; i < docs.size(); ++i) {
+      if (i > 0) std::cout << ", ";
+      std::cout << docs[i];
+    }
+    std::cout << "]\n";
   }
   return code;
+}
+
+int lint_main(int argc, char** argv) {
+  constexpr std::pair<std::string_view, lint::FailOn> kFailOn[] = {
+      {"error", lint::FailOn::kError},
+      {"warning", lint::FailOn::kWarning},
+      {"info", lint::FailOn::kInfo},
+      {"never", lint::FailOn::kNever},
+  };
+  bool strip = false;
+  lint::FailOn fail_on = lint::FailOn::kError;
+  ReportCommand cmd;
+  const auto own = [&](std::string_view arg, int* i) {
+    if (arg == "--strip-redundant") {
+      strip = true;
+      return true;
+    }
+    if (arg != "--fail-on" || ++*i >= argc) return false;
+    for (const auto& [name, value] : kFailOn) {
+      if (argv[*i] == name) {
+        fail_on = value;
+        return true;
+      }
+    }
+    return false;
+  };
+  if (!parse_report_args(argc, argv, "--lint-json", own, &cmd)) {
+    return usage();
+  }
+  cmd.severity = {3, 4, 5};  // error, warning, info
+  cmd.input_error = 1;
+  cmd.synthesis_failure = 3;
+  cmd.synthesis.lint = true;
+  cmd.graph_json_bare = true;
+  if (strip) {
+    cmd.graph_only = "--strip-redundant applies to .cg/.cgb inputs only";
+  }
+  cmd.report = [&](cg::ConstraintGraph& g,
+                   const driver::GraphSynthesis* synthesized,
+                   std::vector<std::string>* jsons) {
+    const lint::Report report =
+        synthesized != nullptr ? synthesized->lint_report : lint::analyze(g);
+    if (strip) {
+      if (report.count(lint::Severity::kError) > 0) {
+        std::cerr << lint::render_text(report, g);
+        return lint::exit_code(report, lint::FailOn::kError);
+      }
+      const auto stripped = lint::strip_redundant(g);
+      std::cerr << "stripped " << stripped.size()
+                << " redundant constraint(s)\n";
+      std::cout << cg::to_text(g);
+      return 0;
+    }
+    if (jsons != nullptr) {
+      jsons->push_back(lint::to_json(report, g));
+    } else {
+      std::cout << lint::render_text(report, g);
+    }
+    return lint::exit_code(report, fail_on);
+  };
+  return run_report(cmd);
 }
 
 int analyze_main(int argc, char** argv) {
-  bool json = false, extract = false, suite = false;
+  bool extract = false;
   int top = 10;
-  std::string path;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--analyze-json") {
-      json = true;
-    } else if (arg == "--extract") {
+  ReportCommand cmd;
+  const auto own = [&](std::string_view arg, int* i) {
+    if (arg == "--extract") {
       extract = true;
-    } else if (arg == "--suite") {
-      suite = true;
-    } else if (arg == "--top") {
-      if (++i >= argc) return usage();
-      char* end = nullptr;
-      const long long v = std::strtoll(argv[i], &end, 10);
-      if (end == argv[i] || *end != '\0' || v < 0 || v > 1'000'000'000) {
-        return usage();
-      }
-      top = static_cast<int>(v);
-    } else if (!arg.empty() && arg[0] == '-') {
-      return usage();
-    } else {
-      path = arg;
+      return true;
     }
-  }
-  if (suite ? !path.empty() : path.empty()) return usage();
-
-  const auto flush_json = [&](std::vector<std::string>& jsons) {
-    std::cout << "[";
-    for (std::size_t i = 0; i < jsons.size(); ++i) {
-      if (i > 0) std::cout << ", ";
-      std::cout << jsons[i];
+    long long v = 0;
+    if (arg != "--top" || !int_arg(argc, argv, i, 0, 1'000'000'000, &v)) {
+      return false;
     }
-    std::cout << "]\n";
+    top = static_cast<int>(v);
+    return true;
   };
-
-  if (suite) {
-    int code = 0;
-    std::vector<std::string> jsons;
-    for (const auto& bd : designs::benchmark_suite()) {
-      seq::Design design = designs::build(bd.name);
-      code = combine_analyze_exit(
-          code,
-          analyze_synthesized(design, extract, top, json ? &jsons : nullptr));
+  if (!parse_report_args(argc, argv, "--analyze-json", own, &cmd)) {
+    return usage();
+  }
+  // A certification failure (1) outranks every verdict, then
+  // structural invalidity (2), ill-posedness (4), infeasibility (3).
+  cmd.severity = {1, 2, 4, 3};
+  cmd.input_error = 2;
+  cmd.synthesis_failure = 2;
+  cmd.report = [&](cg::ConstraintGraph& g,
+                   const driver::GraphSynthesis* synthesized,
+                   std::vector<std::string>* jsons) {
+    const anchors::AnchorAnalysis* analysis =
+        synthesized != nullptr && synthesized->schedule.ok()
+            ? &synthesized->analysis
+            : nullptr;
+    const analyze::Report report = analyze::analyze(g, analysis);
+    std::optional<analyze::Extraction> extraction;
+    if (extract && report.status != analyze::Status::kInvalid) {
+      extraction = analyze::extract_critical(g, report, analysis);
     }
-    if (json) flush_json(jsons);
-    return code;
-  }
-
-  const bool is_cgb =
-      path.size() > 4 && path.substr(path.size() - 4) == ".cgb";
-  const bool is_cg = path.size() > 3 && path.substr(path.size() - 3) == ".cg";
-  if (is_cg || is_cgb) {
-    // Raw constraint graph: analyze exactly what was written, no
-    // make_wellposed repair -- ill-posedness is a verdict here.
-    auto parsed = is_cgb ? cg::read_binary_file(path) : [&] {
-      std::ifstream in(path);
-      std::stringstream buffer;
-      buffer << in.rdbuf();
-      return cg::from_text(buffer.str());
-    }();
-    if (!parsed.ok()) {
-      std::cerr << (parsed.error.empty() ? "cannot open '" + path + "'"
-                                         : parsed.error)
-                << "\n";
-      return 2;
+    const analyze::Extraction* ex = extraction ? &*extraction : nullptr;
+    if (jsons != nullptr) {
+      jsons->push_back(analyze::to_json(report, g, ex));
+    } else {
+      std::cout << analyze::render_text(report, g, top);
+      if (ex != nullptr) std::cout << analyze::render_text(*ex);
     }
-    std::vector<std::string> jsons;
-    const int code = analyze_graph(*parsed.graph, nullptr, extract, top,
-                                   json ? &jsons : nullptr);
-    if (json) flush_json(jsons);
-    return code;
-  }
-
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "cannot open '" << path << "'\n";
-    return 2;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  auto compiled = hdl::compile(buffer.str());
-  if (!compiled.ok()) {
-    std::cerr << path << ":\n" << compiled.diagnostics.to_string();
-    return 2;
-  }
-  int code = 0;
-  std::vector<std::string> jsons;
-  for (seq::Design& design : compiled.designs) {
-    code = combine_analyze_exit(
-        code,
-        analyze_synthesized(design, extract, top, json ? &jsons : nullptr));
-  }
-  if (json) flush_json(jsons);
-  return code;
+    return analyze::exit_code(report, ex);
+  };
+  return run_report(cmd);
 }
 
-}  // namespace
+// ---- The main command -------------------------------------------------------
 
-namespace {
+/// What the main command prints.
+struct Outputs {
+  bool report = false, schedule = false, stats = false, verilog = false,
+       dot = false, counter = false, rtl = false, diag_json = false;
+
+  [[nodiscard]] ctrl::ControlOptions control() const {
+    ctrl::ControlOptions opts;
+    opts.style = counter ? ctrl::ControlStyle::kCounter
+                         : ctrl::ControlStyle::kShiftRegister;
+    return opts;
+  }
+};
 
 /// Crash-safety / cancellation settings (see the header comment).
 struct RunOptions {
@@ -539,7 +500,8 @@ struct RunOptions {
   long long deadline_ms = -1;  // < 0: no deadline
   std::string diag_json_out;
 
-  [[nodiscard]] bool session_mode() const {
+  /// Any of the long-run options is set.
+  [[nodiscard]] bool long_run() const {
     return !checkpoint_dir.empty() || resume || deadline_ms >= 0;
   }
 };
@@ -579,7 +541,7 @@ int exit_code_for(sched::ScheduleStatus status) {
 /// atomically (temp + rename) so a crash mid-emit never leaves a
 /// consumer half a document.
 void emit_diag(const certify::Diag& diag, const cg::ConstraintGraph& g,
-               bool diag_json, const std::string& diag_json_out = {}) {
+               bool diag_json, const std::string& diag_json_out) {
   if (diag.ok()) return;
   std::cerr << certify::render(diag, g) << "\n";
   if (diag_json) std::cout << certify::to_json(diag, g) << "\n";
@@ -592,33 +554,12 @@ void emit_diag(const certify::Diag& diag, const cg::ConstraintGraph& g,
   }
 }
 
-/// Graph-mode output stage, shared by the direct and session paths.
-void print_graph_products(const cg::ConstraintGraph& g,
-                          const anchors::AnchorAnalysis& analysis,
-                          const sched::ScheduleResult& result,
-                          bool schedule_table, bool verilog, bool dot,
-                          bool counter) {
-  std::cout << "scheduled in " << result.iterations << " iteration(s)\n";
-  if (schedule_table || (!verilog && !dot)) {
-    driver::print_schedule_table(std::cout, g, analysis, result.schedule);
-  }
-  if (verilog) {
-    ctrl::ControlOptions opts;
-    opts.style = counter ? ctrl::ControlStyle::kCounter
-                         : ctrl::ControlStyle::kShiftRegister;
-    const auto unit =
-        ctrl::generate_control(g, analysis, result.schedule, opts);
-    std::cout << unit.to_verilog(g, g.name() + "_ctrl") << "\n";
-  }
-  if (dot) std::cout << g.to_dot() << "\n";
-}
-
-/// Crash-safe --graph mode: the graph runs inside a SynthesisSession
-/// with a write-ahead journal, checkpoint/restore, and a cancellation
-/// watchdog. Recovery order: snapshot -> WAL tail -> certificate check.
+/// Resolves a well-posed graph inside a SynthesisSession: with a
+/// write-ahead journal and checkpoint/restore when --checkpoint-dir is
+/// set, and a cancellation watchdog. Recovery order: snapshot -> WAL
+/// tail -> certificate check.
 int run_graph_session(cg::ConstraintGraph g, const RunOptions& run,
-                      bool schedule_table, bool verilog, bool dot,
-                      bool counter, bool diag_json) {
+                      const Outputs& out) {
   engine::SessionOptions sopts;
   sopts.cancel = g_cancel;
   if (run.deadline_ms >= 0) {
@@ -695,27 +636,37 @@ int run_graph_session(cg::ConstraintGraph g, const RunOptions& run,
       std::cerr << "partial state checkpointed to '" << run.checkpoint_dir
                 << "' (resume with --resume)\n";
     }
-    emit_diag(products.schedule.diag, session->graph(), diag_json,
+    emit_diag(products.schedule.diag, session->graph(), out.diag_json,
               run.diag_json_out);
     return 6;
   }
   if (!products.ok()) {
     std::cerr << "no schedule: " << products.schedule.message << "\n";
-    emit_diag(products.schedule.diag, session->graph(), diag_json,
+    emit_diag(products.schedule.diag, session->graph(), out.diag_json,
               run.diag_json_out);
     return exit_code_for(products.schedule.status);
   }
-  print_graph_products(session->graph(), products.analysis, products.schedule,
-                       schedule_table, verilog, dot, counter);
+  const cg::ConstraintGraph& graph = session->graph();
+  const sched::RelativeSchedule& schedule = products.schedule.schedule;
+  std::cout << "scheduled in " << products.schedule.iterations
+            << " iteration(s)\n";
+  if (out.schedule || (!out.verilog && !out.dot)) {
+    driver::print_schedule_table(std::cout, graph, products.analysis,
+                                 schedule);
+  }
+  if (out.verilog) {
+    const auto unit = ctrl::generate_control(graph, products.analysis,
+                                             schedule, out.control());
+    std::cout << unit.to_verilog(graph, graph.name() + "_ctrl") << "\n";
+  }
+  if (out.dot) std::cout << graph.to_dot() << "\n";
   return 0;
 }
 
-/// Shared tail of --graph mode once a graph is in hand (parsed from
-/// either the text or the streamed binary format): validate, make
-/// well-posed, then schedule once or run the incremental session.
-int run_parsed_graph(cg::ConstraintGraph g, const RunOptions& run,
-                     bool schedule_table, bool verilog, bool dot, bool counter,
-                     bool diag_json) {
+/// --graph mode once a graph is in hand: validate, make well-posed,
+/// then resolve in a session.
+int run_graph(cg::ConstraintGraph g, const RunOptions& run,
+              const Outputs& out) {
   if (const auto issues = g.validate(); !issues.empty()) {
     std::cerr << "invalid graph: " << issues.front().message << "\n";
     return 1;
@@ -728,154 +679,20 @@ int run_parsed_graph(cg::ConstraintGraph g, const RunOptions& run,
     // graph with the pre-failure serializing edges re-applied.
     cg::ConstraintGraph wg = g;
     for (const auto& [a, v] : fix.added_edges) wg.add_sequencing_edge(a, v);
-    emit_diag(fix.diag, wg, diag_json, run.diag_json_out);
+    emit_diag(fix.diag, wg, out.diag_json, run.diag_json_out);
     return exit_code_for(fix.status);
   }
   for (const auto& [from, to] : fix.added_edges) {
     std::cout << "serialized: " << g.vertex(from).name << " -> "
               << g.vertex(to).name << "\n";
   }
-  if (run.session_mode()) {
-    return run_graph_session(std::move(g), run, schedule_table, verilog, dot,
-                             counter, diag_json);
-  }
-  const auto analysis = anchors::AnchorAnalysis::compute(g);
-  const auto result = sched::schedule(g, analysis);
-  if (!result.ok()) {
-    std::cerr << "no schedule: " << result.message << "\n";
-    emit_diag(result.diag, g, diag_json, run.diag_json_out);
-    return exit_code_for(result.status);
-  }
-  print_graph_products(g, analysis, result, schedule_table, verilog, dot,
-                       counter);
-  return 0;
+  return run_graph_session(std::move(g), run, out);
 }
 
-/// --graph mode entry for the text format.
-int run_graph_mode(const std::string& text, const RunOptions& run,
-                   bool schedule_table, bool verilog, bool dot, bool counter,
-                   bool diag_json) {
-  auto parsed = cg::from_text(text);
-  if (!parsed.ok()) {
-    std::cerr << parsed.error << "\n";
-    return 1;
-  }
-  return run_parsed_graph(std::move(*parsed.graph), run, schedule_table,
-                          verilog, dot, counter, diag_json);
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  if (argc >= 2 && std::string(argv[1]) == "lint") {
-    return lint_main(argc, argv);
-  }
-  if (argc >= 2 && std::string(argv[1]) == "analyze") {
-    return analyze_main(argc, argv);
-  }
-  if (argc >= 2 && std::string(argv[1]) == "gen") {
-    return gen_main(argc, argv);
-  }
-  bool report = false, schedule = false, stats = false, verilog = false,
-       dot = false, counter = false, graph_mode = false, rtl = false,
-       diag_json = false;
-  RunOptions run;
-  std::string path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--report") {
-      report = true;
-    } else if (arg == "--schedule") {
-      schedule = true;
-    } else if (arg == "--stats") {
-      stats = true;
-    } else if (arg == "--verilog") {
-      verilog = true;
-    } else if (arg == "--dot") {
-      dot = true;
-    } else if (arg == "--counter") {
-      counter = true;
-    } else if (arg == "--graph") {
-      graph_mode = true;
-    } else if (arg == "--rtl") {
-      rtl = true;
-    } else if (arg == "--diag-json") {
-      diag_json = true;
-    } else if (arg == "--diag-json-out") {
-      if (++i >= argc) return usage();
-      run.diag_json_out = argv[i];
-    } else if (arg == "--checkpoint-dir") {
-      if (++i >= argc) return usage();
-      run.checkpoint_dir = argv[i];
-    } else if (arg == "--resume") {
-      run.resume = true;
-    } else if (arg == "--deadline-ms") {
-      if (++i >= argc) return usage();
-      char* end = nullptr;
-      run.deadline_ms = std::strtoll(argv[i], &end, 10);
-      if (end == argv[i] || *end != '\0' || run.deadline_ms < 0) {
-        std::cerr << "--deadline-ms expects a non-negative integer, got '"
-                  << argv[i] << "'\n";
-        return 2;
-      }
-    } else if (!arg.empty() && arg[0] == '-') {
-      return usage();
-    } else {
-      path = arg;
-    }
-  }
-  if (path.empty()) return usage();
-  if (!report && !schedule && !stats && !verilog && !dot && !rtl) {
-    report = true;
-  }
-  if (run.resume && run.checkpoint_dir.empty()) {
-    std::cerr << "--resume requires --checkpoint-dir\n";
-    return 2;
-  }
-  if (run.session_mode()) {
-    // Ctrl-C / SIGTERM request cooperative cancellation so the run can
-    // write its final checkpoint; the default disposition stays in
-    // place for plain (non-session) invocations.
-    g_cancel = base::CancelToken::make();
-    std::signal(SIGINT, request_cancel_handler);
-    std::signal(SIGTERM, request_cancel_handler);
-  }
-
-  // Binary graphs are loaded streamed -- never slurped into a string
-  // like the text formats below -- so a 10^6-vertex design stays
-  // inside the memory ceiling. The suffix check catches files the
-  // sniff cannot open (read_binary_file then reports the I/O error).
-  if ((path.size() > 4 && path.substr(path.size() - 4) == ".cgb") ||
-      cg::is_binary_graph_file(path)) {
-    auto parsed = cg::read_binary_file(path);
-    if (!parsed.ok()) {
-      std::cerr << parsed.error << "\n";
-      return 1;
-    }
-    return run_parsed_graph(std::move(*parsed.graph), run, schedule, verilog,
-                            dot, counter, diag_json);
-  }
-
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "cannot open '" << path << "'\n";
-    return 1;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-
-  if (graph_mode ||
-      (path.size() > 3 && path.substr(path.size() - 3) == ".cg")) {
-    return run_graph_mode(buffer.str(), run, schedule, verilog, dot, counter,
-                          diag_json);
-  }
-  if (run.session_mode()) {
-    std::cerr << "--checkpoint-dir/--resume/--deadline-ms apply to --graph "
-                 "mode only\n";
-    return 2;
-  }
-
-  auto compiled = hdl::compile(buffer.str());
+/// Synthesizes every process of a HardwareC design.
+int run_hdl(const std::string& path, const std::string& text,
+            const RunOptions& run, const Outputs& out) {
+  auto compiled = hdl::compile(text);
   if (!compiled.ok()) {
     std::cerr << path << ":\n" << compiled.diagnostics.to_string();
     return 1;
@@ -884,21 +701,21 @@ int main(int argc, char** argv) {
     std::cerr << path << ":" << diag.loc << ": warning: " << diag.message
               << "\n";
   }
-
   for (seq::Design& design : compiled.designs) {
     const auto result = driver::synthesize(design);
     if (!result.ok()) {
       std::cerr << "process '" << design.name()
                 << "': " << driver::to_string(result.status) << ": "
                 << result.message << "\n";
-      emit_diag(result.diag, result.diag_graph, diag_json, run.diag_json_out);
+      emit_diag(result.diag, result.diag_graph, out.diag_json,
+                run.diag_json_out);
       return driver::exit_code(result.status);
     }
-    if (report) {
+    if (out.report) {
       driver::print_design_report(std::cout, design, result);
       std::cout << "\n";
     }
-    if (schedule) {
+    if (out.schedule) {
       for (const auto& gs : result.graphs) {
         std::cout << "graph '" << design.graph(gs.graph_id).name() << "':\n";
         driver::print_schedule_table(std::cout, gs.constraint_graph,
@@ -906,7 +723,7 @@ int main(int argc, char** argv) {
         std::cout << "\n";
       }
     }
-    if (stats) {
+    if (out.stats) {
       const auto s = driver::compute_stats(result);
       std::cout << "|A|/|V| = " << s.total_anchors << "/" << s.total_vertices
                 << "\nsum |A(v)| = " << s.sum_full
@@ -918,13 +735,11 @@ int main(int argc, char** argv) {
                 << "\nsum of max offsets full/min = " << s.sum_max_offset_full
                 << "/" << s.sum_max_offset_min << "\n\n";
     }
-    if (verilog) {
+    if (out.verilog) {
       for (const auto& gs : result.graphs) {
-        ctrl::ControlOptions opts;
-        opts.style = counter ? ctrl::ControlStyle::kCounter
-                             : ctrl::ControlStyle::kShiftRegister;
         const auto unit = ctrl::generate_control(
-            gs.constraint_graph, gs.analysis, gs.schedule.schedule, opts);
+            gs.constraint_graph, gs.analysis, gs.schedule.schedule,
+            out.control());
         std::cout << unit.to_verilog(
                          gs.constraint_graph,
                          design.name() + "_" +
@@ -932,17 +747,14 @@ int main(int argc, char** argv) {
                   << "\n";
       }
     }
-    if (dot) {
+    if (out.dot) {
       for (const auto& gs : result.graphs) {
         std::cout << gs.constraint_graph.to_dot() << "\n";
       }
     }
-    if (rtl) {
-      ctrl::ControlOptions copts;
-      copts.style = counter ? ctrl::ControlStyle::kCounter
-                            : ctrl::ControlStyle::kShiftRegister;
+    if (out.rtl) {
       const auto control =
-          ctrl::generate_design_control(design, result, copts);
+          ctrl::generate_design_control(design, result, out.control());
       std::cout << control.to_verilog(design, result, design.name()) << "\n";
       const auto dp =
           rtl::generate_datapath(design, result, design.name() + "_dp");
@@ -953,4 +765,99 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+int schedule_main(int argc, char** argv) {
+  Outputs out;
+  RunOptions run;
+  bool graph_mode = false;
+  std::string path;
+  const std::pair<std::string_view, bool*> switches[] = {
+      {"--report", &out.report},   {"--schedule", &out.schedule},
+      {"--stats", &out.stats},     {"--verilog", &out.verilog},
+      {"--dot", &out.dot},         {"--counter", &out.counter},
+      {"--graph", &graph_mode},    {"--rtl", &out.rtl},
+      {"--diag-json", &out.diag_json}, {"--resume", &run.resume},
+  };
+  const std::pair<std::string_view, std::string*> values[] = {
+      {"--diag-json-out", &run.diag_json_out},
+      {"--checkpoint-dir", &run.checkpoint_dir},
+  };
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    const auto on = std::find_if(std::begin(switches), std::end(switches),
+                                 [&](const auto& s) { return s.first == arg; });
+    const auto value = std::find_if(
+        std::begin(values), std::end(values),
+        [&](const auto& v) { return v.first == arg; });
+    if (on != std::end(switches)) {
+      *on->second = true;
+    } else if (value != std::end(values)) {
+      if (++i >= argc) return usage();
+      *value->second = argv[i];
+    } else if (arg == "--deadline-ms") {
+      if (i + 1 >= argc) return usage();
+      if (!int_arg(argc, argv, &i, 0, std::numeric_limits<long long>::max(),
+                   &run.deadline_ms)) {
+        std::cerr << "--deadline-ms expects a non-negative integer, got '"
+                  << argv[i] << "'\n";
+        return 2;
+      }
+    } else if (arg.starts_with('-')) {
+      return usage();
+    } else {
+      path = arg;
+    }
+  }
+  if (path.empty()) return usage();
+  if (!out.report && !out.schedule && !out.stats && !out.verilog &&
+      !out.dot && !out.rtl) {
+    out.report = true;
+  }
+  if (run.resume && run.checkpoint_dir.empty()) {
+    std::cerr << "--resume requires --checkpoint-dir\n";
+    return 2;
+  }
+  if (run.long_run()) {
+    // Ctrl-C / SIGTERM request cooperative cancellation so the run can
+    // write its final checkpoint; the default disposition stays in
+    // place for plain invocations.
+    g_cancel = base::CancelToken::make();
+    std::signal(SIGINT, request_cancel_handler);
+    std::signal(SIGTERM, request_cancel_handler);
+  }
+
+  if (graph_mode || is_graph_file(path)) {
+    std::optional<cg::ConstraintGraph> g = load_graph(path);
+    if (!g.has_value()) return 1;
+    return run_graph(std::move(*g), run, out);
+  }
+  std::string text;
+  if (!read_file(path, &text)) return 1;
+  if (run.long_run()) {
+    std::cerr << "--checkpoint-dir/--resume/--deadline-ms apply to --graph "
+                 "mode only\n";
+    return 2;
+  }
+  return run_hdl(path, text, run, out);
+}
+
+struct Subcommand {
+  std::string_view name;
+  int (*main)(int argc, char** argv);
+};
+
+constexpr Subcommand kSubcommands[] = {
+    {"lint", lint_main},
+    {"analyze", analyze_main},
+    {"gen", gen_main},
+};
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  for (const Subcommand& sub : kSubcommands) {
+    if (argc >= 2 && argv[1] == sub.name) return sub.main(argc, argv);
+  }
+  return schedule_main(argc, argv);
 }

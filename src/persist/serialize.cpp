@@ -8,7 +8,6 @@
 
 #include <atomic>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 
@@ -47,46 +46,6 @@ std::string Error::render() const {
   std::string out;
   if (!path.empty()) out = cat(path, ": ");
   return cat(out, to_string(code), ": ", message);
-}
-
-namespace {
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-std::string Error::to_json() const {
-  return cat("{\"error\": \"", to_string(code), "\", \"message\": \"",
-             json_escape(message), "\", \"path\": \"", json_escape(path),
-             "\"}");
 }
 
 Error Error::make(ErrorCode code, std::string message, std::string path) {
@@ -402,9 +361,6 @@ std::string snapshot_path(const std::string& dir) {
 std::string wal_path(const std::string& dir) { return cat(dir, "/wal.bin"); }
 std::string explore_path(const std::string& dir) {
   return cat(dir, "/explore.bin");
-}
-std::string driver_state_path(const std::string& dir) {
-  return cat(dir, "/driver.bin");
 }
 
 }  // namespace relsched::persist

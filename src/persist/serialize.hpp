@@ -54,8 +54,6 @@ struct Error {
   [[nodiscard]] bool ok() const { return code == ErrorCode::kNone; }
   /// One-line human rendering ("snapshot.bin: checksum: ...").
   [[nodiscard]] std::string render() const;
-  /// Single-object JSON rendering with the stable `code` string.
-  [[nodiscard]] std::string to_json() const;
 
   static Error make(ErrorCode code, std::string message,
                     std::string path = {});
@@ -171,6 +169,5 @@ void io_backoff(int attempt);
 [[nodiscard]] std::string snapshot_path(const std::string& dir);
 [[nodiscard]] std::string wal_path(const std::string& dir);
 [[nodiscard]] std::string explore_path(const std::string& dir);
-[[nodiscard]] std::string driver_state_path(const std::string& dir);
 
 }  // namespace relsched::persist

@@ -12,7 +12,9 @@
 // -- parsed by the bounded recursive-descent parser below (depth cap,
 // no recursion on attacker-chosen nesting beyond it).
 //
-// Request schema (op selects the verb; unknown ops are bad_request):
+// Request schema. "op" selects the verb; the verbs and the role that
+// serves each are the op table in server.cpp (Server::Impl::kOps), and
+// an op missing from it is bad_request on either role:
 //
 //   {"op":"ping"}
 //   {"op":"open","design_text":"graph g\n..."}         -> session id
@@ -51,9 +53,10 @@
 //       (optional "replicate_to" starts streaming to a new standby)
 //
 // A daemon in standby mode refuses the normal session verbs with
-// code "standby" until promoted; after promotion it refuses the
-// repl_* verbs instead (a fenced-off zombie primary must not keep
-// writing).
+// code "standby" until promoted; a primary, promoted or not, refuses
+// the repl_* verbs with bad_request "not a standby" (a fenced-off
+// zombie primary must not keep writing). ping, stats, shutdown and
+// promote are served in either role.
 //
 // Any request may carry "deadline_ms": the server clamps it against
 // its own per-request budget and propagates the shrinking remainder

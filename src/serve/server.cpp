@@ -41,10 +41,18 @@ Json error_reply(const char* code, std::string detail) {
   return reply;
 }
 
+Json ok_reply() {
+  Json reply = Json::object();
+  reply.set("ok", Json::boolean(true));
+  return reply;
+}
+
+/// A non-negative count or revision as a JSON number.
+Json num(std::uint64_t v) { return Json::number(static_cast<long long>(v)); }
+
 Json retry_reply(int retry_after_ms, const char* what) {
   Json reply = error_reply(kCodeRetryAfter, what);
-  reply.set("retry_after_ms",
-            Json::number(static_cast<long long>(retry_after_ms)));
+  reply.set("retry_after_ms", num(retry_after_ms));
   return reply;
 }
 
@@ -60,6 +68,105 @@ bool make_dirs(const std::string& dir) {
     if (::mkdir(prefix.c_str(), 0755) != 0 && errno != EEXIST) return false;
   }
   return true;
+}
+
+/// Whole-server counters, all monotone except the gauges at the end.
+/// Rendered by the "stats" op; the chaos bench asserts on the shedding
+/// and recovery counters.
+struct ServerStats {
+  long long requests = 0;
+  long long edits_applied = 0;
+  long long resolves = 0;
+  long long shed_session_busy = 0;  // per-session queue full
+  long long shed_server_busy = 0;   // whole-server queue full
+  long long shed_connections = 0;   // connection cap breached
+  long long bad_requests = 0;
+  long long evictions = 0;
+  long long restores = 0;               // snapshot restores that worked
+  long long restore_cold_rebuilds = 0;  // restore failed -> rebuilt cold
+  long long quarantines = 0;            // sessions newly marked suspect
+  long long deadline_trips = 0;         // watchdog-cancelled requests
+  long long internal_errors = 0;        // caught exceptions
+  long long checkpoint_failures = 0;
+  long long wal_rebuilds = 0;  // durability rebuilt after a WAL error
+  // Standby-side replication counters (the primary's stream counters
+  // live in ReplicatorCounters and are merged into the stats reply).
+  long long repl_appends_applied = 0;
+  long long repl_records_applied = 0;
+  long long repl_snapshots_installed = 0;
+  long long repl_rejects = 0;      // appends refused pending resync
+  long long repl_divergences = 0;  // self-detected digest mismatches
+  long long promotions = 0;
+  // Gauges, sampled when stats are rendered.
+  long long live_sessions = 0;
+  long long known_sessions = 0;
+  long long quarantined_sessions = 0;
+};
+
+/// One counter's key in the "stats" reply.
+template <class Counters>
+struct StatKey {
+  const char* key;
+  long long Counters::* field;
+};
+
+// The "stats" reply renders these runs in this order, with the
+// "standby" role gauge between the two ServerStats runs; the
+// replicator's keys appear only while this daemon streams to a
+// standby. Keys and their order are part of the protocol.
+constexpr StatKey<ServerStats> kServerKeys[] = {
+    {"requests", &ServerStats::requests},
+    {"edits_applied", &ServerStats::edits_applied},
+    {"resolves", &ServerStats::resolves},
+    {"shed_session_busy", &ServerStats::shed_session_busy},
+    {"shed_server_busy", &ServerStats::shed_server_busy},
+    {"shed_connections", &ServerStats::shed_connections},
+    {"bad_requests", &ServerStats::bad_requests},
+    {"evictions", &ServerStats::evictions},
+    {"restores", &ServerStats::restores},
+    {"restore_cold_rebuilds", &ServerStats::restore_cold_rebuilds},
+    {"quarantines", &ServerStats::quarantines},
+    {"deadline_trips", &ServerStats::deadline_trips},
+    {"internal_errors", &ServerStats::internal_errors},
+    {"checkpoint_failures", &ServerStats::checkpoint_failures},
+    {"wal_rebuilds", &ServerStats::wal_rebuilds},
+    {"live_sessions", &ServerStats::live_sessions},
+    {"known_sessions", &ServerStats::known_sessions},
+    {"quarantined_sessions", &ServerStats::quarantined_sessions},
+};
+constexpr StatKey<ServerStats> kStandbyKeys[] = {
+    {"repl_appends_applied", &ServerStats::repl_appends_applied},
+    {"repl_records_applied", &ServerStats::repl_records_applied},
+    {"repl_snapshots_installed", &ServerStats::repl_snapshots_installed},
+    {"repl_rejects", &ServerStats::repl_rejects},
+    {"repl_divergences", &ServerStats::repl_divergences},
+    {"promotions", &ServerStats::promotions},
+};
+constexpr StatKey<ReplicatorCounters> kReplicatorKeys[] = {
+    {"repl_records_shipped", &ReplicatorCounters::records_shipped},
+    {"repl_batches_shipped", &ReplicatorCounters::batches_shipped},
+    {"repl_snapshots_shipped", &ReplicatorCounters::snapshots_shipped},
+    {"repl_stream_divergences", &ReplicatorCounters::divergences},
+    {"repl_resyncs", &ReplicatorCounters::resyncs},
+    {"repl_queue_overflows", &ReplicatorCounters::queue_overflows},
+    {"repl_degraded_acks", &ReplicatorCounters::degraded_acks},
+    {"repl_reconnects", &ReplicatorCounters::reconnects},
+};
+constexpr StatKey<base::FaultFsCounters> kFaultFsKeys[] = {
+    {"faultfs_short_writes", &base::FaultFsCounters::short_writes},
+    {"faultfs_eintr", &base::FaultFsCounters::eintr},
+    {"faultfs_eagain", &base::FaultFsCounters::eagain},
+    {"faultfs_enospc", &base::FaultFsCounters::enospc},
+    {"faultfs_fsync_failures", &base::FaultFsCounters::fsync_failures},
+    {"faultfs_rename_failures", &base::FaultFsCounters::rename_failures},
+};
+
+template <class Counters, std::size_t N>
+void set_counters(Json& reply, const Counters& counters,
+                  const StatKey<Counters> (&keys)[N]) {
+  for (const StatKey<Counters>& k : keys) {
+    reply.set(k.key, Json::number(counters.*(k.field)));
+  }
 }
 
 /// One session slot. The entry persists in its shard for as long as the
@@ -108,23 +215,34 @@ struct Shard {
       RELSCHED_GUARDED_BY(mutex);
 };
 
-/// Removes "<name>.tmp.<pid>.<seq>" leftovers a SIGKILL mid-
-/// atomic_write_file can strand in `dir`. Run per session directory at
-/// startup: a temp from a dead process is garbage by definition (its
-/// rename never happened, the target still holds the previous complete
-/// contents).
-void sweep_stale_temps(const std::string& dir) {
+/// Calls `fn` with the name of every entry of directory `dir`.
+template <class Fn>
+void for_each_name(const std::string& dir, Fn fn) {
   DIR* d = ::opendir(dir.c_str());
   if (d == nullptr) return;
   // glibc's readdir is safe on distinct DIR streams (readdir_r is
   // deprecated for exactly this reason); this stream is function-local.
   while (struct dirent* ent = ::readdir(d)) {  // NOLINT(concurrency-mt-unsafe)
-    const std::string name = ent->d_name;
-    if (name.find(".tmp.") != std::string::npos) {
-      ::unlink(cat(dir, "/", name).c_str());
-    }
+    fn(std::string(ent->d_name));
   }
   ::closedir(d);
+}
+
+/// Startup janitor: removes the "<name>.tmp.<pid>.<seq>" leftovers a
+/// SIGKILL mid-atomic_write_file can strand in the session directories
+/// (s-*) under `state_dir`. A temp from a dead process is garbage by
+/// definition: its rename never happened, so the target still holds
+/// the previous complete contents.
+void sweep_stale_temps(const std::string& state_dir) {
+  for_each_name(state_dir, [&](const std::string& session_dir) {
+    if (!session_dir.starts_with("s-")) return;
+    const std::string dir = cat(state_dir, "/", session_dir);
+    for_each_name(dir, [&](const std::string& name) {
+      if (name.find(".tmp.") != std::string::npos) {
+        ::unlink(cat(dir, "/", name).c_str());
+      }
+    });
+  });
 }
 
 }  // namespace
@@ -207,17 +325,14 @@ struct Server::Impl {
 
   std::vector<Replicator::SessionView> list_replicable_sessions() {
     std::vector<Replicator::SessionView> views;
-    for (Shard& shard : shards) {
-      base::MutexLock lock(shard.mutex);
-      for (auto& [hash, entry] : shard.sessions) {
-        Replicator::SessionView view;
-        view.hash = hash;
-        view.wal_path = persist::wal_path(entry->dir);
-        // Benign race, like the stats gauge: a session quarantined
-        // mid-pass is skipped on the next one.
-        view.quarantined = entry->quarantined;
-        views.push_back(std::move(view));
-      }
+    for (const auto& entry : all_entries()) {
+      Replicator::SessionView view;
+      view.hash = entry->hash;
+      view.wal_path = persist::wal_path(entry->dir);
+      // Benign race, like the stats gauge: a session quarantined
+      // mid-pass is skipped on the next one.
+      view.quarantined = entry->quarantined;
+      views.push_back(std::move(view));
     }
     return views;
   }
@@ -347,6 +462,31 @@ struct Server::Impl {
     return it == shard.sessions.end() ? nullptr : it->second;
   }
 
+  /// The entry for `hash`, created (not yet live) when the design is
+  /// new to this process.
+  std::shared_ptr<SessionEntry> entry_for(std::uint64_t hash) {
+    Shard& shard = shard_for(hash);
+    base::MutexLock lock(shard.mutex);
+    std::shared_ptr<SessionEntry>& slot = shard.sessions[hash];
+    if (slot == nullptr) {
+      slot = std::make_shared<SessionEntry>();
+      slot->hash = hash;
+      slot->dir = cat(options.state_dir, "/s-", hex16(hash));
+    }
+    return slot;
+  }
+
+  /// Every known entry, shard by shard, copied under each shard's
+  /// mutex so callers can lock entries without holding a shard.
+  std::vector<std::shared_ptr<SessionEntry>> all_entries() {
+    std::vector<std::shared_ptr<SessionEntry>> entries;
+    for (Shard& shard : shards) {
+      base::MutexLock lock(shard.mutex);
+      for (auto& [hash, entry] : shard.sessions) entries.push_back(entry);
+    }
+    return entries;
+  }
+
   void remove_entry(std::uint64_t hash) {
     Shard& shard = shard_for(hash);
     base::MutexLock lock(shard.mutex);
@@ -356,6 +496,12 @@ struct Server::Impl {
   void bump(long long ServerStats::* counter, long long by = 1) {
     base::MutexLock lock(stats_mutex);
     stats.*counter += by;
+  }
+
+  /// A counted bad_request reply.
+  Json bad_request(std::string detail) {
+    bump(&ServerStats::bad_requests);
+    return error_reply(kCodeBadRequest, std::move(detail));
   }
 
   [[nodiscard]] engine::SessionOptions session_options() const {
@@ -483,6 +629,21 @@ struct Server::Impl {
     return parsed.ok() ? parsed.graph->revision() : 0;
   }
 
+  /// Destroys the session object without a checkpoint; with `scrub`,
+  /// also deletes its snapshot and WAL (untrusted state is never
+  /// persisted). Entry mutex held.
+  void drop_session(SessionEntry& entry, bool scrub)
+      RELSCHED_REQUIRES(entry.mutex) {
+    if (entry.session != nullptr) {
+      entry.session.reset();
+      live_sessions.fetch_sub(1, std::memory_order_relaxed);
+    }
+    if (scrub) {
+      ::unlink(persist::snapshot_path(entry.dir).c_str());
+      ::unlink(persist::wal_path(entry.dir).c_str());
+    }
+  }
+
   /// Checkpoints and destroys the session object (entry mutex held).
   /// False when the checkpoint failed -- the session then stays live,
   /// because dropping state that never reached disk would lose
@@ -511,18 +672,15 @@ struct Server::Impl {
          ++rounds) {
       std::shared_ptr<SessionEntry> victim;
       std::uint64_t oldest = ~std::uint64_t{0};
-      for (Shard& shard : shards) {
-        base::MutexLock lock(shard.mutex);
-        for (auto& [hash, entry] : shard.sessions) {
-          if (hash == keep_hash || entry->quarantined) continue;
-          if (entry->pending.load(std::memory_order_relaxed) > 0) continue;
-          if (!entry->mutex.try_lock()) continue;
-          if (entry->session != nullptr && entry->last_touch < oldest) {
-            oldest = entry->last_touch;
-            victim = entry;
-          }
-          entry->mutex.unlock();
+      for (const auto& entry : all_entries()) {
+        if (entry->hash == keep_hash || entry->quarantined) continue;
+        if (entry->pending.load(std::memory_order_relaxed) > 0) continue;
+        if (!entry->mutex.try_lock()) continue;
+        if (entry->session != nullptr && entry->last_touch < oldest) {
+          oldest = entry->last_touch;
+          victim = entry;
         }
+        entry->mutex.unlock();
       }
       if (victim == nullptr) return;  // everything is busy or pinned
       if (!victim->mutex.try_lock()) continue;
@@ -549,24 +707,11 @@ struct Server::Impl {
   /// quarantined sessions, has its untrusted on-disk state scrubbed so
   /// the next process rebuilds cold from the design).
   void checkpoint_all() {
-    for (Shard& shard : shards) {
-      std::vector<std::shared_ptr<SessionEntry>> entries;
-      {
-        base::MutexLock lock(shard.mutex);
-        entries.reserve(shard.sessions.size());
-        for (auto& [hash, entry] : shard.sessions) entries.push_back(entry);
-      }
-      for (auto& entry : entries) {
-        base::MutexLock lock(entry->mutex);
-        if (entry->session == nullptr) continue;
-        if (entry->quarantined || !evict_locked(*entry)) {
-          entry->session.reset();
-          live_sessions.fetch_sub(1, std::memory_order_relaxed);
-          if (entry->quarantined) {
-            ::unlink(persist::snapshot_path(entry->dir).c_str());
-            ::unlink(persist::wal_path(entry->dir).c_str());
-          }
-        }
+    for (const auto& entry : all_entries()) {
+      base::MutexLock lock(entry->mutex);
+      if (entry->session == nullptr) continue;
+      if (entry->quarantined || !evict_locked(*entry)) {
+        drop_session(*entry, /*scrub=*/entry->quarantined);
       }
     }
   }
@@ -591,16 +736,14 @@ struct Server::Impl {
   static void fill_products_reply(Json& reply,
                                   const engine::SynthesisSession& session) {
     const engine::Products& products = session.products();
-    reply.set("revision", Json::number(static_cast<long long>(
-                              session.graph().revision())));
+    reply.set("revision", num(session.graph().revision()));
     reply.set("status",
               Json::string(sched::to_string(products.schedule.status)));
     reply.set("digest", Json::string(hex16(products_digest(products))));
   }
 
-  Json handle_ping() {
-    Json reply = Json::object();
-    reply.set("ok", Json::boolean(true));
+  Json handle_ping(const Json& /*request*/) {
+    Json reply = ok_reply();
     reply.set("server", Json::string("relsched_serve"));
     return reply;
   }
@@ -608,37 +751,19 @@ struct Server::Impl {
   Json handle_open(const Json& request) {
     const Json* design = request.get("design_text");
     if (design == nullptr || !design->is_string()) {
-      bump(&ServerStats::bad_requests);
-      return error_reply(kCodeBadRequest, "open requires design_text");
+      return bad_request("open requires design_text");
     }
     cg::ParseResult parsed = cg::from_text(design->as_string());
-    if (!parsed.ok()) {
-      bump(&ServerStats::bad_requests);
-      return error_reply(kCodeBadRequest, cat("design: ", parsed.error));
-    }
+    if (!parsed.ok()) return bad_request(cat("design: ", parsed.error));
     const std::string canonical = cg::to_text(*parsed.graph);
     const std::uint64_t hash = persist::fnv1a64(canonical);
-
-    Shard& shard = shard_for(hash);
-    std::shared_ptr<SessionEntry> entry;
-    {
-      base::MutexLock lock(shard.mutex);
-      auto it = shard.sessions.find(hash);
-      if (it != shard.sessions.end()) {
-        entry = it->second;
-      } else {
-        entry = std::make_shared<SessionEntry>();
-        entry->hash = hash;
-        entry->dir = cat(options.state_dir, "/s-", hex16(hash));
-        shard.sessions.emplace(hash, entry);
-      }
-    }
+    std::shared_ptr<SessionEntry> entry = entry_for(hash);
 
     Admission admission(*this, *entry);
     if (Json shed = admission.shed_reply(); shed.is_object()) return shed;
 
     bool restored = false;
-    Json reply = Json::object();
+    Json reply = ok_reply();
     {
       base::MutexLock lock(entry->mutex);
       entry->last_touch = touch_clock.fetch_add(1, std::memory_order_relaxed);
@@ -681,12 +806,9 @@ struct Server::Impl {
         entry->session->set_certify(true);
         entry->session->force_cold();
       }
-      reply.set("ok", Json::boolean(true));
       reply.set("session", Json::string(hex16(hash)));
-      reply.set("revision", Json::number(static_cast<long long>(
-                                entry->session->graph().revision())));
-      reply.set("base_revision",
-                Json::number(static_cast<long long>(entry->base_revision)));
+      reply.set("revision", num(entry->session->graph().revision()));
+      reply.set("base_revision", num(entry->base_revision));
       reply.set("restored", Json::boolean(restored));
       reply.set("quarantined", Json::boolean(entry->quarantined));
       reply.set("durability_lost", Json::boolean(entry->durability_lost));
@@ -780,8 +902,7 @@ struct Server::Impl {
     std::uint64_t hash = 0;
     if (sid == nullptr || !sid->is_string() ||
         !parse_hex16(sid->as_string(), &hash)) {
-      bump(&ServerStats::bad_requests);
-      *fail = error_reply(kCodeBadRequest, "missing or malformed session id");
+      *fail = bad_request("missing or malformed session id");
       return nullptr;
     }
     std::shared_ptr<SessionEntry> entry = find_entry(hash);
@@ -816,7 +937,13 @@ struct Server::Impl {
     return reply;
   }
 
-  Json handle_edit(const Json& request) {
+  /// edit and resolve: look the session up, admit or shed, bring it
+  /// live under the entry mutex with this request's deadline, run
+  /// `body`, judge a completed run for poison and hand its commit to
+  /// the replicator, then wait for the standby's ack. `body` returns
+  /// failures as ready replies.
+  Json run_replicated(const Json& request,
+                      Json (Impl::*body)(SessionEntry&, const Json&)) {
     Json fail;
     std::shared_ptr<SessionEntry> entry = lookup(request, &fail);
     if (entry == nullptr) return fail;
@@ -826,7 +953,22 @@ struct Server::Impl {
     Json reply;
     {
       base::MutexLock lock(entry->mutex);
-      reply = edit_locked(*entry, request);
+      entry->last_touch = touch_clock.fetch_add(1, std::memory_order_relaxed);
+      if (std::string err = ensure_live(*entry); !err.empty()) {
+        reply = error_reply(kCodeIo, err);
+      } else {
+        engine::SynthesisSession& session = *entry->session;
+        session.set_cancellation(shutdown_cancel, request_deadline(request));
+        if (entry->quarantined) {
+          session.set_certify(true);
+          session.force_cold();
+        }
+        const int cert_failures_before = session.stats().certificate_failures;
+        reply = (this->*body)(*entry, request);
+        if (reply.get("ok")->as_bool()) {
+          reply = judge_outcome(*entry, cert_failures_before, std::move(reply));
+        }
+      }
       note_replication(*entry, reply);
     }
     // Outside the lock: the replication thread must be able to take it
@@ -835,27 +977,22 @@ struct Server::Impl {
     return reply;
   }
 
+  Json handle_edit(const Json& request) {
+    return run_replicated(request, &Impl::edit_locked);
+  }
+
+  Json handle_resolve(const Json& request) {
+    return run_replicated(request, &Impl::resolve_locked);
+  }
+
   Json edit_locked(SessionEntry& entry, const Json& request)
       RELSCHED_REQUIRES(entry.mutex) {
-    entry.last_touch = touch_clock.fetch_add(1, std::memory_order_relaxed);
-    if (std::string err = ensure_live(entry); !err.empty()) {
-      return error_reply(kCodeIo, err);
-    }
     engine::SynthesisSession& session = *entry.session;
-
     std::vector<Edit> edits;
     std::string parse_error;
     if (!parse_edits(request, session.graph(), &edits, &parse_error)) {
-      bump(&ServerStats::bad_requests);
-      return error_reply(kCodeBadRequest, parse_error);
+      return bad_request(parse_error);
     }
-
-    session.set_cancellation(shutdown_cancel, request_deadline(request));
-    if (entry.quarantined) {
-      session.set_certify(true);
-      session.force_cold();
-    }
-    const int cert_failures_before = session.stats().certificate_failures;
     try {
       session.begin_txn();
       for (const Edit& e : edits) {
@@ -898,14 +1035,12 @@ struct Server::Impl {
         // salvage. Drop it; the next touch cold-rebuilds from the
         // design (quarantine below forces the untrusted snapshot to be
         // ignored).
-        entry.session.reset();
-        live_sessions.fetch_sub(1, std::memory_order_relaxed);
+        drop_session(entry, /*scrub=*/false);
       }
       quarantine(entry, cat("edit raised: ", detail));
       Json reply = error_reply(kCodeBadRequest, detail);
       if (entry.session != nullptr) {
-        reply.set("revision", Json::number(static_cast<long long>(
-                                  session.graph().revision())));
+        reply.set("revision", num(session.graph().revision()));
       }
       reply.set("quarantined", Json::boolean(true));
       return reply;
@@ -913,44 +1048,15 @@ struct Server::Impl {
     bump(&ServerStats::edits_applied, static_cast<long long>(edits.size()));
     bump(&ServerStats::resolves);
 
-    Json reply = Json::object();
-    reply.set("ok", Json::boolean(true));
-    reply.set("edits_applied", Json::number(static_cast<long long>(
-                                   edits.size())));
+    Json reply = ok_reply();
+    reply.set("edits_applied", num(edits.size()));
     fill_products_reply(reply, session);
-    return judge_outcome(entry, cert_failures_before, std::move(reply));
-  }
-
-  Json handle_resolve(const Json& request) {
-    Json fail;
-    std::shared_ptr<SessionEntry> entry = lookup(request, &fail);
-    if (entry == nullptr) return fail;
-    Admission admission(*this, *entry);
-    if (Json shed = admission.shed_reply(); shed.is_object()) return shed;
-
-    Json reply;
-    {
-      base::MutexLock lock(entry->mutex);
-      reply = resolve_locked(*entry, request);
-      note_replication(*entry, reply);
-    }
-    await_replication(*entry, &reply);
     return reply;
   }
 
-  Json resolve_locked(SessionEntry& entry, const Json& request)
+  Json resolve_locked(SessionEntry& entry, const Json& /*request*/)
       RELSCHED_REQUIRES(entry.mutex) {
-    entry.last_touch = touch_clock.fetch_add(1, std::memory_order_relaxed);
-    if (std::string err = ensure_live(entry); !err.empty()) {
-      return error_reply(kCodeIo, err);
-    }
     engine::SynthesisSession& session = *entry.session;
-    session.set_cancellation(shutdown_cancel, request_deadline(request));
-    if (entry.quarantined) {
-      session.set_certify(true);
-      session.force_cold();
-    }
-    const int cert_failures_before = session.stats().certificate_failures;
     try {
       session.resolve();
     } catch (const std::exception& ex) {
@@ -960,10 +1066,9 @@ struct Server::Impl {
     }
     bump(&ServerStats::resolves);
 
-    Json reply = Json::object();
-    reply.set("ok", Json::boolean(true));
+    Json reply = ok_reply();
     fill_products_reply(reply, session);
-    return judge_outcome(entry, cert_failures_before, std::move(reply));
+    return reply;
   }
 
   Json handle_evict(const Json& request) {
@@ -973,7 +1078,6 @@ struct Server::Impl {
     Admission admission(*this, *entry);
 
     base::MutexLock lock(entry->mutex);
-    Json reply = Json::object();
     if (entry->quarantined) {
       return error_reply(kCodeBadRequest,
                          "quarantined sessions are pinned live");
@@ -982,7 +1086,7 @@ struct Server::Impl {
       return error_reply(kCodeIo, "checkpoint failed; session kept live");
     }
     bump(&ServerStats::evictions);
-    reply.set("ok", Json::boolean(true));
+    Json reply = ok_reply();
     reply.set("evicted", Json::boolean(true));
     return reply;
   }
@@ -996,18 +1100,13 @@ struct Server::Impl {
     base::MutexLock lock(entry->mutex);
     if (entry->session != nullptr) {
       if (entry->quarantined) {
-        // Untrusted state is never persisted; scrub it.
-        entry->session.reset();
-        live_sessions.fetch_sub(1, std::memory_order_relaxed);
-        ::unlink(persist::snapshot_path(entry->dir).c_str());
-        ::unlink(persist::wal_path(entry->dir).c_str());
+        drop_session(*entry, /*scrub=*/true);
       } else if (!evict_locked(*entry)) {
         return error_reply(kCodeIo, "checkpoint failed; session kept open");
       }
     }
     remove_entry(entry->hash);
-    Json reply = Json::object();
-    reply.set("ok", Json::boolean(true));
+    Json reply = ok_reply();
     return reply;
   }
 
@@ -1017,27 +1116,21 @@ struct Server::Impl {
       std::shared_ptr<SessionEntry> entry = lookup(request, &fail);
       if (entry == nullptr) return fail;
       base::MutexLock lock(entry->mutex);
-      Json reply = Json::object();
-      reply.set("ok", Json::boolean(true));
+      Json reply = ok_reply();
       reply.set("live", Json::boolean(entry->session != nullptr));
       reply.set("quarantined", Json::boolean(entry->quarantined));
       reply.set("quarantine_reason", Json::string(entry->quarantine_reason));
       reply.set("durability_lost", Json::boolean(entry->durability_lost));
-      reply.set("base_revision",
-                Json::number(static_cast<long long>(entry->base_revision)));
+      reply.set("base_revision", num(entry->base_revision));
       if (entry->session != nullptr) {
         const engine::SessionStats s = entry->session->stats();
-        reply.set("revision", Json::number(static_cast<long long>(
-                                  entry->session->graph().revision())));
-        reply.set("cold_resolves", Json::number(
-                                       static_cast<long long>(s.cold_resolves)));
-        reply.set("warm_resolves", Json::number(
-                                       static_cast<long long>(s.warm_resolves)));
+        reply.set("revision", num(entry->session->graph().revision()));
+        reply.set("cold_resolves", num(s.cold_resolves));
+        reply.set("warm_resolves", num(s.warm_resolves));
         reply.set("wal_records", Json::number(s.wal_records));
         reply.set("wal_retries", Json::number(s.wal_retries));
-        reply.set("certificate_failures",
-                  Json::number(static_cast<long long>(s.certificate_failures)));
-        reply.set("restores", Json::number(static_cast<long long>(s.restores)));
+        reply.set("certificate_failures", num(s.certificate_failures));
+        reply.set("restores", num(s.restores));
       }
       return reply;
     }
@@ -1048,83 +1141,33 @@ struct Server::Impl {
       snapshot = stats;
     }
     snapshot.live_sessions = live_sessions.load(std::memory_order_relaxed);
-    snapshot.known_sessions = 0;
-    snapshot.quarantined_sessions = 0;
     long long wal_retries_live = 0;
-    for (Shard& shard : shards) {
-      std::vector<std::shared_ptr<SessionEntry>> entries;
-      {
-        base::MutexLock lock(shard.mutex);
-        snapshot.known_sessions += static_cast<int>(shard.sessions.size());
-        for (auto& [hash, entry] : shard.sessions) {
-          // Benign race: quarantined is read without the entry mutex,
-          // for a gauge.
-          if (entry->quarantined) ++snapshot.quarantined_sessions;
-          entries.push_back(entry);
-        }
+    const std::vector<std::shared_ptr<SessionEntry>> entries = all_entries();
+    snapshot.known_sessions = static_cast<long long>(entries.size());
+    for (const auto& entry : entries) {
+      // Benign race: quarantined is read without the entry mutex, for
+      // a gauge.
+      if (entry->quarantined) ++snapshot.quarantined_sessions;
+      // Busy sessions are skipped rather than waited on: stats must
+      // never queue behind a long resolve.
+      if (!entry->mutex.try_lock()) continue;
+      if (entry->session != nullptr) {
+        wal_retries_live += entry->session->stats().wal_retries;
       }
-      for (auto& entry : entries) {
-        // Busy sessions are skipped rather than waited on: stats must
-        // never queue behind a long resolve.
-        if (!entry->mutex.try_lock()) continue;
-        if (entry->session != nullptr) {
-          wal_retries_live += entry->session->stats().wal_retries;
-        }
-        entry->mutex.unlock();
-      }
+      entry->mutex.unlock();
     }
 
-    Json reply = Json::object();
-    reply.set("ok", Json::boolean(true));
-    reply.set("requests", Json::number(snapshot.requests));
-    reply.set("edits_applied", Json::number(snapshot.edits_applied));
-    reply.set("resolves", Json::number(snapshot.resolves));
-    reply.set("shed_session_busy", Json::number(snapshot.shed_session_busy));
-    reply.set("shed_server_busy", Json::number(snapshot.shed_server_busy));
-    reply.set("shed_connections", Json::number(snapshot.shed_connections));
-    reply.set("bad_requests", Json::number(snapshot.bad_requests));
-    reply.set("evictions", Json::number(snapshot.evictions));
-    reply.set("restores", Json::number(snapshot.restores));
-    reply.set("restore_cold_rebuilds",
-              Json::number(snapshot.restore_cold_rebuilds));
-    reply.set("quarantines", Json::number(snapshot.quarantines));
-    reply.set("deadline_trips", Json::number(snapshot.deadline_trips));
-    reply.set("internal_errors", Json::number(snapshot.internal_errors));
-    reply.set("checkpoint_failures",
-              Json::number(snapshot.checkpoint_failures));
-    reply.set("wal_rebuilds", Json::number(snapshot.wal_rebuilds));
-    reply.set("live_sessions",
-              Json::number(static_cast<long long>(snapshot.live_sessions)));
-    reply.set("known_sessions",
-              Json::number(static_cast<long long>(snapshot.known_sessions)));
-    reply.set("quarantined_sessions",
-              Json::number(static_cast<long long>(
-                  snapshot.quarantined_sessions)));
-
+    Json reply = ok_reply();
+    set_counters(reply, snapshot, kServerKeys);
     // Replication: role gauge, standby-side apply counters, and (when
     // this daemon streams to a standby) the primary-side counters.
     reply.set("standby",
               Json::boolean(standby_mode.load(std::memory_order_relaxed)));
-    reply.set("repl_appends_applied",
-              Json::number(snapshot.repl_appends_applied));
-    reply.set("repl_records_applied",
-              Json::number(snapshot.repl_records_applied));
-    reply.set("repl_snapshots_installed",
-              Json::number(snapshot.repl_snapshots_installed));
-    reply.set("repl_rejects", Json::number(snapshot.repl_rejects));
-    reply.set("repl_divergences", Json::number(snapshot.repl_divergences));
-    reply.set("promotions", Json::number(snapshot.promotions));
+    set_counters(reply, snapshot, kStandbyKeys);
     if (std::shared_ptr<Replicator> repl = replicator(); repl != nullptr) {
       const ReplicatorCounters rc = repl->counters();
       reply.set("repl_connected", Json::boolean(rc.connected));
-      reply.set("repl_records_shipped", num(rc.records_shipped));
-      reply.set("repl_batches_shipped", num(rc.batches_shipped));
-      reply.set("repl_snapshots_shipped", num(rc.snapshots_shipped));
-      reply.set("repl_stream_divergences", num(rc.divergences));
-      reply.set("repl_resyncs", num(rc.resyncs));
-      reply.set("repl_queue_overflows", num(rc.queue_overflows));
-      reply.set("repl_degraded_acks", num(rc.degraded_acks));
-      reply.set("repl_reconnects", num(rc.reconnects));
+      set_counters(reply, rc, kReplicatorKeys);
     }
 
     // Durability-pressure visibility: WAL short-write retries summed
@@ -1132,28 +1175,18 @@ struct Server::Impl {
     // process runs under FaultFs (all zero otherwise).
     reply.set("wal_retries_live", Json::number(wal_retries_live));
     const base::FaultFsCounters fc = base::fault_fs().counters();
-    reply.set("faultfs_short_writes", num(fc.short_writes));
-    reply.set("faultfs_eintr", num(fc.eintr));
-    reply.set("faultfs_eagain", num(fc.eagain));
-    reply.set("faultfs_enospc", num(fc.enospc));
-    reply.set("faultfs_fsync_failures", num(fc.fsync_failures));
-    reply.set("faultfs_rename_failures", num(fc.rename_failures));
-    reply.set("faultfs_total", num(fc.total()));
+    set_counters(reply, fc, kFaultFsKeys);
+    reply.set("faultfs_total", Json::number(fc.total()));
     return reply;
   }
 
   // ---- Replication verbs (standby side) ------------------------------------
 
-  static Json num(std::uint64_t v) {
-    return Json::number(static_cast<long long>(v));
-  }
-
   /// Ack telling the primary to re-bootstrap this session from a
   /// snapshot: the standby cannot (or must not) follow the stream from
   /// where the primary thinks it is.
   Json resync_reply(std::uint64_t hash, bool diverged = false) {
-    Json reply = Json::object();
-    reply.set("ok", Json::boolean(true));
+    Json reply = ok_reply();
     reply.set("repl", Json::string("repl_ack"));
     reply.set("session", Json::string(hex16(hash)));
     reply.set("resync", Json::boolean(true));
@@ -1165,8 +1198,7 @@ struct Server::Impl {
   /// digest, the primary's divergence oracle. Entry mutex held, session
   /// live.
   Json ack_reply(SessionEntry& entry) RELSCHED_REQUIRES(entry.mutex) {
-    Json reply = Json::object();
-    reply.set("ok", Json::boolean(true));
+    Json reply = ok_reply();
     reply.set("repl", Json::string("repl_ack"));
     reply.set("session", Json::string(hex16(entry.hash)));
     reply.set("epoch", num(entry.repl_epoch));
@@ -1183,57 +1215,37 @@ struct Server::Impl {
   /// stays) so the next bootstrap starts clean. Entry mutex held.
   void scrub_standby_session(SessionEntry& entry)
       RELSCHED_REQUIRES(entry.mutex) {
-    if (entry.session != nullptr) {
-      entry.session.reset();
-      live_sessions.fetch_sub(1, std::memory_order_relaxed);
-    }
-    ::unlink(persist::snapshot_path(entry.dir).c_str());
-    ::unlink(persist::wal_path(entry.dir).c_str());
+    drop_session(entry, /*scrub=*/true);
     entry.repl_epoch = 0;
     entry.repl_next_seq = 0;
     entry.repl_wal_base = 0;
     entry.durability_lost = false;
   }
 
-  Json handle_repl_subscribe() {
-    if (!standby_mode.load(std::memory_order_relaxed)) {
-      return error_reply(kCodeBadRequest, "not a standby");
-    }
+  Json handle_repl_subscribe(const Json& /*request*/) {
     // Report every session this standby can resume streaming; a
     // session it cannot bring live is omitted and the primary
     // re-bootstraps it. A freshly restarted standby reports nothing
     // (the cursor is in-memory only) -- correct, just re-shipped.
     Json sessions = Json::array();
-    for (Shard& shard : shards) {
-      std::vector<std::shared_ptr<SessionEntry>> entries;
-      {
-        base::MutexLock lock(shard.mutex);
-        entries.reserve(shard.sessions.size());
-        for (auto& [hash, entry] : shard.sessions) entries.push_back(entry);
-      }
-      for (auto& entry : entries) {
-        base::MutexLock lock(entry->mutex);
-        if (std::string err = ensure_live(*entry); !err.empty()) continue;
-        Json e = Json::object();
-        e.set("session", Json::string(hex16(entry->hash)));
-        e.set("epoch", num(entry->repl_epoch));
-        e.set("next_seq", num(entry->repl_next_seq));
-        e.set("wal_base", num(entry->repl_wal_base));
-        e.set("revision", num(entry->session->graph().revision()));
-        sessions.push(std::move(e));
-      }
+    for (const auto& entry : all_entries()) {
+      base::MutexLock lock(entry->mutex);
+      if (std::string err = ensure_live(*entry); !err.empty()) continue;
+      Json e = Json::object();
+      e.set("session", Json::string(hex16(entry->hash)));
+      e.set("epoch", num(entry->repl_epoch));
+      e.set("next_seq", num(entry->repl_next_seq));
+      e.set("wal_base", num(entry->repl_wal_base));
+      e.set("revision", num(entry->session->graph().revision()));
+      sessions.push(std::move(e));
     }
-    Json reply = Json::object();
-    reply.set("ok", Json::boolean(true));
+    Json reply = ok_reply();
     reply.set("repl", Json::string("repl_ack"));
     reply.set("sessions", std::move(sessions));
     return reply;
   }
 
   Json handle_repl_snapshot(const Json& request) {
-    if (!standby_mode.load(std::memory_order_relaxed)) {
-      return error_reply(kCodeBadRequest, "not a standby");
-    }
     const Json* sid = request.get("session");
     const Json* epoch = request.get("epoch");
     const Json* revision = request.get("revision");
@@ -1248,40 +1260,20 @@ struct Server::Impl {
         digest == nullptr || !digest->is_string() ||
         !parse_hex16(digest->as_string(), &want_digest) || design == nullptr ||
         !design->is_string() || snap_hex == nullptr || !snap_hex->is_string()) {
-      bump(&ServerStats::bad_requests);
-      return error_reply(kCodeBadRequest, "malformed repl_snapshot");
+      return bad_request("malformed repl_snapshot");
     }
     std::string snapshot_bytes;
     if (!hex_decode(snap_hex->as_string(), &snapshot_bytes)) {
-      bump(&ServerStats::bad_requests);
-      return error_reply(kCodeBadRequest, "snapshot_hex is not hex");
+      return bad_request("snapshot_hex is not hex");
     }
     // The session id IS the design's identity; verify rather than trust.
     cg::ParseResult parsed = cg::from_text(design->as_string());
-    if (!parsed.ok()) {
-      bump(&ServerStats::bad_requests);
-      return error_reply(kCodeBadRequest, cat("design: ", parsed.error));
-    }
+    if (!parsed.ok()) return bad_request(cat("design: ", parsed.error));
     const std::string canonical = cg::to_text(*parsed.graph);
     if (persist::fnv1a64(canonical) != hash) {
-      bump(&ServerStats::bad_requests);
-      return error_reply(kCodeBadRequest, "design does not match session id");
+      return bad_request("design does not match session id");
     }
-
-    std::shared_ptr<SessionEntry> entry;
-    {
-      Shard& shard = shard_for(hash);
-      base::MutexLock lock(shard.mutex);
-      auto it = shard.sessions.find(hash);
-      if (it != shard.sessions.end()) {
-        entry = it->second;
-      } else {
-        entry = std::make_shared<SessionEntry>();
-        entry->hash = hash;
-        entry->dir = cat(options.state_dir, "/s-", hex16(hash));
-        shard.sessions.emplace(hash, entry);
-      }
-    }
+    std::shared_ptr<SessionEntry> entry = entry_for(hash);
 
     Json reply;
     {
@@ -1292,10 +1284,7 @@ struct Server::Impl {
             kCodeIo, cat("mkdir ", entry->dir, ": ", base::errno_text(errno)));
       }
       // Whatever this replica held before, the snapshot replaces it.
-      if (entry->session != nullptr) {
-        entry->session.reset();
-        live_sessions.fetch_sub(1, std::memory_order_relaxed);
-      }
+      drop_session(*entry, /*scrub=*/false);
       if (persist::Error e =
               persist::atomic_write_file(design_path(*entry), canonical);
           !e.ok()) {
@@ -1335,9 +1324,6 @@ struct Server::Impl {
   }
 
   Json handle_repl_append(const Json& request) {
-    if (!standby_mode.load(std::memory_order_relaxed)) {
-      return error_reply(kCodeBadRequest, "not a standby");
-    }
     const Json* sid = request.get("session");
     const Json* epoch_j = request.get("epoch");
     const Json* wal_base_j = request.get("wal_base");
@@ -1349,8 +1335,7 @@ struct Server::Impl {
         !epoch_j->is_number() || wal_base_j == nullptr ||
         !wal_base_j->is_number() || seq_j == nullptr || !seq_j->is_number() ||
         records_j == nullptr || !records_j->is_array()) {
-      bump(&ServerStats::bad_requests);
-      return error_reply(kCodeBadRequest, "malformed repl_append");
+      return bad_request("malformed repl_append");
     }
     const auto epoch = static_cast<std::uint64_t>(epoch_j->as_int());
     const auto wal_base = static_cast<std::uint64_t>(wal_base_j->as_int());
@@ -1397,8 +1382,7 @@ struct Server::Impl {
       const Json* rev = rj.get("rev");
       if (op == nullptr || !op->is_number() || op->as_int() < 1 ||
           op->as_int() > 6 || rev == nullptr || !rev->is_number()) {
-        bump(&ServerStats::bad_requests);
-        return error_reply(kCodeBadRequest, cat("record #", i, " malformed"));
+        return bad_request(cat("record #", i, " malformed"));
       }
       persist::WalRecord rec;
       rec.op = static_cast<persist::WalRecord::Op>(op->as_int());
@@ -1454,17 +1438,9 @@ struct Server::Impl {
     if (was_standby) {
       // Drain the apply queue: every in-flight repl apply holds its
       // entry mutex, so taking each one serializes promotion after
-      // them; the dispatch gate above already refuses new appends.
-      for (Shard& shard : shards) {
-        std::vector<std::shared_ptr<SessionEntry>> entries;
-        {
-          base::MutexLock lock(shard.mutex);
-          entries.reserve(shard.sessions.size());
-          for (auto& [hash, entry] : shard.sessions) entries.push_back(entry);
-        }
-        for (auto& entry : entries) {
-          base::MutexLock lock(entry->mutex);
-        }
+      // them; the dispatch role gate already refuses new appends.
+      for (const auto& entry : all_entries()) {
+        base::MutexLock lock(entry->mutex);
       }
       bump(&ServerStats::promotions);
     }
@@ -1475,67 +1451,38 @@ struct Server::Impl {
         !target->as_string().empty()) {
       start_replicator(target->as_string());
     }
-    Json reply = Json::object();
-    reply.set("ok", Json::boolean(true));
+    Json reply = ok_reply();
     reply.set("was_standby", Json::boolean(was_standby));
     reply.set("live_sessions",
-              Json::number(static_cast<long long>(
-                  live_sessions.load(std::memory_order_relaxed))));
+              num(live_sessions.load(std::memory_order_relaxed)));
     return reply;
   }
 
-  Json handle_shutdown() {
-    Json reply = Json::object();
-    reply.set("ok", Json::boolean(true));
+  Json handle_shutdown(const Json& /*request*/) {
+    Json reply = ok_reply();
     trigger_shutdown();
     return reply;
   }
 
-  Json dispatch(const std::string& payload) {
-    std::string parse_error;
-    std::optional<Json> request = Json::parse(payload, &parse_error);
-    if (!request.has_value() || !request->is_object()) {
-      bump(&ServerStats::bad_requests);
-      return error_reply(kCodeBadRequest, parse_error.empty()
-                                              ? "request is not a JSON object"
-                                              : parse_error);
-    }
-    const Json* op = request->get("op");
-    if (op == nullptr || !op->is_string()) {
-      bump(&ServerStats::bad_requests);
-      return error_reply(kCodeBadRequest, "missing op");
-    }
-    if (shutting_down.load(std::memory_order_relaxed)) {
-      return error_reply(kCodeShuttingDown, "server is shutting down");
-    }
-    const std::string& name = op->as_string();
-    try {
-      if (name == "ping") return handle_ping();
-      if (name == "stats") return handle_stats(*request);
-      if (name == "shutdown") return handle_shutdown();
-      if (name == "promote") return handle_promote(*request);
-      if (name == "repl_subscribe") return handle_repl_subscribe();
-      if (name == "repl_snapshot") return handle_repl_snapshot(*request);
-      if (name == "repl_append") return handle_repl_append(*request);
-      if (standby_mode.load(std::memory_order_relaxed)) {
-        // Session verbs wait behind a promote; the structured code lets
-        // serve::Client fail over instead of treating this as an error.
-        return error_reply(kCodeStandby,
-                           "standby: promote this daemon before session ops");
-      }
-      if (name == "open") return handle_open(*request);
-      if (name == "edit") return handle_edit(*request);
-      if (name == "resolve") return handle_resolve(*request);
-      if (name == "evict") return handle_evict(*request);
-      if (name == "close") return handle_close(*request);
-    } catch (const std::exception& ex) {
-      // Last-ditch isolation: no request may take the process down.
-      bump(&ServerStats::internal_errors);
-      return error_reply(kCodeInternal, ex.what());
-    }
-    bump(&ServerStats::bad_requests);
-    return error_reply(kCodeBadRequest, cat("unknown op \"", name, "\""));
-  }
+  // ---- Dispatch ------------------------------------------------------------
+
+  /// Which role serves an op. A standby refuses the session verbs with
+  /// code "standby" until promoted (serve::Client fails over on it); a
+  /// primary refuses the repl_* verbs with bad_request "not a standby"
+  /// (a fenced-off zombie primary must not keep writing). Refusals are
+  /// answers to well-formed requests: not counted as bad requests.
+  enum class Role { kAny, kPrimary, kStandby };
+
+  struct Op {
+    std::string_view name;
+    Role role;
+    Json (Impl::*handler)(const Json& request);
+  };
+
+  /// The protocol's verbs; protocol.hpp documents their requests.
+  static const Op kOps[];
+
+  Json dispatch(const std::string& payload);
 
   // ---- Transport -----------------------------------------------------------
 
@@ -1586,21 +1533,7 @@ struct Server::Impl {
       *error = cat("mkdir ", options.state_dir, ": ", base::errno_text(errno));
       return false;
     }
-    // Janitor pass: a predecessor killed mid-checkpoint strands
-    // uniquely-named temp files in its session dirs; none are live
-    // state (their renames never happened), so scrub them now rather
-    // than leak.
-    if (DIR* root = ::opendir(options.state_dir.c_str()); root != nullptr) {
-      // Function-local DIR stream; see sweep_stale_temps.
-      while (struct dirent* ent =
-                 ::readdir(root)) {  // NOLINT(concurrency-mt-unsafe)
-        const std::string name = ent->d_name;
-        if (name.rfind("s-", 0) == 0) {
-          sweep_stale_temps(cat(options.state_dir, "/", name));
-        }
-      }
-      ::closedir(root);
-    }
+    sweep_stale_temps(options.state_dir);
     if (::pipe(wake_pipe) != 0) {
       *error = cat("pipe: ", base::errno_text(errno));
       return false;
@@ -1687,6 +1620,56 @@ struct Server::Impl {
     if (wake_pipe[1] >= 0) ::close(wake_pipe[1]);
   }
 };
+
+const Server::Impl::Op Server::Impl::kOps[] = {
+    {"ping", Role::kAny, &Impl::handle_ping},
+    {"stats", Role::kAny, &Impl::handle_stats},
+    {"shutdown", Role::kAny, &Impl::handle_shutdown},
+    {"promote", Role::kAny, &Impl::handle_promote},
+    {"open", Role::kPrimary, &Impl::handle_open},
+    {"edit", Role::kPrimary, &Impl::handle_edit},
+    {"resolve", Role::kPrimary, &Impl::handle_resolve},
+    {"evict", Role::kPrimary, &Impl::handle_evict},
+    {"close", Role::kPrimary, &Impl::handle_close},
+    {"repl_subscribe", Role::kStandby, &Impl::handle_repl_subscribe},
+    {"repl_snapshot", Role::kStandby, &Impl::handle_repl_snapshot},
+    {"repl_append", Role::kStandby, &Impl::handle_repl_append},
+};
+
+Json Server::Impl::dispatch(const std::string& payload) {
+  std::string parse_error;
+  std::optional<Json> request = Json::parse(payload, &parse_error);
+  if (!request.has_value() || !request->is_object()) {
+    return bad_request(parse_error.empty() ? "request is not a JSON object"
+                                           : parse_error);
+  }
+  const Json* op = request->get("op");
+  if (op == nullptr || !op->is_string()) return bad_request("missing op");
+  if (shutting_down.load(std::memory_order_relaxed)) {
+    return error_reply(kCodeShuttingDown, "server is shutting down");
+  }
+  const std::string& name = op->as_string();
+  const Op* row = std::find_if(std::begin(kOps), std::end(kOps),
+                               [&](const Op& o) { return o.name == name; });
+  if (row == std::end(kOps)) {
+    return bad_request(cat("unknown op \"", name, "\""));
+  }
+  const bool standby = standby_mode.load(std::memory_order_relaxed);
+  if (row->role == Role::kPrimary && standby) {
+    return error_reply(kCodeStandby,
+                       "standby: promote this daemon before session ops");
+  }
+  if (row->role == Role::kStandby && !standby) {
+    return error_reply(kCodeBadRequest, "not a standby");
+  }
+  try {
+    return (this->*(row->handler))(*request);
+  } catch (const std::exception& ex) {
+    // Last-ditch isolation: no request may take the process down.
+    bump(&ServerStats::internal_errors);
+    return error_reply(kCodeInternal, ex.what());
+  }
+}
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)),

@@ -2,7 +2,10 @@
 //
 // The server multiplexes many concurrent SynthesisSessions behind one
 // AF_UNIX socket speaking the length-prefixed JSON protocol of
-// protocol.hpp. Robustness is the design driver, in layers:
+// protocol.hpp. Every request goes through one op table (server.cpp:
+// name, the role that may run it, handler): parse, the shutdown check,
+// the row lookup, the role gate, the handler. Robustness is the
+// design driver, in layers:
 //
 //   Isolation    Sessions live in a sharded map keyed by the fnv1a64
 //                hash of the design's canonical text. Each session has
@@ -116,38 +119,12 @@ struct ServerOptions {
   long long repl_corrupt_record_at = 0;
 };
 
-/// Whole-server counters, all monotone except the gauges at the end.
-/// Rendered by the "stats" op; the chaos bench asserts on the shedding
-/// and recovery counters.
-struct ServerStats {
-  long long requests = 0;
-  long long edits_applied = 0;
-  long long resolves = 0;
-  long long shed_session_busy = 0;  // per-session queue full
-  long long shed_server_busy = 0;   // whole-server queue full
-  long long shed_connections = 0;   // connection cap breached
-  long long bad_requests = 0;
-  long long evictions = 0;
-  long long restores = 0;               // snapshot restores that worked
-  long long restore_cold_rebuilds = 0;  // restore failed -> rebuilt cold
-  long long quarantines = 0;            // sessions newly marked suspect
-  long long deadline_trips = 0;         // watchdog-cancelled requests
-  long long internal_errors = 0;        // caught exceptions
-  long long checkpoint_failures = 0;
-  long long wal_rebuilds = 0;  // durability rebuilt after a WAL error
-  // Standby-side replication counters (the primary's stream counters
-  // live in ReplicatorCounters and are merged into the stats reply).
-  long long repl_appends_applied = 0;
-  long long repl_records_applied = 0;
-  long long repl_snapshots_installed = 0;
-  long long repl_rejects = 0;      // appends refused pending resync
-  long long repl_divergences = 0;  // self-detected digest mismatches
-  long long promotions = 0;
-  // Gauges, sampled when stats are rendered.
-  int live_sessions = 0;
-  int known_sessions = 0;
-  int quarantined_sessions = 0;
-};
+/// relsched_serve's command line (flags and ranges in serve_main.cpp),
+/// parsed into *out from argv[1..argc). False on a usage error, with
+/// *error set to the line to print: the usage text, or why the flags
+/// conflict.
+[[nodiscard]] bool parse_server_flags(int argc, char** argv,
+                                      ServerOptions* out, std::string* error);
 
 /// Digest of one resolve's observable outcome: fnv1a64 over the status
 /// byte plus the serialized relative schedule. The serve protocol's

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 #include <dirent.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -18,6 +19,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "base/fault_fs.hpp"
 #include "bench_json.hpp"
@@ -443,14 +445,25 @@ TEST(ServeEndToEnd, ConnectionCapShedsWithRetryAfter) {
   EXPECT_TRUE(field(reply, "ok").as_bool());
 
   // The second concurrent connection gets one RETRY_AFTER reply and is
-  // hung up on -- shedding, not queueing.
-  Client second;
+  // hung up on -- shedding, not queueing. The reply arrives unasked,
+  // right after accept, so it is read without sending a request (one
+  // could race the hang-up and fail with EPIPE).
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  struct sockaddr_un addr;
+  std::memset(&addr, 0, sizeof addr);
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, live.options.socket_path.c_str(),
+               sizeof addr.sun_path - 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                      sizeof addr),
+            0);
+  std::string payload;
   std::string error;
-  ASSERT_TRUE(second.connect(live.options.socket_path,
-                             std::chrono::seconds(5), &error))
-      << error;
-  Json shed;
-  ASSERT_TRUE(second.call(ping, &shed, &error)) << error;
+  const bool got_reply = read_frame(fd, &payload, &error);
+  ::close(fd);
+  ASSERT_TRUE(got_reply) << error;
+  const Json shed = Json::parse(payload, &error).value_or(Json());
   EXPECT_FALSE(field(shed, "ok").as_bool());
   EXPECT_EQ(field(shed, "code").as_string(), kCodeRetryAfter);
   EXPECT_GT(field(shed, "retry_after_ms").as_int(), 0);
@@ -520,6 +533,68 @@ TEST(ServeEndToEnd, StateSurvivesServerRestart) {
     server.shutdown();
     thread.join();
   }
+}
+
+TEST(ServeEndToEnd, StartupJanitorSweepsStaleTemps) {
+  // A predecessor SIGKILLed inside atomic_write_file leaves its unique
+  // temp behind; the next start() must remove it and nothing else.
+  std::string root = ::testing::TempDir() + "relsched_janitor_XXXXXX";
+  ASSERT_NE(::mkdtemp(root.data()), nullptr);
+  ServerOptions options;
+  options.socket_path = root + "/sock";
+  options.state_dir = root + "/state";
+  const std::string session_dir = options.state_dir + "/s-00000000deadbeef";
+  ASSERT_EQ(::mkdir(options.state_dir.c_str(), 0755), 0);
+  ASSERT_EQ(::mkdir(session_dir.c_str(), 0755), 0);
+  const std::string temp = session_dir + "/snapshot.bin.tmp.1.1";
+  const std::string design = session_dir + "/design.cg";
+  for (const std::string& path : {temp, design}) {
+    FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr) << path;
+    std::fclose(f);
+  }
+
+  Server server(options);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  EXPECT_NE(::access(temp.c_str(), F_OK), 0) << "stale temp survived start()";
+  EXPECT_EQ(::access(design.c_str(), F_OK), 0) << "janitor removed live state";
+}
+
+TEST(ServeFlags, OneTableSetsOptionsAndRejectsBadCommandLines) {
+  const auto parse = [](std::vector<const char*> args, ServerOptions* o,
+                        std::string* error) {
+    args.insert(args.begin(), "relsched_serve");
+    return parse_server_flags(static_cast<int>(args.size()),
+                              const_cast<char**>(args.data()), o, error);
+  };
+  ServerOptions o;
+  std::string error;
+  ASSERT_TRUE(parse({"--socket", "s", "--state-dir", "d", "--max-live", "3",
+                     "--deadline-ms", "0", "--no-certify", "--repl-ack-ms",
+                     "7", "--repl-corrupt-at", "9"},
+                    &o, &error))
+      << error;
+  EXPECT_EQ(o.socket_path, "s");
+  EXPECT_EQ(o.max_live_sessions, 3);
+  EXPECT_EQ(o.default_deadline.count(), 0);
+  EXPECT_FALSE(o.certify);
+  EXPECT_EQ(o.repl_ack_timeout.count(), 7);
+  EXPECT_EQ(o.repl_corrupt_record_at, 9);
+  for (const std::vector<const char*>& bad :
+       {std::vector<const char*>{"--socket", "s"},
+        {"--socket", "s", "--state-dir", "d", "--max-live", "0"},
+        {"--socket", "s", "--state-dir", "d", "--max-live", "2x"},
+        {"--socket", "s", "--state-dir", "d", "--deadline-ms"},
+        {"--socket", "s", "--state-dir", "d", "--bogus"}}) {
+    ServerOptions ignored;
+    EXPECT_FALSE(parse(bad, &ignored, &error));
+    EXPECT_EQ(error.rfind("usage: relsched_serve --socket PATH", 0), 0u);
+  }
+  EXPECT_FALSE(parse({"--socket", "s", "--state-dir", "d", "--standby",
+                      "--replicate-to", "x"},
+                     &o, &error));
+  EXPECT_NE(error.find("mutually exclusive"), std::string::npos);
 }
 
 // ---- Client io timeouts ---------------------------------------------------
@@ -726,6 +801,44 @@ TEST(ServeReplication, StreamsToStandbyAndPromoteServesIdenticalState) {
   Json fenced = standby.call(sclient, subscribe);
   EXPECT_FALSE(field(fenced, "ok").as_bool());
   EXPECT_EQ(field(fenced, "code").as_string(), kCodeBadRequest);
+}
+
+Json op_request(const char* op) {
+  Json request = Json::object();
+  request.set("op", Json::string(op));
+  return request;
+}
+
+TEST(ServeReplication, RoleGateRefusesWrongRoleVerbsAndCountsOnlyUnknownOps) {
+  // A standby: session verbs get code "standby" (fail over and retry),
+  // but an op no role serves is a bad request, not a failover signal.
+  LiveServer standby(64, 16, [](ServerOptions& o) { o.standby = true; });
+  Client sclient = standby.connect();
+  Json reply;
+  std::string error;
+  ASSERT_TRUE(sclient.call(op_request("frobnicate"), &reply, &error))
+      << error;
+  EXPECT_FALSE(field(reply, "ok").as_bool());
+  EXPECT_EQ(field(reply, "code").as_string(), kCodeBadRequest)
+      << reply.render();
+  testing::Fig2Graph fig;
+  ASSERT_TRUE(sclient.call(open_request(cg::to_text(fig.g)), &reply, &error))
+      << error;
+  EXPECT_EQ(field(reply, "code").as_string(), kCodeStandby) << reply.render();
+  // Only the unknown op counts as a bad request; the role refusal does
+  // not.
+  EXPECT_EQ(field(stats_of(standby, sclient), "bad_requests").as_int(), 1);
+
+  // A primary fences off the replication verbs.
+  LiveServer primary;
+  Client client = primary.connect();
+  for (const char* op : {"repl_subscribe", "repl_append"}) {
+    ASSERT_TRUE(client.call(op_request(op), &reply, &error)) << error;
+    EXPECT_FALSE(field(reply, "ok").as_bool()) << op;
+    EXPECT_EQ(field(reply, "code").as_string(), kCodeBadRequest) << op;
+    EXPECT_EQ(field(reply, "error").as_string(), "not a standby") << op;
+  }
+  EXPECT_EQ(field(stats_of(primary, client), "bad_requests").as_int(), 0);
 }
 
 TEST(ServeReplication, InjectedDivergenceDetectedCountedAndHealed) {
