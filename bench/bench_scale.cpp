@@ -39,6 +39,10 @@
 // read_binary_file) and requires the loaded graph to be identical --
 // the scale path `relsched_cli gen --binary` feeds the driver.
 //
+// Every rung also reports the process's peak resident set (VmHWM) after
+// it, and the JSON carries an env block (compiler, flags, build type,
+// cores).
+//
 // Emits BENCH_scale.json (committed CI artifact).
 //
 // Flags:
@@ -55,12 +59,15 @@
 //                        round-trip and an explorer batch; no timing
 //                        repeats, no JSON
 //   --out FILE           JSON path (default BENCH_scale.json)
+#include <sched.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -83,12 +90,35 @@ using Clock = std::chrono::steady_clock;
 
 constexpr double kRequiredAnchorSpeedup = 2.0;
 
+/// CPUs this process may run on (its affinity mask).
+int cores_available() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (::sched_getaffinity(0, sizeof(set), &set) != 0) {
+    return static_cast<int>(std::thread::hardware_concurrency());
+  }
+  return CPU_COUNT(&set);
+}
+
 double median_us(std::vector<double>& samples) {
   std::sort(samples.begin(), samples.end());
   const std::size_t n = samples.size();
   return n == 0 ? 0.0
                : (n % 2 == 1 ? samples[n / 2]
                              : 0.5 * (samples[n / 2 - 1] + samples[n / 2]));
+}
+
+/// The process's peak resident set so far (VmHWM), in MB; 0 where
+/// /proc is unavailable.
+double peak_rss_mb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;
+    }
+  }
+  return 0;
 }
 
 template <typename Fn>
@@ -220,11 +250,10 @@ designs::GeneratorParams params_for(int vertices, std::uint64_t seed) {
   // carry a handful of data-dependent loops regardless of size); the
   // per-anchor structures then scale in |V|, which is the axis under
   // test, instead of |A|*|V|.
+  // The density floor of 1/10000 over-delivers at 10^6 vertices (~100
+  // anchors); the analysis stores path values only inside cones, so
+  // that costs cells per cone vertex, not rows of |V|.
   p.anchor_density = std::max(1, 320000 / std::max(vertices, 1));
-  // The density floor of 1/10000 over-delivers at 10^6 vertices
-  // (~100 anchors); the cap keeps the row footprint (two 8-byte Weight
-  // rows per anchor per vertex) near half a gigabyte per analysis.
-  if (vertices >= 1000000) p.max_anchors = 32;
   p.name = "scale";
   return p;
 }
@@ -246,6 +275,10 @@ struct Row {
   // workers.
   double anchor_seq_us = 0;
   double anchor_par_us = 0;
+  // Process peak resident set (VmHWM) after the rung. The ladder
+  // ascends, so this is the rung's own peak unless a smaller rung's
+  // was higher.
+  double peak_rss_mb = 0;
   // Streamed binary format round-trip (10^6 tier and --check-only).
   bool binary_checked = false;
   double binary_write_us = 0;
@@ -569,18 +602,20 @@ int main(int argc, char** argv) {
     if (!run_size(size, size_edits, seed, /*timing=*/true, pool, &row)) {
       return EXIT_FAILURE;
     }
+    row.peak_rss_mb = peak_rss_mb();
     rows.push_back(row);
   }
 
   std::cout << "E14: certified cold vs warm resolve on generated designs\n\n";
   TextTable table;
   table.set_header({"|V|", "|E|", "|A|", "cold (us)", "warm (us)", "speedup",
-                    "dirty cone"});
+                    "dirty cone", "peak RSS (MB)"});
   for (const Row& row : rows) {
     table.add_row({cat(row.vertices), cat(row.edges), cat(row.anchors),
                    fmt(row.cold_us), fmt(row.warm_us),
                    cat(fmt(row.speedup()), "x"),
-                   cat(row.dirty_cone, "/", row.vertices)});
+                   cat(row.dirty_cone, "/", row.vertices),
+                   fmt(row.peak_rss_mb, 1)});
   }
   table.print(std::cout);
 
@@ -645,6 +680,7 @@ int main(int argc, char** argv) {
                               .field("anchor_par_us", row.anchor_par_us)
                               .field("anchor_parallel_speedup",
                                      row.anchor_speedup())
+                              .field("peak_rss_mb", row.peak_rss_mb)
                               .field("binary_round_trip", row.binary_checked);
     if (row.binary_checked) {
       entry.field("binary_write_us", row.binary_write_us)
@@ -652,8 +688,18 @@ int main(int argc, char** argv) {
     }
     sizes_json.element(std::move(entry));
   }
+  // Where the numbers came from, in the shape of perfbench's env block.
+  benchio::Json env = benchio::Json::object()
+                          .field("compiler", BENCH_COMPILER)
+                          .field("flags", BENCH_FLAGS)
+                          .field("build_type", BENCH_BUILD_TYPE)
+                          .field("nproc", static_cast<int>(hardware))
+                          .field("cores_available", cores_available())
+                          .field("pool_threads", threads)
+                          .field("seed", static_cast<long long>(seed));
   benchio::Json::object()
       .field("bench", "scale")
+      .field("env", env)
       .field("seed", static_cast<long long>(seed))
       .field("threads", threads)
       .field("hardware_concurrency", static_cast<int>(hardware))

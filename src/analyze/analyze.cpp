@@ -81,9 +81,8 @@ std::vector<Weight> zero_profile_start_times(
     const VertexId v(node);
     if (v == g.source()) continue;
     Weight t = 0;
-    for (const VertexId a : analysis.anchor_set(v)) {
-      t = std::max(t, t0[a.index()] + zero_profile_delay(g, a) +
-                          analysis.length(a, v));
+    for (const auto [a, len] : analysis.lengths_at(v)) {
+      t = std::max(t, t0[a.index()] + zero_profile_delay(g, a) + len);
     }
     t0[v.index()] = t;
   }
@@ -119,27 +118,31 @@ ConstraintSlack constraint_slack(const cg::ConstraintGraph& g,
   // kinds (forward Gf propagation for min edges, the well-posedness
   // containment -- established before slacks are computed -- for max
   // edges), so both lengths exist.
+  // A(t)'s cells in step, A(h)'s through a cursor.
   bool has_anchor = false;
   Weight anchor_min = 0;
   VertexId argmin = VertexId::invalid();
-  for (const VertexId a : analysis.anchor_set(t)) {
-    const Weight m = analysis.length(a, h) - analysis.length(a, t) - w;
+  Weight argmin_offset = 0;
+  anchors::AnchorCellCursor head(analysis.lengths_at(h));
+  for (const auto [a, lt] : analysis.lengths_at(t)) {
+    const Weight lh = head.value(a);
+    const Weight m = lh - lt - w;
     if (!has_anchor || m < anchor_min) {
       has_anchor = true;
       anchor_min = m;
       argmin = a;
+      argmin_offset = lh;
     }
   }
   s.slack = has_anchor ? std::min(s.zero_profile_margin, anchor_min)
                        : s.zero_profile_margin;
   if (has_anchor && anchor_min == s.slack) {
     s.critical_anchor = argmin;
-    s.critical_offset = analysis.length(argmin, h);
+    s.critical_offset = argmin_offset;
   }
-  for (const VertexId a : analysis.anchor_set(t)) {
-    if (analysis.length(a, h) - analysis.length(a, t) - w == s.slack) {
-      ++s.tight_frames;
-    }
+  anchors::AnchorCellCursor tight(analysis.lengths_at(h));
+  for (const auto [a, lt] : analysis.lengths_at(t)) {
+    if (tight.value(a) - lt - w == s.slack) ++s.tight_frames;
   }
   return s;
 }

@@ -1,6 +1,7 @@
 #include "anchors/anchor_analysis.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <functional>
 #include <ostream>
 
@@ -75,30 +76,48 @@ AnchorSetView AnchorAnalysis::set(VertexId v, AnchorMode mode) const {
   return anchor_set(v);  // unreachable
 }
 
+std::size_t AnchorAnalysis::length_index(int col, VertexId v) const {
+  const std::uint64_t* row = sets_.matrix.row(v.index());
+  if (base::words_test(row, col)) {
+    return length_start_[v.index()] +
+           static_cast<std::size_t>(base::words_rank(row, col));
+  }
+  // An anchor is never in its own A(v); its self cell comes last.
+  return sets_.domain.anchors[static_cast<std::size_t>(col)] == v
+             ? length_start_[v.index() + 1] - 1
+             : kNoCell;
+}
+
+std::size_t AnchorAnalysis::defining_index(int col, VertexId v) const {
+  const std::uint64_t* row = relevant_.row(v.index());
+  if (!base::words_test(row, col)) return kNoCell;
+  return defining_start_[v.index()] +
+         static_cast<std::size_t>(base::words_rank(row, col));
+}
+
 graph::Weight AnchorAnalysis::length(VertexId anchor, VertexId v) const {
   const int pos = sets_.domain.index[anchor.index()];
   RELSCHED_CHECK(pos >= 0, "length() queried for a non-anchor");
-  if (length_from_.empty()) return graph::kNegInf;
-  return length_from_[static_cast<std::size_t>(pos)].read()[v.index()];
+  const std::size_t k = length_index(pos, v);
+  return k == kNoCell ? graph::kNegInf : length_cells_.read()[k];
 }
 
-const std::vector<graph::Weight>& AnchorAnalysis::length_row(
-    VertexId anchor) const {
+graph::Weight AnchorAnalysis::maximal_defining_path_length(VertexId anchor,
+                                                           VertexId v) const {
   const int pos = sets_.domain.index[anchor.index()];
-  RELSCHED_CHECK(pos >= 0 && !length_from_.empty(),
-                 "length_row() queried for a non-anchor");
-  return length_from_[static_cast<std::size_t>(pos)].read();
+  RELSCHED_CHECK(pos >= 0, "defining path queried for a non-anchor");
+  const std::size_t k = defining_index(pos, v);
+  return k == kNoCell ? graph::kNegInf : defining_cells_.read()[k];
 }
 
 void AnchorAnalysis::corrupt_length_row_for_testing(VertexId anchor,
                                                     int keep_prefix) {
   const int pos = sets_.domain.index[anchor.index()];
-  if (pos < 0 || length_from_.empty()) return;
-  std::vector<graph::Weight>& row =
-      length_from_[static_cast<std::size_t>(pos)].write();
-  for (std::size_t v = static_cast<std::size_t>(std::max(keep_prefix, 0));
-       v < row.size(); ++v) {
-    row[v] = graph::kNegInf;
+  if (pos < 0) return;
+  std::vector<graph::Weight>& cells = length_cells_.write();
+  for (int vi = std::max(keep_prefix, 0); vi < sets_.matrix.rows(); ++vi) {
+    const std::size_t k = length_index(pos, VertexId(vi));
+    if (k != kNoCell) cells[k] = graph::kNegInf;
   }
 }
 
@@ -115,11 +134,33 @@ void AnchorAnalysis::flip_irredundant_bit_for_testing(VertexId v,
   }
 }
 
-int AnchorAnalysis::rows_shared() const {
-  int shared = 0;
-  for (const Row& row : length_from_) shared += row.shared() ? 1 : 0;
-  for (const Row& row : defining_from_) shared += row.shared() ? 1 : 0;
-  return shared;
+int AnchorAnalysis::cell_arrays_shared() const {
+  return (length_cells_.shared() ? 1 : 0) + (defining_cells_.shared() ? 1 : 0);
+}
+
+namespace {
+
+/// CSR row starts over `m`'s rows: row v owns popcount(row v) cells,
+/// plus one when `self` is non-null and marks v as an anchor.
+std::vector<std::size_t> cell_starts(const base::BitMatrix& m,
+                                     const AnchorDomain* self) {
+  std::vector<std::size_t> start(static_cast<std::size_t>(m.rows()) + 1, 0);
+  for (int v = 0; v < m.rows(); ++v) {
+    std::size_t count = static_cast<std::size_t>(m.row_popcount(v));
+    if (self != nullptr && self->index[static_cast<std::size_t>(v)] >= 0) {
+      ++count;
+    }
+    start[static_cast<std::size_t>(v) + 1] =
+        start[static_cast<std::size_t>(v)] + count;
+  }
+  return start;
+}
+
+}  // namespace
+
+void AnchorAnalysis::rebuild_starts() {
+  length_start_ = cell_starts(sets_.matrix, &sets_.domain);
+  defining_start_ = cell_starts(relevant_, nullptr);
 }
 
 std::size_t AnchorAnalysis::total_anchor_set_size(AnchorMode mode) const {
@@ -168,18 +209,33 @@ AnchorAnalysis AnchorAnalysis::compute_anchor_sets_only(
   a.sets_ = find_anchor_sets(g);
   a.relevant_.reset(g.vertex_count(), a.sets_.domain.count());
   a.irredundant_.reset(g.vertex_count(), a.sets_.domain.count());
+  a.rebuild_starts();
+  a.length_cells_.write().assign(a.length_start_.back(), graph::kNegInf);
   return a;
 }
 
-graph::Weight AnchorAnalysis::maximal_defining_path_length(VertexId anchor,
-                                                           VertexId v) const {
-  const int pos = sets_.domain.index[anchor.index()];
-  RELSCHED_CHECK(pos >= 0, "defining path queried for a non-anchor");
-  if (defining_from_.empty()) return graph::kNegInf;
-  return defining_from_[static_cast<std::size_t>(pos)].read()[v.index()];
-}
-
 namespace {
+
+/// The fixed values a sweep reads outside the set it recomputes. The
+/// first pass copies each such tail's value into the scratch row as it
+/// reads the edge; later passes read the same edges and find it in
+/// place, so nothing else the row holds is ever read. update() passes
+/// the kept cell (kNegInf where there is none); a cold sweep's region
+/// holds every vertex a value can reach, so outside it everything is
+/// kNegInf.
+template <typename Kept>
+struct Boundary {
+  const base::VertexMask* inside;
+  Kept kept;  // VertexId -> graph::Weight
+
+  void operator()(VertexId u, std::vector<graph::Weight>& dist) const {
+    if (!inside->contains(u)) dist[u.index()] = kept(u);
+  }
+};
+template <typename Kept>
+Boundary(const base::VertexMask*, Kept) -> Boundary<Kept>;
+
+constexpr auto kNothingKept = [](VertexId) { return graph::kNegInf; };
 
 /// |rho*(anchor, v)| for the vertices in `plan.affected`, in place:
 /// longest paths whose only unbounded edge is the first (an unbounded
@@ -198,10 +254,13 @@ namespace {
 /// converges in one pass per backward-edge hop on the longest defining
 /// path -- never more than |affected| passes. Only the affected
 /// sublist is walked: the cost is proportional to the dirty cone, not
-/// to |V| or |E|.
+/// to |V| or |E|. `boundary` supplies the unaffected in-neighbours'
+/// values during the first pass; `dist` may hold anything elsewhere.
+template <typename Kept>
 void patch_defining_path_lengths(const cg::ConstraintGraph& g, VertexId anchor,
                                  const UpdatePlan& plan,
-                                 std::vector<graph::Weight>& dist) {
+                                 std::vector<graph::Weight>& dist,
+                                 const Boundary<Kept>& boundary) {
   for (VertexId v : plan.affected_topo) dist[v.index()] = graph::kNegInf;
   for (EdgeId eid : g.out_edges(anchor)) {
     if (!g.weight(eid).unbounded) continue;
@@ -220,6 +279,7 @@ void patch_defining_path_lengths(const cg::ConstraintGraph& g, VertexId anchor,
         if (e.from == anchor) continue;
         const cg::EdgeWeight w = g.weight(eid);
         if (w.unbounded) continue;
+        if (pass == 0) boundary(e.from, dist);
         const graph::Weight candidate =
             graph::saturating_add(dist[e.from.index()], w.value);
         if (candidate > best) best = candidate;
@@ -248,10 +308,12 @@ void patch_defining_path_lengths(const cg::ConstraintGraph& g, VertexId anchor,
 /// post-edit sets: cone membership at affected vertices is re-evaluated
 /// against them, and unaffected membership is unchanged by
 /// construction.
+template <typename Kept>
 void patch_cone_longest_paths(const cg::ConstraintGraph& g, VertexId anchor,
                               const AnchorSets& anchor_sets,
                               const UpdatePlan& plan,
-                              std::vector<graph::Weight>& dist) {
+                              std::vector<graph::Weight>& dist,
+                              const Boundary<Kept>& boundary) {
   const auto in_cone = [&](VertexId v) {
     return v == anchor || anchor_sets.view(v).contains(anchor);
   };
@@ -267,6 +329,7 @@ void patch_cone_longest_paths(const cg::ConstraintGraph& g, VertexId anchor,
       for (EdgeId eid : g.in_edges(v)) {
         const cg::Edge& e = g.edge(eid);
         if (!in_cone(e.from)) continue;
+        if (pass == 0) boundary(e.from, dist);
         const graph::Weight candidate =
             graph::saturating_add(dist[e.from.index()], g.weight(eid).value);
         if (candidate > best) best = candidate;
@@ -311,42 +374,62 @@ void reachable_in_topo_order(const cg::ConstraintGraph& g,
   }
 }
 
-/// Both path rows of one anchor from scratch. Each row is derived with
-/// its update() patch, over the region where it can be finite as the
-/// "affected" set: an anchor's cone or defining region is usually a
-/// small part of the graph, so a cold row costs that region, not |E|.
-void compute_rows(const cg::ConstraintGraph& g, VertexId anchor,
-                  const AnchorSets& anchor_sets, std::span<const int> topo,
-                  std::vector<graph::Weight>& defining,
-                  std::vector<graph::Weight>& length) {
-  const std::size_t n = static_cast<std::size_t>(g.vertex_count());
-  base::VertexMask region;
-  std::vector<VertexId> order;
-  UpdatePlan plan;
-  plan.affected = &region;
+/// Sizes `ws`'s dense rows for `n` vertices.
+void prepare(SweepWorkspace& ws, int n) {
+  ws.defining.resize(static_cast<std::size_t>(n));
+  ws.length.resize(static_cast<std::size_t>(n));
+}
 
-  std::vector<VertexId> heads;
+/// Both path values of one anchor from scratch, over the regions where
+/// they can be finite: the defining region (everything a defining path
+/// reaches) and the cone. Each is derived with its update() patch, the
+/// region standing in for the affected set, so a cold sweep costs the
+/// region, not |E|. Calls `defining(v, value)` for every finite
+/// defining value and `length(v, value)` for every cone vertex
+/// (the anchor included).
+template <typename OnDefining, typename OnLength>
+void sweep_anchor(const cg::ConstraintGraph& g, VertexId anchor,
+                  const AnchorSets& anchor_sets, std::span<const int> topo,
+                  SweepWorkspace& ws, OnDefining defining, OnLength length) {
+  UpdatePlan plan;
+  plan.affected = &ws.region;
+
+  ws.heads.clear();
   for (EdgeId eid : g.out_edges(anchor)) {
-    if (g.weight(eid).unbounded) heads.push_back(g.edge(eid).to);
+    if (g.weight(eid).unbounded) ws.heads.push_back(g.edge(eid).to);
   }
   reachable_in_topo_order(
-      g, heads,
+      g, ws.heads,
       [&](const cg::Edge& e) {
         return e.from != anchor && !g.weight(e.id).unbounded;
       },
-      topo, region, order);
-  plan.affected_topo = order;
-  defining.assign(n, graph::kNegInf);
-  patch_defining_path_lengths(g, anchor, plan, defining);
+      topo, ws.region, ws.order);
+  plan.affected_topo = ws.order;
+  patch_defining_path_lengths(g, anchor, plan, ws.defining,
+                              Boundary(&ws.region, kNothingKept));
+  for (VertexId v : ws.order) {
+    if (ws.defining[v.index()] != graph::kNegInf) {
+      defining(v, ws.defining[v.index()]);
+    }
+  }
 
   reachable_in_topo_order(
       g, std::span<const VertexId>(&anchor, 1),
       [&](const cg::Edge& e) { return anchor_sets.view(e.to).contains(anchor); },
-      topo, region, order);
-  plan.affected_topo = order;
-  length.assign(n, graph::kNegInf);
-  patch_cone_longest_paths(g, anchor, anchor_sets, plan, length);
+      topo, ws.region, ws.order);
+  plan.affected_topo = ws.order;
+  patch_cone_longest_paths(g, anchor, anchor_sets, plan, ws.length,
+                           Boundary(&ws.region, kNothingKept));
+  for (VertexId v : ws.order) length(v, ws.length[v.index()]);
 }
+
+/// One (vertex, value) result of an anchor sweep, kept until the cell
+/// layout it lands in is known.
+struct SweptCell {
+  VertexId v;
+  int col;
+  graph::Weight value;
+};
 
 }  // namespace
 
@@ -355,6 +438,12 @@ void compute_rows(const cg::ConstraintGraph& g, VertexId anchor,
 ///   length(x, v) <= length(x, r) + length(r, v).
 void AnchorAnalysis::compute_irredundant_at(VertexId v) {
   const AnchorSetView rel = relevant_set(v);
+  // A lone relevant anchor has no other anchor to be redundant through.
+  if (rel.size() <= 1) {
+    std::copy(rel.words(), rel.words() + sets_.domain.word_count(),
+              irredundant_.row(v.index()));
+    return;
+  }
   irredundant_.clear_row(v.index());
   for (VertexId x : rel) {
     bool redundant = false;
@@ -397,33 +486,55 @@ AnchorAnalysis AnchorAnalysis::compute_sharded(const cg::ConstraintGraph& g,
   const int n = g.vertex_count();
 
   // Maximal defining path lengths (Definition 10) and cone-restricted
-  // longest paths (length(a, v) = sigma_a^min(v) by Theorem 3). Each
-  // anchor's rows are a pure function of (g, A, anchor), written to the
-  // slots that anchor owns.
-  a.defining_from_.resize(num_anchors);
-  a.length_from_.resize(num_anchors);
-  parallel_for(pool, num_anchors, [&](std::size_t i) {
-    std::vector<graph::Weight> defining, length;
-    compute_rows(g, anchors[i], a.sets_, topo, defining, length);
-    a.defining_from_[i] = Row(std::move(defining));
-    a.length_from_[i] = Row(std::move(length));
+  // longest paths (length(a, v) = sigma_a^min(v) by Theorem 3). A(v)
+  // is known, so the length layout is too: each sweep writes its cone
+  // cells straight into their slots. R(v) is what the defining sweeps
+  // find, so their cells wait in per-anchor lists until the layout
+  // exists. Every slot and list belongs to one anchor; which worker
+  // sweeps it does not matter.
+  a.rebuild_starts();
+  std::vector<graph::Weight>& lengths = a.length_cells_.write();
+  lengths.assign(a.length_start_.back(), graph::kNegInf);
+  std::vector<std::vector<SweptCell>> defining(num_anchors);
+  const std::size_t workers =
+      pool == nullptr
+          ? 1
+          : std::min(num_anchors,
+                     static_cast<std::size_t>(pool->thread_count()));
+  std::atomic<std::size_t> next_anchor{0};
+  parallel_for(pool, workers, [&](std::size_t) {
+    SweepWorkspace ws;
+    prepare(ws, n);
+    for (std::size_t i = next_anchor++; i < num_anchors; i = next_anchor++) {
+      const int col = static_cast<int>(i);
+      sweep_anchor(
+          g, anchors[i], a.sets_, topo, ws,
+          [&](VertexId v, graph::Weight d) {
+            defining[i].push_back({v, col, d});
+          },
+          [&](VertexId v, graph::Weight len) {
+            lengths[a.length_index(col, v)] = len;
+          });
+    }
   });
   a.rows_recomputed_ = static_cast<int>(num_anchors);
 
-  // R(v): x in R(v) iff a defining path from x reaches v, i.e.
-  // defining_from_[x][v] is finite (Definition 9 -- the same
-  // equivalence update() patches membership from; the paper's
-  // relevantAnchor traversal in §IV-D visits exactly the vertices with
-  // a finite entry). Derived per *vertex* so each task owns one bit
-  // row: BitMatrix rows occupy disjoint word ranges, so no two tasks
-  // ever touch the same word.
-  parallel_for(pool, static_cast<std::size_t>(n), [&](std::size_t vi) {
-    for (std::size_t i = 0; i < num_anchors; ++i) {
-      if (a.defining_from_[i].read()[vi] != graph::kNegInf) {
-        a.relevant_.set(static_cast<int>(vi), static_cast<int>(i));
-      }
-    }
-  });
+  // R(v): x in R(v) iff a defining path from x reaches v, i.e. the
+  // defining sweep of x found v (Definition 9 -- the paper's
+  // relevantAnchor traversal in §IV-D visits exactly these vertices).
+  // Then the cells, placed by a per-vertex cursor: anchors ascend, so
+  // each vertex's cells fill in bit order.
+  for (const std::vector<SweptCell>& cells : defining) {
+    for (const SweptCell& c : cells) a.relevant_.set(c.v.value(), c.col);
+  }
+  a.defining_start_ = cell_starts(a.relevant_, nullptr);
+  std::vector<graph::Weight>& values = a.defining_cells_.write();
+  values.assign(a.defining_start_.back(), graph::kNegInf);
+  std::vector<std::size_t> cursor(a.defining_start_.begin(),
+                                  a.defining_start_.end() - 1);
+  for (const std::vector<SweptCell>& cells : defining) {
+    for (const SweptCell& c : cells) values[cursor[c.v.index()]++] = c.value;
+  }
 
   // IR(v) writes only vertex v's bit row and reads state that is
   // immutable from here on.
@@ -433,9 +544,52 @@ AnchorAnalysis AnchorAnalysis::compute_sharded(const cg::ConstraintGraph& g,
   return a;
 }
 
+namespace {
+
+/// Rebuilds one value array after bit rows changed. `start` and
+/// `cells` hold the pre-edit layout; `old_rows[v]` is v's pre-edit bit
+/// row where it changed (nullptr where it did not). Every cell that
+/// survives keeps its value; new cells start at kNegInf. A vertex's
+/// trailing self cell (the length layout's length(v, v)) is carried
+/// over too.
+void relayout(const base::BitMatrix& rows, const AnchorDomain* self,
+              const std::vector<const std::uint64_t*>& old_rows,
+              std::vector<std::size_t>& start,
+              base::Cow<std::vector<graph::Weight>>& cells) {
+  std::vector<std::size_t> new_start = cell_starts(rows, self);
+  const std::vector<graph::Weight>& old = cells.read();
+  std::vector<graph::Weight> fresh(new_start.back(), graph::kNegInf);
+  for (int vi = 0; vi < rows.rows(); ++vi) {
+    const std::size_t v = static_cast<std::size_t>(vi);
+    const std::uint64_t* was = old_rows[v];
+    if (was == nullptr) {
+      std::copy(old.begin() + static_cast<std::ptrdiff_t>(start[v]),
+                old.begin() + static_cast<std::ptrdiff_t>(start[v + 1]),
+                fresh.begin() + static_cast<std::ptrdiff_t>(new_start[v]));
+      continue;
+    }
+    const std::uint64_t* now = rows.row(vi);
+    std::size_t k = new_start[v];
+    for (int col = 0; col < rows.cols(); ++col) {
+      if (!base::words_test(now, col)) continue;
+      if (base::words_test(was, col)) {
+        fresh[k] =
+            old[start[v] + static_cast<std::size_t>(base::words_rank(was, col))];
+      }
+      ++k;
+    }
+    if (k < new_start[v + 1]) fresh[k] = old[start[v + 1] - 1];  // self cell
+  }
+  start = std::move(new_start);
+  cells.write() = std::move(fresh);
+}
+
+}  // namespace
+
 void AnchorAnalysis::update(const cg::ConstraintGraph& g,
                             const UpdatePlan& plan) {
-  RELSCHED_CHECK(plan.affected != nullptr, "update() needs the affected mask");
+  RELSCHED_CHECK(plan.affected != nullptr && plan.workspace != nullptr,
+                 "update() needs the affected mask and a workspace");
   const int n = g.vertex_count();
   RELSCHED_CHECK(sets_.matrix.rows() == n, "update() vertex sets out of sync");
   // The anchor population is fixed: structural edits (vertex additions,
@@ -445,18 +599,31 @@ void AnchorAnalysis::update(const cg::ConstraintGraph& g,
   const std::size_t words = sets_.domain.word_count();
   rows_recomputed_ = 0;
 
+  // Pre-edit bit rows: the reuse test reads the seeds' A(s), and a
+  // relayout maps the affected vertices' old cells to new slots. Only
+  // affected rows can change; A(v) only when Gf's edge set did.
+  const auto save_rows = [words](const base::BitMatrix& m,
+                                 std::span<const VertexId> vertices) {
+    std::vector<std::uint64_t> saved(vertices.size() * words);
+    for (std::size_t i = 0; i < vertices.size(); ++i) {
+      const std::uint64_t* row = m.row(vertices[i].index());
+      std::copy(row, row + words, saved.data() + i * words);
+    }
+    return saved;
+  };
+  const std::vector<std::uint64_t> prev_seed_rows =
+      save_rows(sets_.matrix, plan.seeds);
+  const std::vector<std::uint64_t> prev_anchor_rows =
+      plan.forward_changed ? save_rows(sets_.matrix, plan.affected_topo)
+                           : std::vector<std::uint64_t>{};
+  const std::vector<std::uint64_t> prev_relevant_rows =
+      save_rows(relevant_, plan.affected_topo);
+
   // A(v): only a changed Gf edge set can change anchor sets, and every
   // changed value lies in the affected cone (any new/dead forward path
   // through an edit reaches v only if v is reachable from a seed).
   // Re-derive affected vertices in topological order over the edited
-  // graph; unaffected in-neighbours contribute their kept rows. The
-  // row-reuse criterion below needs the *pre-edit* sets at the seeds,
-  // so save those rows first.
-  std::vector<std::uint64_t> prev_seed_rows(plan.seeds.size() * words);
-  for (std::size_t si = 0; si < plan.seeds.size(); ++si) {
-    const std::uint64_t* row = sets_.matrix.row(plan.seeds[si].index());
-    std::copy(row, row + words, prev_seed_rows.data() + si * words);
-  }
+  // graph; unaffected in-neighbours contribute their kept rows.
   if (plan.forward_changed) {
     for (VertexId v : plan.affected_topo) {
       sets_.matrix.clear_row(v.index());
@@ -471,61 +638,121 @@ void AnchorAnalysis::update(const cg::ConstraintGraph& g,
     }
   }
 
-  // Which per-anchor rows (defining-path lengths + cone longest paths)
-  // must be recomputed? Anchor x's row can only change if some path
-  // counted in it gains/loses/reweighs an edge, i.e. some edit seed s
-  // lies on such a path -- then s sits in x's cone or defining region
-  // (old or new), detectable from the row values at s. The anchor
-  // itself being affected covers cone growth through x (s upstream of
-  // x), and s == x covers edits incident to the anchor. Evaluated
-  // before any row is overwritten.
-  const auto seed_bit = [&](std::size_t si, int col) {
-    return ((prev_seed_rows[si * words +
-                            static_cast<std::size_t>(col) / base::kBitsPerWord] >>
-             (static_cast<unsigned>(col) % base::kBitsPerWord)) &
-            1u) != 0;
-  };
+  // A flipped A(v) bit moves length cells: rebuild that layout now, in
+  // one pass that carries every kept value over, so the sweeps below
+  // read and write settled slots.
+  const auto relayout_if_changed =
+      [&](const base::BitMatrix& rows, const std::vector<std::uint64_t>& prev,
+          const AnchorDomain* self, std::vector<std::size_t>& start,
+          Cells& cells) {
+        std::vector<const std::uint64_t*> old_rows;
+        for (std::size_t i = 0; i < plan.affected_topo.size(); ++i) {
+          const std::uint64_t* was = prev.data() + i * words;
+          const VertexId v = plan.affected_topo[i];
+          if (base::words_equal(was, rows.row(v.index()), words)) continue;
+          if (old_rows.empty()) {
+            old_rows.assign(static_cast<std::size_t>(n), nullptr);
+          }
+          old_rows[v.index()] = was;
+        }
+        if (!old_rows.empty()) relayout(rows, self, old_rows, start, cells);
+      };
+  if (plan.forward_changed) {
+    relayout_if_changed(sets_.matrix, prev_anchor_rows, &sets_.domain,
+                        length_start_, length_cells_);
+  }
+
+  // Which anchors' values must be recomputed? Anchor x's values can
+  // only change if some path counted in them gains/loses/reweighs an
+  // edge, i.e. some edit seed s lies on such a path -- then s sits in
+  // x's cone (old or new: s == x, x in A(s)) or its defining region
+  // (x in R(s)). The anchor itself being affected covers cone growth
+  // through x (s upstream of x). Bit tests only, evaluated before any
+  // R bit is patched.
   std::vector<bool> touched(num_anchors, false);
   for (std::size_t i = 0; i < num_anchors; ++i) {
     const VertexId x = anchors[i];
+    const int col = static_cast<int>(i);
     if (plan.affected->contains(x)) {
       touched[i] = true;
       continue;
     }
     for (std::size_t si = 0; si < plan.seeds.size(); ++si) {
       const VertexId s = plan.seeds[si];
-      if (s == x || anchor_set(s).contains(x) ||
-          seed_bit(si, static_cast<int>(i)) ||
-          defining_from_[i].read()[s.index()] != graph::kNegInf ||
-          length_from_[i].read()[s.index()] != graph::kNegInf) {
+      if (s == x || sets_.matrix.test(s.index(), col) ||
+          base::words_test(prev_seed_rows.data() + si * words, col) ||
+          relevant_.test(s.index(), col)) {
         touched[i] = true;
         break;
       }
     }
   }
 
-  // write() unshares a row from any fork parent before patching it;
-  // untouched rows stay physically shared.
+  // Sweep each touched anchor over the affected cone in the dense
+  // scratch rows, then write the results back in place. Unaffected
+  // in-neighbours are fixed boundary values: the sweeps load their kept
+  // cells as they first read them (their rows, and so their slots, are
+  // unchanged). R(v) is patched from the defining results -- x in R(v)
+  // iff the sweep found a defining path, the equivalence compute()
+  // derives R from. Once an R bit flips, defining slots are no longer
+  // settled: later defining values wait in `unplaced` for the relayout
+  // after the loop.
+  SweepWorkspace& ws = *plan.workspace;
+  prepare(ws, n);
+  // write() unshares an array from any fork relative before patching
+  // it; with no anchor touched, both stay physically shared.
+  std::vector<graph::Weight>* lengths = nullptr;
+  std::vector<graph::Weight>* defining = nullptr;
+  bool relevant_moved = false;
+  std::vector<SweptCell> unplaced;
   for (std::size_t i = 0; i < num_anchors; ++i) {
     if (!touched[i]) continue;
     ++rows_recomputed_;
-    patch_defining_path_lengths(g, anchors[i], plan, defining_from_[i].write());
-    patch_cone_longest_paths(g, anchors[i], sets_, plan,
-                             length_from_[i].write());
-  }
-
-  // R(v): by construction x in R(v) iff a defining path from x reaches
-  // v, i.e. defining_from_[x][v] is finite (the same equivalence
-  // compute() derives R from). Patch membership from the fresh rows;
-  // only touched anchors' membership at affected vertices can differ.
-  for (VertexId v : plan.affected_topo) {
-    for (std::size_t i = 0; i < num_anchors; ++i) {
-      if (!touched[i]) continue;
-      if (defining_from_[i].read()[v.index()] != graph::kNegInf) {
-        relevant_.set(v.index(), static_cast<int>(i));
-      } else {
-        relevant_.clear(v.index(), static_cast<int>(i));
+    if (lengths == nullptr) {
+      lengths = &length_cells_.write();
+      defining = &defining_cells_.write();
+    }
+    const VertexId x = anchors[i];
+    const int col = static_cast<int>(i);
+    patch_defining_path_lengths(
+        g, x, plan, ws.defining, Boundary(plan.affected, [&](VertexId u) {
+          const std::size_t k = defining_index(col, u);
+          return k == kNoCell ? graph::kNegInf : (*defining)[k];
+        }));
+    patch_cone_longest_paths(
+        g, x, sets_, plan, ws.length, Boundary(plan.affected, [&](VertexId u) {
+          const std::size_t k = length_index(col, u);
+          return k == kNoCell ? graph::kNegInf : (*lengths)[k];
+        }));
+    for (VertexId v : plan.affected_topo) {
+      const graph::Weight d = ws.defining[v.index()];
+      const bool relevant = d != graph::kNegInf;
+      if (relevant != relevant_.test(v.index(), col)) {
+        relevant_moved = true;
+        if (relevant) {
+          relevant_.set(v.index(), col);
+        } else {
+          relevant_.clear(v.index(), col);
+        }
       }
+      if (relevant) {
+        if (relevant_moved) {
+          unplaced.push_back({v, col, d});
+        } else {
+          (*defining)[defining_index(col, v)] = d;
+        }
+      }
+      if (v == x || sets_.matrix.test(v.index(), col)) {
+        (*lengths)[length_index(col, v)] = ws.length[v.index()];
+      }
+    }
+  }
+  if (relevant_moved) {
+    relayout_if_changed(relevant_, prev_relevant_rows, nullptr,
+                        defining_start_, defining_cells_);
+    std::vector<graph::Weight>& cells = defining_cells_.write();
+    for (const SweptCell& c : unplaced) {
+      cells[defining_index(c.col, c.v)] = c.value;
     }
   }
 

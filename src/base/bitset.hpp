@@ -123,6 +123,21 @@ class BitMatrix {
   return count;
 }
 
+/// Number of bits set in a below bit `bit`: the position of that bit's
+/// cell in a row that stores one cell per set bit, in bit order.
+[[nodiscard]] inline int words_rank(const std::uint64_t* a, int bit) {
+  const std::size_t word = static_cast<std::size_t>(bit) / kBitsPerWord;
+  const unsigned offset = static_cast<unsigned>(bit) % kBitsPerWord;
+  return words_popcount(a, word) +
+         std::popcount(a[word] & ((std::uint64_t{1} << offset) - 1));
+}
+
+[[nodiscard]] inline bool words_test(const std::uint64_t* a, int bit) {
+  return ((a[static_cast<std::size_t>(bit) / kBitsPerWord] >>
+           (static_cast<unsigned>(bit) % kBitsPerWord)) &
+          1u) != 0;
+}
+
 /// Index of the first bit set in a but clear in b, or -1 when a is a
 /// subset of b (the containment-witness primitive of wellposed/lint).
 [[nodiscard]] inline int words_first_missing(const std::uint64_t* a,

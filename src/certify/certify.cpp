@@ -574,13 +574,17 @@ Diag check_products(const cg::ConstraintGraph& g,
   // The Theorem-3 cross-check above only ties the two artifacts to each
   // other; a *consistently stale* (analysis, schedule) pair -- e.g. one
   // that missed a loosened max constraint -- satisfies every edge and
-  // still matches. Pin the length rows to the graph itself with a
+  // still matches. Pin the length cells to the graph itself with a
   // longest-path certificate: re-derive the anchor sets, then require
-  // each cone row to dominate every cone edge (len(h) >= len(t) + w)
-  // and every non-anchor cone entry to be supported by a tight in-edge.
-  // Dominance bounds the row from below and tightness from above, so
-  // together with len(a, a) = 0 the row is the cone longest-path
-  // fixpoint the scheduler claims it is.
+  // every cone cell to be finite, to dominate every cone edge into it
+  // (len(h) >= len(t) + w) and, off the anchor, to be supported by a
+  // tight in-edge. Dominance bounds the values from below and tightness
+  // from above, so together with len(a, a) = 0 each anchor's cells are
+  // the cone longest-path fixpoint the scheduler claims they are.
+  // Cells exist only inside cones (a in A(v), or v == a), so once the
+  // sets match the re-derived ones, nothing outside a cone can hold a
+  // value, and the sweep costs O(cells + sum over edges of the cells at
+  // both ends) instead of |A| passes over V and E.
   // Anchor-set dataflow over the shared topological order (same
   // recurrence as anchors::find_anchor_sets, re-derived here so the
   // certificate does not trust the analysis's own sets). Flat bitmask
@@ -640,69 +644,69 @@ Diag check_products(const cg::ConstraintGraph& g,
               "' disagrees with the sets derived from the graph"));
     }
   }
-  for (std::size_t ai = 0; ai < anchor_list.size(); ++ai) {
-    const VertexId a = anchor_list[ai];
-    const std::vector<graph::Weight>& row = analysis.length_row(a);
-    if (row[a.index()] != 0) {
+  for (const VertexId a : anchor_list) {
+    const graph::Weight self = analysis.length(a, a);
+    if (self != 0) {
       return schedule_violation(
-          g, EdgeId::invalid(), a, row[a.index()], 0, "length-row",
-          cat("length(", vname(g, a), ", ", vname(g, a), ")=", row[a.index()],
+          g, EdgeId::invalid(), a, self, 0, "length-row",
+          cat("length(", vname(g, a), ", ", vname(g, a), ")=", self,
               ", expected 0"));
     }
-    const auto in_cone = [&](VertexId v) {
-      return v == a || (mask_of(v)[ai / 64] >> (ai % 64) & 1) != 0;
-    };
-    for (int vi = 0; vi < g.vertex_count(); ++vi) {
-      const VertexId v(vi);
-      const graph::Weight len = row[v.index()];
-      if (!in_cone(v)) {
-        if (len != graph::kNegInf) {
-          return schedule_violation(
-              g, EdgeId::invalid(), v, len, graph::kNegInf, "length-row",
-              cat("length(", vname(g, a), ", ", vname(g, v), ")=", len,
-                  " but '", vname(g, v), "' is outside the cone of '",
-                  vname(g, a), "'"));
-        }
-        continue;
-      }
+  }
+  // Dominance of one cone edge e = (t, h) in anchor a's cells.
+  const auto dominance_violation = [&](EdgeId eid, VertexId a,
+                                       graph::Weight len, graph::Weight bound) {
+    const cg::Edge& e = g.edge(eid);
+    return schedule_violation(
+        g, eid, a, len, bound, "length-row",
+        cat("length(", vname(g, a), ", ", vname(g, e.to), ")=", len,
+            " < length(", vname(g, a), ", ", vname(g, e.from), ")+w=", bound,
+            " (row misses cone edge '", vname(g, e.from), "' -> '",
+            vname(g, e.to), "')"));
+  };
+  std::vector<char> supported;
+  for (std::size_t vi = 0; vi < n; ++vi) {
+    const VertexId v(static_cast<int>(vi));
+    const anchors::AnchorCells cells = analysis.lengths_at(v);
+    for (const auto [a, len] : cells) {
       if (len == graph::kNegInf) {
         return schedule_violation(
             g, EdgeId::invalid(), v, graph::kNegInf, 0, "length-row",
             cat("cone vertex '", vname(g, v), "' is unreachable in the "
                 "length row of '", vname(g, a), "'"));
       }
-      if (v == a) continue;
-      // Tightness: some cone in-edge must realize this value exactly.
-      bool supported = false;
-      for (EdgeId eid : g.in_edges(v)) {
-        const cg::Edge& e = g.edge(eid);
-        if (!in_cone(e.from)) continue;
-        if (len == graph::saturating_add(row[e.from.index()],
-                                         g.weight(eid).value)) {
-          supported = true;
-          break;
-        }
+    }
+    // Each in-edge (u, v): v's cells in step, u's through a cursor. An
+    // anchor outside A(u) reads kNegInf there, so its bound never binds
+    // (the edge is not in that anchor's cone); a == u is the edge out
+    // of the anchor itself, whose own cell is 0.
+    supported.assign(static_cast<std::size_t>(cells.set().size()), 0);
+    for (EdgeId eid : g.in_edges(v)) {
+      const VertexId u = g.edge(eid).from;
+      const graph::Weight w = g.weight(eid).value;
+      anchors::AnchorCellCursor tail(analysis.lengths_at(u));
+      std::size_t k = 0;
+      for (const auto [a, len] : cells) {
+        const graph::Weight bound =
+            graph::saturating_add(a == u ? 0 : tail.value(a), w);
+        if (len < bound) return dominance_violation(eid, a, len, bound);
+        if (len == bound) supported[k] = 1;
+        ++k;
       }
-      if (!supported) {
+      // An edge from v's own cone back into the anchor v.
+      if (anchor_pos[v.index()] >= 0 && u != v) {
+        const graph::Weight bound =
+            graph::saturating_add(analysis.length(v, u), w);
+        if (0 < bound) return dominance_violation(eid, v, 0, bound);
+      }
+    }
+    std::size_t k = 0;
+    for (const auto [a, len] : cells) {
+      if (supported[k++] == 0) {
         return schedule_violation(
             g, EdgeId::invalid(), v, len, graph::kNegInf, "length-row",
             cat("length(", vname(g, a), ", ", vname(g, v), ")=", len,
                 " is not realized by any cone in-edge (stale row?)"));
-      }
-    }
-    // Dominance: the row must not under-estimate any cone edge.
-    for (const cg::Edge& e : g.edges()) {
-      if (!in_cone(e.from) || !in_cone(e.to)) continue;
-      const graph::Weight bound =
-          graph::saturating_add(row[e.from.index()], g.weight(e.id).value);
-      if (row[e.to.index()] < bound) {
-        return schedule_violation(
-            g, e.id, a, row[e.to.index()], bound, "length-row",
-            cat("length(", vname(g, a), ", ", vname(g, e.to), ")=",
-                row[e.to.index()], " < length(", vname(g, a), ", ",
-                vname(g, e.from), ")+w=", bound,
-                " (row misses cone edge '", vname(g, e.from), "' -> '",
-                vname(g, e.to), "')"));
       }
     }
   }
@@ -727,15 +731,14 @@ Diag check_irredundant(const cg::ConstraintGraph& g,
                                   vname(g, v), ")"));
     }
     const auto relevant = analysis.relevant_set(v);
-    for (VertexId a : full) {
+    anchors::AnchorCellCursor defining(analysis.defining_at(v));
+    for (const auto [a, direct] : analysis.lengths_at(v)) {
       // A witness that `a` can be dropped: no defining path reaches v
       // (a is irrelevant), or a relevant anchor r that a reaches at
       // least as late through r as directly (a is redundant).
-      const bool irrelevant =
-          analysis.maximal_defining_path_length(a, v) == graph::kNegInf;
+      const bool irrelevant = defining.value(a) == graph::kNegInf;
       VertexId via = VertexId::invalid();
       if (!irrelevant) {
-        const graph::Weight direct = analysis.length(a, v);
         for (VertexId r : relevant) {
           if (r == a || !analysis.anchor_set(r).contains(a)) continue;
           const graph::Weight to_r = analysis.length(a, r);

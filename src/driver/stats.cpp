@@ -1,6 +1,7 @@
 #include "driver/stats.hpp"
 
 #include <algorithm>
+#include <vector>
 
 namespace relsched::driver {
 
@@ -19,23 +20,25 @@ AnchorStats compute_stats(const SynthesisResult& result) {
       stats.sum_irredundant += an.irredundant_set(v).size();
     }
     // sigma_a^max from minimum offsets (Theorem 3: length(a, v)), under
-    // full and irredundant anchor sets.
-    for (VertexId a : an.anchors()) {
-      graph::Weight max_full = 0;
-      graph::Weight max_min = 0;
-      for (int vi = 0; vi < g.vertex_count(); ++vi) {
-        const VertexId v(vi);
-        if (an.anchor_set(v).contains(a)) {
-          max_full = std::max(max_full, an.length(a, v));
-        }
-        if (an.irredundant_set(v).contains(a)) {
-          max_min = std::max(max_min, an.length(a, v));
-        }
+    // full and irredundant anchor sets, per anchor column.
+    const std::size_t columns = an.anchors().size();
+    std::vector<graph::Weight> max_full(columns, 0);
+    std::vector<graph::Weight> max_min(columns, 0);
+    for (int vi = 0; vi < g.vertex_count(); ++vi) {
+      const VertexId v(vi);
+      const auto irredundant = an.irredundant_set(v);
+      for (const auto [a, len] : an.lengths_at(v)) {
+        const std::size_t c = static_cast<std::size_t>(
+            an.anchor_sets().domain.index[a.index()]);
+        max_full[c] = std::max(max_full[c], len);
+        if (irredundant.contains(a)) max_min[c] = std::max(max_min[c], len);
       }
-      stats.max_offset_full = std::max(stats.max_offset_full, max_full);
-      stats.sum_max_offset_full += max_full;
-      stats.max_offset_min = std::max(stats.max_offset_min, max_min);
-      stats.sum_max_offset_min += max_min;
+    }
+    for (std::size_t c = 0; c < columns; ++c) {
+      stats.max_offset_full = std::max(stats.max_offset_full, max_full[c]);
+      stats.sum_max_offset_full += max_full[c];
+      stats.max_offset_min = std::max(stats.max_offset_min, max_min[c]);
+      stats.sum_max_offset_min += max_min[c];
     }
   }
   return stats;

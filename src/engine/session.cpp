@@ -25,7 +25,7 @@ constexpr std::string_view kSnapshotMagic = "RSNAP001";
 // struct-of-arrays core refactor). v3: SessionStats grew wal_retries
 // (the serving layer's flaky-filesystem counter). Older snapshots are
 // not readable.
-constexpr std::uint32_t kSnapshotVersion = 3;
+constexpr std::uint32_t kSnapshotVersion = 4;
 
 double us_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::micro>(b - a).count();
@@ -51,7 +51,7 @@ SynthesisSession::SynthesisSession(cg::ConstraintGraph graph,
 SessionStats SynthesisSession::stats() const {
   SessionStats s = stats_;
   s.forks_taken = forks_taken_->load(std::memory_order_relaxed);
-  s.anchor_rows_shared = products_.analysis.rows_shared();
+  s.anchor_rows_shared = products_.analysis.cell_arrays_shared();
   if (wal_ != nullptr) {
     s.wal_records = wal_->appended_records();
     s.wal_fsyncs = wal_->fsyncs();
@@ -131,8 +131,8 @@ SynthesisSession SynthesisSession::fork() const {
   // the same revision, so the parent's consumed edit history is not
   // dragged along.
   SynthesisSession f(graph_, options_);
-  // Copy-on-write product copy: the anchor path rows stay shared with
-  // this session until the fork's own resolves patch them.
+  // Copy-on-write product copy: the anchor analysis's value arrays stay
+  // shared with this session until the fork's own resolves patch them.
   f.products_ = products_;
   f.topo_ = topo_;
   f.potentials_ = potentials_;
@@ -432,6 +432,7 @@ bool SynthesisSession::try_incremental(const std::vector<VertexId>& seeds,
   plan.affected_topo = affected_topo_;
   plan.seeds = seeds;
   plan.forward_changed = forward_changed;
+  plan.workspace = &anchor_ws_;
   // In place: the cached analysis holds valid pre-edit products (the
   // incremental path is only taken when the last resolve succeeded).
   anchors::AnchorAnalysis& analysis = products_.analysis;

@@ -177,9 +177,9 @@ struct SessionStats {
   // ---- Forks -------------------------------------------------------------
   /// fork() calls served by this session.
   long long forks_taken = 0;
-  /// Per-anchor path rows of products().analysis still physically
-  /// shared with a fork relative (copy-on-write), at the time stats()
-  /// was called.
+  /// Value arrays of products().analysis (length cells, defining
+  /// cells: at most 2) still physically shared with a fork relative
+  /// (copy-on-write), at the time stats() was called.
   int anchor_rows_shared = 0;
 
   // ---- Crash safety ------------------------------------------------------
@@ -529,6 +529,8 @@ class SynthesisSession {
   base::VertexMask fold_seen_;
   /// SPFA feasibility scratch, scrubbed incrementally across resolves.
   wellposed::SpfaWorkspace spfa_ws_;
+  /// Dense per-anchor sweep rows for the warm anchor patch.
+  anchors::SweepWorkspace anchor_ws_;
   /// flood_count() scratch; mutable because cone accounting runs from
   /// the const statistics helper.
   mutable base::VertexMask flood_mask_;

@@ -80,9 +80,10 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 constexpr std::string_view kExploreMagic = "RSEXP001";
-// v2: embedded session products carry the bit-matrix anchor payload
-// (see engine's kSnapshotVersion); v1 checkpoints are not readable.
-constexpr std::uint32_t kExploreVersion = 2;
+// v3: embedded session products carry the anchor analysis's bit rows
+// and cone-restricted cells (see engine's kSnapshotVersion); earlier
+// checkpoints are not readable.
+constexpr std::uint32_t kExploreVersion = 3;
 
 std::shared_ptr<base::WorkStealingPool> resolve_pool(int requested) {
   if (requested > 0) return std::make_shared<base::WorkStealingPool>(requested);

@@ -161,9 +161,9 @@ bool never_binding(const cg::ConstraintGraph& g,
     return u > 0;
   }
   Weight sep = kNegInf;
-  for (const VertexId a : tail) {
-    const Weight lt = analysis.length(a, e.from);
-    const Weight lh = analysis.length(a, e.to);
+  anchors::AnchorCellCursor head(analysis.lengths_at(e.to));
+  for (const auto [a, lt] : analysis.lengths_at(e.from)) {
+    const Weight lh = head.value(a);
     if (lt == kNegInf || lh == kNegInf) return false;  // defensive
     sep = std::max(sep, lt - lh);
   }

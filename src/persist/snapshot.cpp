@@ -187,13 +187,15 @@ void AnchorAnalysisAccess::save(Writer& w,
   save_bit_matrix(w, a.sets_.matrix);
   save_bit_matrix(w, a.relevant_);
   save_bit_matrix(w, a.irredundant_);
-  const auto save_rows =
-      [&w](const std::vector<anchors::AnchorAnalysis::Row>& rows) {
-        w.u32(static_cast<std::uint32_t>(rows.size()));
-        for (const auto& row : rows) w.vec_i64(row.read());
-      };
-  save_rows(a.length_from_);
-  save_rows(a.defining_from_);
+  // The cells in their one canonical order (vertex-major, each
+  // vertex's cells in bit order): equal analyses write equal bytes, and
+  // the layout itself is re-derived from the bit rows on load.
+  const auto save_cells = [&w](const std::vector<graph::Weight>& cells) {
+    w.u64(cells.size());
+    for (const graph::Weight value : cells) w.i64(value);
+  };
+  save_cells(a.length_cells_.read());
+  save_cells(a.defining_cells_.read());
 }
 
 bool AnchorAnalysisAccess::load(Reader& r, anchors::AnchorAnalysis* out) {
@@ -216,12 +218,15 @@ bool AnchorAnalysisAccess::load(Reader& r, anchors::AnchorAnalysis* out) {
     if (idx < -1 || idx >= anchor_count) return false;
   }
   // The two halves of the domain must describe each other: column c's
-  // anchor maps back to column c. (This also forces ascending anchor
-  // ids to occupy ascending columns only if saved that way; views
-  // iterate whatever order the domain records, so round-trips are
-  // faithful either way.)
+  // anchor maps back to column c. Columns ascend by anchor id, as
+  // compute() lays them out: cell cursors (AnchorCellCursor) walk two
+  // vertices' cells in that order.
   for (int c = 0; c < anchor_count; ++c) {
     if (index[anchors[static_cast<std::size_t>(c)].index()] != c) return false;
+    if (c > 0 && !(anchors[static_cast<std::size_t>(c) - 1] <
+                   anchors[static_cast<std::size_t>(c)])) {
+      return false;
+    }
   }
   a.sets_.domain.anchors = std::move(anchors);
   a.sets_.domain.index = std::move(index);
@@ -230,28 +235,23 @@ bool AnchorAnalysisAccess::load(Reader& r, anchors::AnchorAnalysis* out) {
       !load_bit_matrix(r, &a.irredundant_, vertex_count, anchor_count)) {
     return false;
   }
-  const auto load_rows =
-      [&r, vertex_count,
-       anchor_count](std::vector<anchors::AnchorAnalysis::Row>* rows) {
-        const std::uint32_t count = r.u32();
-        if (!r.ok() || count != static_cast<std::uint32_t>(anchor_count)) {
-          r.fail();
-          return false;
-        }
-        rows->clear();
-        rows->reserve(count);
-        for (std::uint32_t i = 0; i < count; ++i) {
-          std::vector<graph::Weight> row = r.vec_i64();
-          if (!r.ok() ||
-              row.size() != static_cast<std::size_t>(vertex_count)) {
-            r.fail();
-            return false;
-          }
-          rows->emplace_back(std::move(row));
-        }
-        return true;
-      };
-  if (!load_rows(&a.length_from_) || !load_rows(&a.defining_from_)) {
+  // The bit rows fix how many cells each array holds. A count that
+  // disagrees, or more cells than the payload has bytes for, is
+  // rejected before anything is allocated from it.
+  a.rebuild_starts();
+  const auto load_cells = [&r](std::size_t expect,
+                               std::vector<graph::Weight>* cells) {
+    const std::uint64_t count = r.u64();
+    if (!r.ok() || count != expect || r.remaining() / 8 < count) {
+      r.fail();
+      return false;
+    }
+    cells->resize(expect);
+    for (graph::Weight& value : *cells) value = r.i64();
+    return r.ok();
+  };
+  if (!load_cells(a.length_start_.back(), &a.length_cells_.write()) ||
+      !load_cells(a.defining_start_.back(), &a.defining_cells_.write())) {
     return false;
   }
   *out = std::move(a);

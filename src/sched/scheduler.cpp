@@ -263,12 +263,17 @@ RelativeSchedule decomposed_schedule(const cg::ConstraintGraph& g,
   RelativeSchedule out(g.vertex_count());
   for (int vi = 0; vi < g.vertex_count(); ++vi) {
     const VertexId v(vi);
-    for (VertexId a : analysis.set(v, mode)) {
-      const graph::Weight len = analysis.length(a, v);
-      // Anchors in A(v) always reach v inside their own cone.
+    // The mode's set lies inside A(v), whose anchors always reach v
+    // inside their own cone.
+    const auto keep = analysis.set(v, mode);
+    int kept = 0;
+    for (const auto [a, len] : analysis.lengths_at(v)) {
+      if (!keep.contains(a)) continue;
       RELSCHED_CHECK(len != graph::kNegInf, "anchor cannot reach vertex");
       out.offsets(v).set(a, len);
+      ++kept;
     }
+    RELSCHED_CHECK(kept == keep.size(), "anchor cannot reach vertex");
   }
   return out;
 }

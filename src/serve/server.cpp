@@ -8,8 +8,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -270,7 +272,18 @@ struct Server::Impl {
   Shard shards[kShardCount];
   std::atomic<int> live_sessions{0};
   std::atomic<int> pending_total{0};
-  std::atomic<int> active_connections{0};
+  /// One accepted connection: its socket and the thread serving it.
+  /// Owned by serve_forever(), the only thread that starts, reaps or
+  /// joins them, and that closes the socket -- after the join, so the
+  /// descriptor cannot be reused while the drain still addresses it.
+  /// `finished` is the thread's last act, so joining a finished one
+  /// never blocks long.
+  struct Connection {
+    int fd = -1;
+    std::thread thread;
+    std::atomic<bool> finished{false};
+  };
+  std::vector<std::unique_ptr<Connection>> connections;
   std::atomic<std::uint64_t> touch_clock{0};
 
   base::Mutex stats_mutex;
@@ -1510,8 +1523,17 @@ struct Server::Impl {
       const Json reply = dispatch(payload);
       if (!write_frame(fd, reply.render())) break;
     }
-    ::close(fd);
-    active_connections.fetch_sub(1, std::memory_order_relaxed);
+  }
+
+  /// Joins the connection threads that have finished and closes their
+  /// sockets.
+  void reap_connections() {
+    std::erase_if(connections, [](const std::unique_ptr<Connection>& c) {
+      if (!c->finished.load(std::memory_order_acquire)) return false;
+      c->thread.join();
+      ::close(c->fd);
+      return true;
+    });
   }
 
   void trigger_shutdown() noexcept {
@@ -1583,8 +1605,8 @@ struct Server::Impl {
       if ((fds[0].revents & POLLIN) == 0) continue;
       const int fd = ::accept(listen_fd, nullptr, nullptr);
       if (fd < 0) continue;
-      if (active_connections.load(std::memory_order_relaxed) >=
-          options.max_connections) {
+      reap_connections();
+      if (static_cast<int>(connections.size()) >= options.max_connections) {
         bump(&ServerStats::shed_connections);
         (void)write_frame(
             fd, retry_reply(options.retry_after_ms, "connection limit")
@@ -1592,22 +1614,36 @@ struct Server::Impl {
         ::close(fd);
         continue;
       }
-      active_connections.fetch_add(1, std::memory_order_relaxed);
-      std::thread([this, fd] { connection_loop(fd); }).detach();
+      auto conn = std::make_unique<Connection>();
+      Connection* c = conn.get();
+      c->fd = fd;
+      c->thread = std::thread([this, c] {
+        connection_loop(c->fd);
+        c->finished.store(true, std::memory_order_release);
+      });
+      connections.push_back(std::move(conn));
     }
 
-    // Drain: stop accepting, cancel in-flight resolves, wait for the
-    // connection threads (each exits within one poll timeout), persist.
+    // Drain: stop accepting, cancel in-flight resolves, join every
+    // connection thread, persist. Shutting the sockets' read side wakes
+    // a thread parked in poll() or stalled mid-frame on a silent peer,
+    // while a reply in flight (the "shutdown" ack among them) still
+    // goes out. Joining, not waiting on a count, means no connection
+    // thread outlives serve_forever(), so ~Server never frees state a
+    // connection still reads.
+    shutting_down.store(true, std::memory_order_relaxed);
     ::close(listen_fd);
     listen_fd = -1;
     ::unlink(options.socket_path.c_str());
     shutdown_cancel.request_cancel();
-    for (int spins = 0;
-         active_connections.load(std::memory_order_relaxed) > 0 &&
-         spins < 2000;
-         ++spins) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    for (const std::unique_ptr<Connection>& c : connections) {
+      (void)::shutdown(c->fd, SHUT_RD);
     }
+    for (const std::unique_ptr<Connection>& c : connections) {
+      c->thread.join();
+      ::close(c->fd);
+    }
+    connections.clear();
     // The replication thread takes entry mutexes for its snapshot
     // hook; stop it before checkpoint_all so the two never interleave.
     stop_replicator();

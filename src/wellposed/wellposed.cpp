@@ -1,5 +1,7 @@
 #include "wellposed/wellposed.hpp"
 
+#include <vector>
+
 #include "base/error.hpp"
 #include "base/strings.hpp"
 #include "graph/algorithms.hpp"
@@ -201,10 +203,10 @@ MakeWellposedResult make_wellposed(cg::ConstraintGraph& g) {
       const VertexId head = e.to;
       // Anchors present at the tail but missing at the head must be
       // serialized before the head (paper's addEdge).
-      anchors::AnchorSet missing;
+      std::vector<VertexId> missing;
       const auto head_set = anchor_sets.view(head);
       for (VertexId a : anchor_sets.view(tail)) {
-        if (!head_set.contains(a)) missing.insert(a);
+        if (!head_set.contains(a)) missing.push_back(a);
       }
       for (VertexId a : missing) {
         if (a == head) {

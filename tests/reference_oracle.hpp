@@ -8,6 +8,10 @@
 // -- O(|A| * |V|) sets, per-anchor Bellman-Ford -- and must stay that
 // way: an oracle sharing the production layout would share its bugs.
 //
+// anchors::AnchorSet, the sorted-vector set those algorithms return,
+// doubles as the expected-value type tests compare AnchorSetView
+// against.
+//
 // The `.cg` text parser: the istringstream-per-line parser cg::from_text
 // replaced, kept for fuzz_graph_text.cpp's differential check.
 //
@@ -22,6 +26,7 @@
 #include <string_view>
 #include <vector>
 
+#include "anchors/anchor_analysis.hpp"
 #include "base/error.hpp"
 #include "base/small_set.hpp"
 #include "base/strings.hpp"
@@ -29,9 +34,34 @@
 #include "cg/graph_io.hpp"
 #include "graph/algorithms.hpp"
 
+namespace relsched::anchors {
+
+/// Materialized anchor set (sorted vector): the expected-value type
+/// tests compare the analysis's bit-row views against.
+using AnchorSet = SmallSet<VertexId>;
+
+[[nodiscard]] inline AnchorSet materialize(const AnchorSetView& view) {
+  AnchorSet s;
+  for (VertexId a : view) s.insert(a);
+  return s;
+}
+
+inline bool operator==(const AnchorSetView& a, const AnchorSet& b) {
+  if (a.size() != static_cast<int>(b.size())) return false;
+  for (VertexId m : b) {
+    if (!a.contains(m)) return false;
+  }
+  return true;
+}
+inline bool operator==(const AnchorSet& a, const AnchorSetView& b) {
+  return b == a;
+}
+
+}  // namespace relsched::anchors
+
 namespace relsched::testing::oracle {
 
-using AnchorSet = SmallSet<VertexId>;
+using anchors::AnchorSet;
 
 /// findAnchorSet (paper §IV-A): dataflow in topological order; A(v) is
 /// the union over forward in-edges (u, v) of A(u), plus {u} when the

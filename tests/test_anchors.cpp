@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "reference_oracle.hpp"
 #include "testutil.hpp"
 
 namespace relsched::anchors {

@@ -75,11 +75,10 @@ TEST(SessionStatsTest, ForkCountersAndCopyOnWriteRows) {
   EXPECT_EQ(parent.stats().forks_taken, 0);
   EXPECT_EQ(parent.stats().anchor_rows_shared, 0);
 
-  // Two matrices (path lengths, maximal defining-path lengths), one row
-  // per anchor each.
-  const int total_rows =
-      2 * static_cast<int>(parent.products().analysis.anchors().size());
-  ASSERT_GT(total_rows, 0);
+  // Two shared value arrays: length cells and maximal defining-path
+  // length cells.
+  const int total_rows = 2;
+  ASSERT_GT(parent.products().analysis.anchors().size(), 0u);
   const std::vector<sched::OffsetMap> before = snapshot_offsets(parent);
 
   {
@@ -94,12 +93,12 @@ TEST(SessionStatsTest, ForkCountersAndCopyOnWriteRows) {
 
     // A warm resolve in one fork patches only that fork's copies: a new
     // forward constraint changes anchor path lengths, so at least one
-    // row detaches from the shared baseline.
+    // value array detaches from the shared baseline.
     f1.add_min_constraint(v1, v3, 6);
     ASSERT_TRUE(f1.resolve().ok());
     EXPECT_GE(f1.stats().warm_resolves, 1);
     EXPECT_LT(f1.stats().anchor_rows_shared, total_rows);
-    // The parent still shares every row with f2, and its products are
+    // The parent still shares both arrays with f2, and its products are
     // untouched by f1's edit.
     EXPECT_EQ(parent.stats().anchor_rows_shared, total_rows);
     const std::vector<sched::OffsetMap> after = snapshot_offsets(parent);

@@ -733,7 +733,7 @@ TEST(SessionCheckpoint, ScheduleModeMismatchRejected) {
   ASSERT_TRUE(session.checkpoint(dir).ok());
 
   constexpr std::string_view kMagic = "RSNAP001";
-  constexpr std::uint32_t kVersion = 3;
+  constexpr std::uint32_t kVersion = 4;
   std::string payload;
   ASSERT_TRUE(
       persist::read_framed_file(snapshot_path(dir), kMagic, kVersion, &payload)
@@ -760,6 +760,152 @@ TEST(SessionCheckpoint, ScheduleModeMismatchRejected) {
                   .ok());
   EXPECT_TRUE(SynthesisSession::restore(dir, {}, &report).has_value())
       << report.error.message;
+}
+
+// ---- Snapshot v4: cone-restricted anchor cells -------------------------
+//
+// Since v4 the analysis payload ends with two cell arrays (length
+// cells, then defining cells), each a u64 count and that many i64s.
+// The counts are fixed by the bit rows loaded before them.
+
+/// Byte offsets of the two cell counts inside persist::save_analysis() bytes.
+struct CellCountOffsets {
+  std::size_t length = 0;
+  std::size_t defining = 0;
+};
+
+CellCountOffsets cell_count_offsets(const anchors::AnchorAnalysis& a,
+                                    std::size_t analysis_size) {
+  const std::size_t length_cells =
+      a.total_anchor_set_size(anchors::AnchorMode::kFull) + a.anchors().size();
+  const std::size_t defining_cells =
+      a.total_anchor_set_size(anchors::AnchorMode::kRelevant);
+  CellCountOffsets at;
+  at.defining = analysis_size - 8 * defining_cells - 8;
+  at.length = at.defining - 8 * length_cells - 8;
+  return at;
+}
+
+void put_u64(std::string& bytes, std::size_t at, std::uint64_t value) {
+  for (int i = 0; i < 8; ++i) {
+    bytes[at + static_cast<std::size_t>(i)] =
+        static_cast<char>((value >> (8 * i)) & 0xff);
+  }
+}
+
+anchors::AnchorAnalysis resolved_fig2_analysis() {
+  testing::Fig2Graph fig;
+  SynthesisSession session(std::move(fig.g), {});
+  EXPECT_TRUE(session.resolve().ok());
+  return session.products().analysis;
+}
+
+TEST(SnapshotV4, Version3SnapshotIsRefused) {
+  const std::string dir = persist::temp_dir("ckpt_v3");
+  testing::Fig2Graph fig;
+  SynthesisSession session(std::move(fig.g), {});
+  ASSERT_TRUE(session.resolve().ok());
+  ASSERT_TRUE(session.checkpoint(dir).ok());
+  std::string payload;
+  ASSERT_TRUE(
+      persist::read_framed_file(snapshot_path(dir), "RSNAP001", 4, &payload).ok());
+  // The same payload framed as a version-3 file: dense anchor rows are
+  // no longer readable, and the framing says so before any parsing.
+  ASSERT_TRUE(
+      persist::write_framed_file(snapshot_path(dir), "RSNAP001", 3, payload, false)
+          .ok());
+  SynthesisSession::RestoreReport report;
+  EXPECT_FALSE(SynthesisSession::restore(dir, {}, &report).has_value());
+  EXPECT_EQ(report.error.code, ErrorCode::kBadVersion);
+}
+
+TEST(SnapshotV4, CellCountsMustMatchTheBitRows) {
+  const anchors::AnchorAnalysis a = resolved_fig2_analysis();
+  persist::Writer w;
+  persist::save_analysis(w, a);
+  const std::string bytes = w.buffer();
+  const CellCountOffsets at = cell_count_offsets(a, bytes.size());
+  {
+    persist::Reader r(bytes);
+    anchors::AnchorAnalysis loaded;
+    ASSERT_TRUE(persist::load_analysis(r, &loaded));
+    ASSERT_TRUE(r.at_end());
+  }
+  const std::uint64_t length_count = a.total_anchor_set_size(
+                                         anchors::AnchorMode::kFull) +
+                                     a.anchors().size();
+  const std::uint64_t defining_count =
+      a.total_anchor_set_size(anchors::AnchorMode::kRelevant);
+  struct Patch {
+    std::size_t at;
+    std::uint64_t count;
+  };
+  // Off by one either way, and counts far past the payload (no
+  // allocation may be sized from them).
+  const Patch patches[] = {
+      {at.length, length_count + 1},
+      {at.length, length_count - 1},
+      {at.length, std::uint64_t{1} << 60},
+      {at.length, ~std::uint64_t{0}},
+      {at.defining, defining_count + 1},
+      {at.defining, defining_count == 0 ? 1 : defining_count - 1},
+      {at.defining, std::uint64_t{1} << 61},
+  };
+  for (const Patch& p : patches) {
+    std::string patched = bytes;
+    put_u64(patched, p.at, p.count);
+    persist::Reader r(patched);
+    anchors::AnchorAnalysis loaded;
+    EXPECT_FALSE(persist::load_analysis(r, &loaded))
+        << "count " << p.count << " at " << p.at;
+    EXPECT_FALSE(r.ok());
+  }
+}
+
+TEST(SnapshotV4, TruncatedCellArraysFail) {
+  const anchors::AnchorAnalysis a = resolved_fig2_analysis();
+  persist::Writer w;
+  persist::save_analysis(w, a);
+  const std::string bytes = w.buffer();
+  const CellCountOffsets at = cell_count_offsets(a, bytes.size());
+  // Every cut from the first count's first byte to one byte short of
+  // the end: inside a count, between cells, and mid-cell.
+  for (std::size_t cut = at.length; cut < bytes.size(); ++cut) {
+    persist::Reader r(std::string_view(bytes).substr(0, cut));
+    anchors::AnchorAnalysis loaded;
+    EXPECT_FALSE(persist::load_analysis(r, &loaded)) << "cut at " << cut;
+  }
+}
+
+TEST(SnapshotV4, CorruptCellCountFailsRestoreWithFormatError) {
+  const std::string dir = persist::temp_dir("ckpt_cells");
+  testing::Fig2Graph fig;
+  SynthesisSession session(std::move(fig.g), {});
+  ASSERT_TRUE(session.resolve().ok());
+  ASSERT_TRUE(session.checkpoint(dir).ok());
+  std::string payload;
+  ASSERT_TRUE(
+      persist::read_framed_file(snapshot_path(dir), "RSNAP001", 4, &payload).ok());
+  // Payload: graph, mode byte, two flags, products revision, analysis.
+  persist::Writer graph_bytes;
+  persist::save_graph(graph_bytes, session.graph());
+  persist::Writer analysis_bytes;
+  persist::save_analysis(analysis_bytes, session.products().analysis);
+  const std::size_t analysis_at = graph_bytes.buffer().size() + 1 + 2 + 8;
+  ASSERT_EQ(payload.substr(analysis_at, analysis_bytes.buffer().size()),
+            analysis_bytes.buffer());
+  const CellCountOffsets at = cell_count_offsets(
+      session.products().analysis, analysis_bytes.buffer().size());
+  for (const std::size_t count_at : {at.length, at.defining}) {
+    std::string patched = payload;
+    put_u64(patched, analysis_at + count_at, std::uint64_t{1} << 40);
+    ASSERT_TRUE(persist::write_framed_file(snapshot_path(dir), "RSNAP001", 4, patched,
+                                  false)
+                    .ok());
+    SynthesisSession::RestoreReport report;
+    EXPECT_FALSE(SynthesisSession::restore(dir, {}, &report).has_value());
+    EXPECT_EQ(report.error.code, ErrorCode::kFormat);
+  }
 }
 
 /// Regression: a checkpoint taken after edit -> *failed* resolve used
