@@ -438,12 +438,6 @@ struct SweptCell {
 ///   length(x, v) <= length(x, r) + length(r, v).
 void AnchorAnalysis::compute_irredundant_at(VertexId v) {
   const AnchorSetView rel = relevant_set(v);
-  // A lone relevant anchor has no other anchor to be redundant through.
-  if (rel.size() <= 1) {
-    std::copy(rel.words(), rel.words() + sets_.domain.word_count(),
-              irredundant_.row(v.index()));
-    return;
-  }
   irredundant_.clear_row(v.index());
   for (VertexId x : rel) {
     bool redundant = false;
@@ -486,16 +480,14 @@ AnchorAnalysis AnchorAnalysis::compute_sharded(const cg::ConstraintGraph& g,
   const int n = g.vertex_count();
 
   // Maximal defining path lengths (Definition 10) and cone-restricted
-  // longest paths (length(a, v) = sigma_a^min(v) by Theorem 3). A(v)
-  // is known, so the length layout is too: each sweep writes its cone
-  // cells straight into their slots. R(v) is what the defining sweeps
-  // find, so their cells wait in per-anchor lists until the layout
-  // exists. Every slot and list belongs to one anchor; which worker
-  // sweeps it does not matter.
-  a.rebuild_starts();
-  std::vector<graph::Weight>& lengths = a.length_cells_.write();
-  lengths.assign(a.length_start_.back(), graph::kNegInf);
+  // longest paths (length(a, v) = sigma_a^min(v) by Theorem 3). Each
+  // sweep gathers its anchor's cells in lists of its own and hands them
+  // over once, when it is done: the cells of one vertex sit side by side
+  // in the vertex-major arrays, so workers writing them directly would
+  // keep stealing each other's cache lines. Which worker sweeps an
+  // anchor does not matter.
   std::vector<std::vector<SweptCell>> defining(num_anchors);
+  std::vector<std::vector<SweptCell>> cone(num_anchors);
   const std::size_t workers =
       pool == nullptr
           ? 1
@@ -507,14 +499,18 @@ AnchorAnalysis AnchorAnalysis::compute_sharded(const cg::ConstraintGraph& g,
     prepare(ws, n);
     for (std::size_t i = next_anchor++; i < num_anchors; i = next_anchor++) {
       const int col = static_cast<int>(i);
+      std::vector<SweptCell> found_defining;
+      std::vector<SweptCell> found_cone;
       sweep_anchor(
           g, anchors[i], a.sets_, topo, ws,
           [&](VertexId v, graph::Weight d) {
-            defining[i].push_back({v, col, d});
+            found_defining.push_back({v, col, d});
           },
           [&](VertexId v, graph::Weight len) {
-            lengths[a.length_index(col, v)] = len;
+            found_cone.push_back({v, col, len});
           });
+      defining[i] = std::move(found_defining);
+      cone[i] = std::move(found_cone);
     }
   });
   a.rows_recomputed_ = static_cast<int>(num_anchors);
@@ -522,19 +518,30 @@ AnchorAnalysis AnchorAnalysis::compute_sharded(const cg::ConstraintGraph& g,
   // R(v): x in R(v) iff a defining path from x reaches v, i.e. the
   // defining sweep of x found v (Definition 9 -- the paper's
   // relevantAnchor traversal in §IV-D visits exactly these vertices).
-  // Then the cells, placed by a per-vertex cursor: anchors ascend, so
-  // each vertex's cells fill in bit order.
+  // With R(v) and A(v) known, so are both layouts. The cells are placed
+  // by a per-vertex cursor: anchors ascend, so each vertex's cells
+  // arrive in bit order; an anchor's own cone cell is its vertex's
+  // trailing self cell.
   for (const std::vector<SweptCell>& cells : defining) {
     for (const SweptCell& c : cells) a.relevant_.set(c.v.value(), c.col);
   }
-  a.defining_start_ = cell_starts(a.relevant_, nullptr);
-  std::vector<graph::Weight>& values = a.defining_cells_.write();
-  values.assign(a.defining_start_.back(), graph::kNegInf);
-  std::vector<std::size_t> cursor(a.defining_start_.begin(),
-                                  a.defining_start_.end() - 1);
-  for (const std::vector<SweptCell>& cells : defining) {
-    for (const SweptCell& c : cells) values[cursor[c.v.index()]++] = c.value;
-  }
+  a.rebuild_starts();
+  const auto scatter = [&](const std::vector<std::vector<SweptCell>>& lists,
+                           const std::vector<std::size_t>& start,
+                           bool self_cells,
+                           std::vector<graph::Weight>& values) {
+    values.assign(start.back(), graph::kNegInf);
+    std::vector<std::size_t> cursor(start.begin(), start.end() - 1);
+    for (std::size_t i = 0; i < lists.size(); ++i) {
+      for (const SweptCell& c : lists[i]) {
+        const std::size_t v = c.v.index();
+        const bool self = self_cells && c.v == anchors[i];
+        values[self ? start[v + 1] - 1 : cursor[v]++] = c.value;
+      }
+    }
+  };
+  scatter(defining, a.defining_start_, false, a.defining_cells_.write());
+  scatter(cone, a.length_start_, true, a.length_cells_.write());
 
   // IR(v) writes only vertex v's bit row and reads state that is
   // immutable from here on.
@@ -689,35 +696,31 @@ void AnchorAnalysis::update(const cg::ConstraintGraph& g,
   }
 
   // Sweep each touched anchor over the affected cone in the dense
-  // scratch rows, then write the results back in place. Unaffected
-  // in-neighbours are fixed boundary values: the sweeps load their kept
-  // cells as they first read them (their rows, and so their slots, are
-  // unchanged). R(v) is patched from the defining results -- x in R(v)
-  // iff the sweep found a defining path, the equivalence compute()
-  // derives R from. Once an R bit flips, defining slots are no longer
-  // settled: later defining values wait in `unplaced` for the relayout
+  // scratch rows. Unaffected in-neighbours are fixed boundary values: the
+  // sweeps load their kept cells as they first read them (their rows,
+  // and so their slots, are unchanged). Length values go back in place,
+  // as the length layout is already settled. R(v) is patched from the
+  // defining results -- x in R(v) iff the sweep found a defining path,
+  // the equivalence compute() derives R from -- so the defining values
+  // are collected, their layout rebuilt if an R bit flipped, and written
   // after the loop.
   SweepWorkspace& ws = *plan.workspace;
   prepare(ws, n);
   // write() unshares an array from any fork relative before patching
   // it; with no anchor touched, both stay physically shared.
   std::vector<graph::Weight>* lengths = nullptr;
-  std::vector<graph::Weight>* defining = nullptr;
-  bool relevant_moved = false;
-  std::vector<SweptCell> unplaced;
+  const std::vector<graph::Weight>& kept_defining = defining_cells_.read();
+  std::vector<SweptCell> swept;
   for (std::size_t i = 0; i < num_anchors; ++i) {
     if (!touched[i]) continue;
     ++rows_recomputed_;
-    if (lengths == nullptr) {
-      lengths = &length_cells_.write();
-      defining = &defining_cells_.write();
-    }
+    if (lengths == nullptr) lengths = &length_cells_.write();
     const VertexId x = anchors[i];
     const int col = static_cast<int>(i);
     patch_defining_path_lengths(
         g, x, plan, ws.defining, Boundary(plan.affected, [&](VertexId u) {
           const std::size_t k = defining_index(col, u);
-          return k == kNoCell ? graph::kNegInf : (*defining)[k];
+          return k == kNoCell ? graph::kNegInf : kept_defining[k];
         }));
     patch_cone_longest_paths(
         g, x, sets_, plan, ws.length, Boundary(plan.affected, [&](VertexId u) {
@@ -726,32 +729,22 @@ void AnchorAnalysis::update(const cg::ConstraintGraph& g,
         }));
     for (VertexId v : plan.affected_topo) {
       const graph::Weight d = ws.defining[v.index()];
-      const bool relevant = d != graph::kNegInf;
-      if (relevant != relevant_.test(v.index(), col)) {
-        relevant_moved = true;
-        if (relevant) {
-          relevant_.set(v.index(), col);
-        } else {
-          relevant_.clear(v.index(), col);
-        }
-      }
-      if (relevant) {
-        if (relevant_moved) {
-          unplaced.push_back({v, col, d});
-        } else {
-          (*defining)[defining_index(col, v)] = d;
-        }
+      if (d != graph::kNegInf) {
+        relevant_.set(v.index(), col);
+        swept.push_back({v, col, d});
+      } else {
+        relevant_.clear(v.index(), col);
       }
       if (v == x || sets_.matrix.test(v.index(), col)) {
         (*lengths)[length_index(col, v)] = ws.length[v.index()];
       }
     }
   }
-  if (relevant_moved) {
-    relayout_if_changed(relevant_, prev_relevant_rows, nullptr,
-                        defining_start_, defining_cells_);
+  relayout_if_changed(relevant_, prev_relevant_rows, nullptr, defining_start_,
+                      defining_cells_);
+  if (!swept.empty()) {
     std::vector<graph::Weight>& cells = defining_cells_.write();
-    for (const SweptCell& c : unplaced) {
+    for (const SweptCell& c : swept) {
       cells[defining_index(c.col, c.v)] = c.value;
     }
   }

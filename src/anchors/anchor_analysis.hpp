@@ -315,8 +315,9 @@ class AnchorAnalysis {
   /// the graph feasible (no positive cycles) -- callers check first.
   ///
   /// Each anchor's sweep runs in one dense scratch pair (one pair per
-  /// worker with a pool) and scatters into the cells. Every cell and
-  /// every bit is written as a pure function of the immutable inputs,
+  /// worker with a pool) and gathers its cells in lists of its own; a
+  /// sequential tail places them. Every cell and every bit is written
+  /// as a pure function of the immutable inputs,
   /// so the result is bit-identical to the sequential path at any
   /// thread count. The pool parameter stays only because the frozen
   /// benchmark (perfbench/) times this call as anchors.compute_pool_us;
@@ -339,8 +340,8 @@ class AnchorAnalysis {
   /// per-anchor path values are recomputed only for anchors whose
   /// defining region or cone touches an edit; every other cell is kept
   /// and patched values are written in place. When the edit changes
-  /// an A(v) or R(v) bit, the cell layout is rebuilt in one
-  /// O(|V| + cells) pass. Preconditions: *this was computed by
+  /// an A(v) or R(v) bit, that cell layout is rebuilt in one
+  /// O(|V| + cells) pass before the values are written. Preconditions: *this was computed by
   /// compute() for the pre-edit graph, and `g` has the same vertices
   /// and anchors, is feasible, with Gf acyclic. The result is
   /// equivalent to compute(g) -- property-tested bit-for-bit.

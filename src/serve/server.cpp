@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <thread>
@@ -34,6 +35,9 @@ namespace relsched::serve {
 namespace {
 
 constexpr int kShardCount = 16;
+/// How long a drain lets connection threads send the replies in flight
+/// before it shuts their sockets both ways.
+constexpr std::chrono::seconds kDrainGrace{2};
 
 Json error_reply(const char* code, std::string detail) {
   Json reply = Json::object();
@@ -1628,9 +1632,11 @@ struct Server::Impl {
     // connection thread, persist. Shutting the sockets' read side wakes
     // a thread parked in poll() or stalled mid-frame on a silent peer,
     // while a reply in flight (the "shutdown" ack among them) still
-    // goes out. Joining, not waiting on a count, means no connection
-    // thread outlives serve_forever(), so ~Server never frees state a
-    // connection still reads.
+    // goes out. A thread still running after the grace period is stuck
+    // in send() to a peer that stopped reading: shutting the write side
+    // too fails that send. Joining, not waiting on a count, means no
+    // connection thread outlives serve_forever(), so ~Server never
+    // frees state a connection still reads.
     shutting_down.store(true, std::memory_order_relaxed);
     ::close(listen_fd);
     listen_fd = -1;
@@ -1638,6 +1644,21 @@ struct Server::Impl {
     shutdown_cancel.request_cancel();
     for (const std::unique_ptr<Connection>& c : connections) {
       (void)::shutdown(c->fd, SHUT_RD);
+    }
+    const auto grace_end = std::chrono::steady_clock::now() + kDrainGrace;
+    const auto all_finished = [this] {
+      return std::all_of(connections.begin(), connections.end(),
+                         [](const std::unique_ptr<Connection>& c) {
+                           return c->finished.load(std::memory_order_acquire);
+                         });
+    };
+    while (!all_finished() && std::chrono::steady_clock::now() < grace_end) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    for (const std::unique_ptr<Connection>& c : connections) {
+      if (!c->finished.load(std::memory_order_acquire)) {
+        (void)::shutdown(c->fd, SHUT_RDWR);
+      }
     }
     for (const std::unique_ptr<Connection>& c : connections) {
       c->thread.join();

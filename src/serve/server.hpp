@@ -145,7 +145,9 @@ class Server {
 
   /// Accept loop. Returns when shutdown() was called or a "shutdown"
   /// request arrived, after draining connections and checkpointing
-  /// every live session.
+  /// every live session. The drain gives connections 2 s to send the
+  /// replies in flight; a client that stops reading is then cut off,
+  /// so the drain always finishes.
   void serve_forever();
 
   /// Requests shutdown. Async-signal-safe: one atomic store plus one

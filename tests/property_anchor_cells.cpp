@@ -14,6 +14,8 @@
 //      and R(v) bits, so the cell layout is rebuilt mid-sequence;
 //   3. after fork-then-patch, where the parent's cells stay untouched;
 //   4. after a snapshot round trip of the analysis.
+#include <algorithm>
+#include <numeric>
 #include <optional>
 #include <random>
 #include <string>
@@ -79,15 +81,52 @@ std::string mismatch(const cg::ConstraintGraph& g,
   return "";
 }
 
+/// `g` with its vertices other than the source renumbered at random.
+/// The generator numbers vertices in a topological order, so a path's
+/// anchors would otherwise always ascend in id, and with them in
+/// anchor column.
+cg::ConstraintGraph shuffled_ids(const cg::ConstraintGraph& g,
+                                 std::mt19937& rng) {
+  const int n = g.vertex_count();
+  std::vector<int> order(static_cast<std::size_t>(n));
+  std::iota(order.begin(), order.end(), 0);
+  std::shuffle(order.begin() + 1, order.end(), rng);
+  cg::ConstraintGraph out(g.name());
+  std::vector<VertexId> renamed(static_cast<std::size_t>(n));
+  for (const int old_id : order) {
+    const cg::Vertex& v = g.vertex(VertexId(old_id));
+    renamed[static_cast<std::size_t>(old_id)] = out.add_vertex(v.name, v.delay);
+  }
+  for (const cg::Edge& e : g.edges()) {
+    const VertexId from = renamed[e.from.index()];
+    const VertexId to = renamed[e.to.index()];
+    switch (e.kind) {
+      case cg::EdgeKind::kSequencing:
+        out.add_sequencing_edge(from, to);
+        break;
+      case cg::EdgeKind::kMinConstraint:
+        out.add_min_constraint(from, to, e.fixed_weight);
+        break;
+      case cg::EdgeKind::kMaxConstraint:
+        // Stored reversed (to -> from) with weight -u.
+        out.add_max_constraint(to, from, -e.fixed_weight);
+        break;
+    }
+  }
+  return out;
+}
+
 /// Feasible, forward-acyclic random graphs. Most raw draws are
 /// ill-posed; every other one is repaired by make_wellposed() so warm
-/// sequences (which need a scheduled start) get their share too.
+/// sequences (which need a scheduled start) get their share too. Every
+/// other draw also has its vertex ids shuffled.
 std::optional<cg::ConstraintGraph> feasible_graph(std::mt19937& rng) {
   testing::RandomGraphParams params;
   params.vertex_count = 6 + static_cast<int>(rng() % 12);
   params.max_constraints = 1 + static_cast<int>(rng() % 4);
   cg::ConstraintGraph g = testing::random_constraint_graph(rng, params);
   if (rng() % 2 == 0) (void)wellposed::make_wellposed(g);
+  if (rng() % 2 == 0) g = shuffled_ids(g, rng);
   if (!g.validate().empty() || !wellposed::is_feasible(g)) return std::nullopt;
   return g;
 }
@@ -129,6 +168,9 @@ void random_edit(std::mt19937& rng, engine::SynthesisSession& s) {
   } else {
     const int to = 1 + static_cast<int>(rng() % (n - 1));
     const int from = static_cast<int>(rng() % to);
+    // With shuffled ids the sink need not come last; a constraint out
+    // of it could never be removed again (the sink would be lost).
+    if (VertexId(from) == g.sink()) return;
     s.add_min_constraint(VertexId(from), VertexId(to),
                          static_cast<int>(rng() % 5));
   }

@@ -7,12 +7,15 @@
 // injected-divergence healing).
 #include <gtest/gtest.h>
 #include <dirent.h>
+#include <fcntl.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -467,6 +470,56 @@ TEST(ServeEndToEnd, ConnectionCapShedsWithRetryAfter) {
   EXPECT_FALSE(field(shed, "ok").as_bool());
   EXPECT_EQ(field(shed, "code").as_string(), kCodeRetryAfter);
   EXPECT_GT(field(shed, "retry_after_ms").as_int(), 0);
+}
+
+TEST(ServeEndToEnd, DrainFinishesWhenAClientStopsReading) {
+  LiveServer live;
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  struct sockaddr_un addr;
+  std::memset(&addr, 0, sizeof addr);
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, live.options.socket_path.c_str(),
+               sizeof addr.sun_path - 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                      sizeof addr),
+            0);
+  ASSERT_EQ(::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK), 0);
+
+  // Pipeline pings and never read a reply. Once the replies fill the
+  // socket buffers the connection thread parks in send() and stops
+  // reading requests, so the client's sends stall for good.
+  const std::string ping = R"({"op":"ping"})";
+  std::string frames;
+  for (int i = 0; i < 100000; ++i) {
+    const std::uint32_t len = static_cast<std::uint32_t>(ping.size());
+    frames.append(reinterpret_cast<const char*>(&len), sizeof len);
+    frames += ping;
+  }
+  std::size_t sent = 0;
+  auto stalled_since = std::chrono::steady_clock::now();
+  while (sent < frames.size()) {
+    const ssize_t n =
+        ::send(fd, frames.data() + sent, frames.size() - sent, MSG_NOSIGNAL);
+    const auto now = std::chrono::steady_clock::now();
+    if (n > 0) {
+      sent += static_cast<std::size_t>(n);
+      stalled_since = now;
+      continue;
+    }
+    ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK) << errno;
+    if (now - stalled_since > std::chrono::milliseconds(300)) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_LT(sent, frames.size()) << "the server never stopped reading";
+
+  // The drain still finishes: after its grace period (2 s) the stalled
+  // send() fails, the connection thread exits and is joined.
+  const auto t0 = std::chrono::steady_clock::now();
+  live.server->shutdown();
+  live.thread.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(10));
+  ::close(fd);
 }
 
 TEST(ServeEndToEnd, StateSurvivesServerRestart) {
