@@ -689,6 +689,8 @@ int main(int argc, char** argv) {
     sizes_json.element(std::move(entry));
   }
   // Where the numbers came from, in the shape of perfbench's env block.
+  // Every timing is one measurement of one run: a single-run record,
+  // not a median.
   benchio::Json env = benchio::Json::object()
                           .field("compiler", BENCH_COMPILER)
                           .field("flags", BENCH_FLAGS)
@@ -696,7 +698,8 @@ int main(int argc, char** argv) {
                           .field("nproc", static_cast<int>(hardware))
                           .field("cores_available", cores_available())
                           .field("pool_threads", threads)
-                          .field("seed", static_cast<long long>(seed));
+                          .field("seed", static_cast<long long>(seed))
+                          .field("repetitions", 1);
   benchio::Json::object()
       .field("bench", "scale")
       .field("env", env)

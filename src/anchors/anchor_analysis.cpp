@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <functional>
+#include <optional>
 #include <ostream>
 
 #include "base/error.hpp"
@@ -25,7 +27,7 @@ namespace {
 
 /// Topological order of Gf, for the entry points not handed one.
 std::vector<int> forward_order(const cg::ConstraintGraph& g) {
-  auto topo = graph::topological_order(g.project_forward());
+  std::optional<std::vector<int>> topo = g.forward_order();
   RELSCHED_CHECK(topo.has_value(), "anchor analysis requires an acyclic Gf");
   return std::move(*topo);
 }
@@ -216,24 +218,79 @@ AnchorAnalysis AnchorAnalysis::compute_anchor_sets_only(
 
 namespace {
 
-/// The fixed values a sweep reads outside the set it recomputes. The
-/// first pass copies each such tail's value into the scratch row as it
-/// reads the edge; later passes read the same edges and find it in
-/// place, so nothing else the row holds is ever read. update() passes
-/// the kept cell (kNegInf where there is none); a cold sweep's region
-/// holds every vertex a value can reach, so outside it everything is
-/// kNegInf.
-template <typename Kept>
-struct Boundary {
-  const base::VertexMask* inside;
-  Kept kept;  // VertexId -> graph::Weight
-
-  void operator()(VertexId u, std::vector<graph::Weight>& dist) const {
-    if (!inside->contains(u)) dist[u.index()] = kept(u);
+/// Longest paths over the region `plan.affected_topo` (in topological
+/// order), in place, through the edges `relaxed(edge, weight)` accepts
+/// into the vertices `counted(v)` accepts. The region's entries must
+/// already hold their seed values (kNegInf or 0). Values enter from
+/// outside the region only through `entering`, edges whose tail is
+/// outside and head inside; `kept(u)` is such a tail's fixed value.
+///
+/// One pass in topological order pushes each vertex's value along its
+/// out-edges, which settles every edge that points forward in the
+/// order -- all of Gf. A backward edge that raises a head the pass has
+/// already left queues that head, and its rise spreads through a FIFO
+/// worklist over out-edges that stay inside the region (the region is
+/// closed under the edges that matter). The pass touches the region's
+/// out-edges only, so a region that reaches a high in-degree vertex
+/// such as the sink does not pay for that vertex's other in-edges.
+/// Without a positive cycle a vertex is enqueued at most once per
+/// backward-edge hop of its longest path, so more than |region| + 1
+/// enqueues prove the graph infeasible, a precondition violation.
+/// Returns false when `watchdog` tripped (the values are then partial).
+template <typename Kept, typename Counted, typename Relaxed>
+bool settle_region(const cg::ConstraintGraph& g, const UpdatePlan& plan,
+                   std::span<const EdgeId> entering, Kept kept,
+                   std::vector<graph::Weight>& dist, Counted counted,
+                   Relaxed relaxed, SweepWorkspace& ws,
+                   base::Watchdog* watchdog) {
+  for (const VertexId v : ws.queue) {
+    ws.enqueued[v.index()] = 0;
+    ws.in_queue[v.index()] = 0;
   }
-};
-template <typename Kept>
-Boundary(const base::VertexMask*, Kept) -> Boundary<Kept>;
+  ws.queue.clear();
+  const int limit = static_cast<int>(plan.affected_topo.size()) + 1;
+  // Raises the head of `e` from `from_value`; a raise across a
+  // backward edge (or any raise once the pass is over) queues the head.
+  const auto raise = [&](const cg::Edge& e, graph::Weight from_value,
+                         graph::Weight w, bool queue) {
+    const graph::Weight candidate = graph::saturating_add(from_value, w);
+    if (candidate <= dist[e.to.index()]) return;
+    dist[e.to.index()] = candidate;
+    if (!queue || ws.in_queue[e.to.index()] != 0) return;
+    RELSCHED_CHECK(++ws.enqueued[e.to.index()] <= limit,
+                   "anchor analysis requires a feasible graph");
+    ws.in_queue[e.to.index()] = 1;
+    ws.queue.push_back(e.to);
+  };
+  // Relaxes v's out-edges that stay inside the region.
+  const auto push = [&](VertexId v, bool after_pass) {
+    const graph::Weight dv = dist[v.index()];
+    if (dv == graph::kNegInf) return;
+    for (EdgeId eid : g.out_edges(v)) {
+      const cg::Edge& e = g.edge(eid);
+      if (!plan.affected->contains(e.to) || !counted(e.to)) continue;
+      const cg::EdgeWeight w = g.weight(eid);
+      if (!relaxed(e, w)) continue;
+      raise(e, dv, w.value, after_pass || !cg::is_forward(e.kind));
+    }
+  };
+  for (const EdgeId eid : entering) {
+    const cg::Edge& e = g.edge(eid);
+    const cg::EdgeWeight w = g.weight(eid);
+    if (counted(e.to) && relaxed(e, w)) raise(e, kept(e.from), w.value, false);
+  }
+  for (const VertexId v : plan.affected_topo) {
+    if (watchdog != nullptr && watchdog->charge()) return false;
+    if (counted(v)) push(v, false);
+  }
+  for (std::size_t head = 0; head < ws.queue.size(); ++head) {
+    if (watchdog != nullptr && watchdog->charge()) return false;
+    const VertexId v = ws.queue[head];
+    ws.in_queue[v.index()] = 0;
+    push(v, true);
+  }
+  return true;
+}
 
 constexpr auto kNothingKept = [](VertexId) { return graph::kNegInf; };
 
@@ -248,19 +305,17 @@ constexpr auto kNothingKept = [](VertexId) { return graph::kNegInf; };
 /// for the edited graph (a defining path whose length changed uses an
 /// edited edge, so its endpoint is reachable from a seed, i.e.
 /// affected), so only affected entries are re-derived, with unaffected
-/// in-neighbours acting as fixed boundary values. Once a path enters
-/// the affected cone it stays inside (the cone is closed under
-/// out-edges), so sweeping the affected vertices in topological order
-/// converges in one pass per backward-edge hop on the longest defining
-/// path -- never more than |affected| passes. Only the affected
-/// sublist is walked: the cost is proportional to the dirty cone, not
-/// to |V| or |E|. `boundary` supplies the unaffected in-neighbours'
-/// values during the first pass; `dist` may hold anything elsewhere.
+/// in-neighbours acting as fixed values `kept` across `entering`. Once
+/// a path enters the affected cone it stays inside (the cone is closed
+/// under out-edges), so settle_region() over the affected sublist
+/// suffices: the cost is proportional to the dirty cone, not to |V| or
+/// |E|. `dist` may hold anything outside the region.
 template <typename Kept>
-void patch_defining_path_lengths(const cg::ConstraintGraph& g, VertexId anchor,
+bool patch_defining_path_lengths(const cg::ConstraintGraph& g, VertexId anchor,
                                  const UpdatePlan& plan,
+                                 std::span<const EdgeId> entering, Kept kept,
                                  std::vector<graph::Weight>& dist,
-                                 const Boundary<Kept>& boundary) {
+                                 SweepWorkspace& ws) {
   for (VertexId v : plan.affected_topo) dist[v.index()] = graph::kNegInf;
   for (EdgeId eid : g.out_edges(anchor)) {
     if (!g.weight(eid).unbounded) continue;
@@ -269,29 +324,14 @@ void patch_defining_path_lengths(const cg::ConstraintGraph& g, VertexId anchor,
       dist[head.index()] = std::max<graph::Weight>(dist[head.index()], 0);
     }
   }
-  const int max_passes = static_cast<int>(plan.affected_topo.size()) + 1;
-  for (int pass = 0; pass < max_passes; ++pass) {
-    bool changed = false;
-    for (VertexId v : plan.affected_topo) {
-      graph::Weight best = dist[v.index()];
-      for (EdgeId eid : g.in_edges(v)) {
-        const cg::Edge& e = g.edge(eid);
-        if (e.from == anchor) continue;
-        const cg::EdgeWeight w = g.weight(eid);
-        if (w.unbounded) continue;
-        if (pass == 0) boundary(e.from, dist);
-        const graph::Weight candidate =
-            graph::saturating_add(dist[e.from.index()], w.value);
-        if (candidate > best) best = candidate;
-      }
-      if (best > dist[v.index()]) {
-        dist[v.index()] = best;
-        changed = true;
-      }
-    }
-    if (!changed) break;
-  }
+  const bool done = settle_region(
+      g, plan, entering, kept, dist, [](VertexId) { return true; },
+      [anchor](const cg::Edge& e, cg::EdgeWeight w) {
+        return e.from != anchor && !w.unbounded;
+      },
+      ws, plan.watchdog);
   dist[anchor.index()] = graph::kNegInf;
+  return done;
 }
 
 /// length(anchor, v) for the vertices in `plan.affected`, in place:
@@ -309,46 +349,36 @@ void patch_defining_path_lengths(const cg::ConstraintGraph& g, VertexId anchor,
 /// against them, and unaffected membership is unchanged by
 /// construction.
 template <typename Kept>
-void patch_cone_longest_paths(const cg::ConstraintGraph& g, VertexId anchor,
+bool patch_cone_longest_paths(const cg::ConstraintGraph& g, VertexId anchor,
                               const AnchorSets& anchor_sets,
                               const UpdatePlan& plan,
+                              std::span<const EdgeId> entering, Kept kept,
                               std::vector<graph::Weight>& dist,
-                              const Boundary<Kept>& boundary) {
+                              SweepWorkspace& ws) {
   const auto in_cone = [&](VertexId v) {
     return v == anchor || anchor_sets.view(v).contains(anchor);
   };
   for (VertexId v : plan.affected_topo) dist[v.index()] = graph::kNegInf;
   if (plan.affected->contains(anchor)) dist[anchor.index()] = 0;
-  const int max_passes = static_cast<int>(plan.affected_topo.size()) + 1;
-  bool changed = true;
-  for (int pass = 0; pass <= max_passes && changed; ++pass) {
-    changed = false;
-    for (VertexId v : plan.affected_topo) {
-      if (!in_cone(v)) continue;
-      graph::Weight best = dist[v.index()];
-      for (EdgeId eid : g.in_edges(v)) {
-        const cg::Edge& e = g.edge(eid);
-        if (!in_cone(e.from)) continue;
-        if (pass == 0) boundary(e.from, dist);
-        const graph::Weight candidate =
-            graph::saturating_add(dist[e.from.index()], g.weight(eid).value);
-        if (candidate > best) best = candidate;
-      }
-      if (best > dist[v.index()]) {
-        dist[v.index()] = best;
-        changed = true;
-      }
-    }
-  }
-  RELSCHED_CHECK(!changed, "anchor analysis requires a feasible graph");
+  // Every edge is relaxed between cone vertices: values only leave
+  // counted vertices, and a tail outside the cone keeps no cell, so
+  // `kept` gives it kNegInf.
+  return settle_region(
+      g, plan, entering, kept, dist, in_cone,
+      [](const cg::Edge&, cg::EdgeWeight) { return true; }, ws, plan.watchdog);
 }
 
 /// The vertices reachable from `starts` over the edges `follow`
-/// accepts, as a membership mask plus a list in the order of `topo`.
+/// accepts, as a membership mask plus a list in the order of `topo`
+/// (`position` is its inverse). The list is re-sorted by position when
+/// that is cheaper than a walk of the whole order (r log r < |V|), so a
+/// small region costs its own size.
 template <typename Follow>
 void reachable_in_topo_order(const cg::ConstraintGraph& g,
                              std::span<const VertexId> starts, Follow follow,
-                             std::span<const int> topo, base::VertexMask& mask,
+                             std::span<const int> topo,
+                             std::span<const int> position,
+                             base::VertexMask& mask,
                              std::vector<VertexId>& order) {
   mask.reset(g.vertex_count());
   order.clear();
@@ -367,7 +397,13 @@ void reachable_in_topo_order(const cg::ConstraintGraph& g,
       }
     }
   }
-  // Re-list the region in topological order.
+  const std::size_t r = order.size();
+  if (r * static_cast<std::size_t>(std::bit_width(r)) < topo.size()) {
+    std::sort(order.begin(), order.end(), [position](VertexId a, VertexId b) {
+      return position[a.index()] < position[b.index()];
+    });
+    return;
+  }
   order.clear();
   for (int node : topo) {
     if (mask.contains(VertexId(node))) order.push_back(VertexId(node));
@@ -378,6 +414,8 @@ void reachable_in_topo_order(const cg::ConstraintGraph& g,
 void prepare(SweepWorkspace& ws, int n) {
   ws.defining.resize(static_cast<std::size_t>(n));
   ws.length.resize(static_cast<std::size_t>(n));
+  ws.enqueued.resize(static_cast<std::size_t>(n), 0);
+  ws.in_queue.resize(static_cast<std::size_t>(n), 0);
 }
 
 /// Both path values of one anchor from scratch, over the regions where
@@ -386,13 +424,16 @@ void prepare(SweepWorkspace& ws, int n) {
 /// region standing in for the affected set, so a cold sweep costs the
 /// region, not |E|. Calls `defining(v, value)` for every finite
 /// defining value and `length(v, value)` for every cone vertex
-/// (the anchor included).
+/// (the anchor included). Returns false when `watchdog` tripped.
 template <typename OnDefining, typename OnLength>
-void sweep_anchor(const cg::ConstraintGraph& g, VertexId anchor,
+bool sweep_anchor(const cg::ConstraintGraph& g, VertexId anchor,
                   const AnchorSets& anchor_sets, std::span<const int> topo,
-                  SweepWorkspace& ws, OnDefining defining, OnLength length) {
+                  std::span<const int> position, SweepWorkspace& ws,
+                  base::Watchdog* watchdog, OnDefining defining,
+                  OnLength length) {
   UpdatePlan plan;
   plan.affected = &ws.region;
+  plan.watchdog = watchdog;
 
   ws.heads.clear();
   for (EdgeId eid : g.out_edges(anchor)) {
@@ -403,10 +444,13 @@ void sweep_anchor(const cg::ConstraintGraph& g, VertexId anchor,
       [&](const cg::Edge& e) {
         return e.from != anchor && !g.weight(e.id).unbounded;
       },
-      topo, ws.region, ws.order);
+      topo, position, ws.region, ws.order);
   plan.affected_topo = ws.order;
-  patch_defining_path_lengths(g, anchor, plan, ws.defining,
-                              Boundary(&ws.region, kNothingKept));
+  // A region holds every vertex a value can reach, so nothing enters it.
+  if (!patch_defining_path_lengths(g, anchor, plan, {}, kNothingKept,
+                                   ws.defining, ws)) {
+    return false;
+  }
   for (VertexId v : ws.order) {
     if (ws.defining[v.index()] != graph::kNegInf) {
       defining(v, ws.defining[v.index()]);
@@ -416,11 +460,14 @@ void sweep_anchor(const cg::ConstraintGraph& g, VertexId anchor,
   reachable_in_topo_order(
       g, std::span<const VertexId>(&anchor, 1),
       [&](const cg::Edge& e) { return anchor_sets.view(e.to).contains(anchor); },
-      topo, ws.region, ws.order);
+      topo, position, ws.region, ws.order);
   plan.affected_topo = ws.order;
-  patch_cone_longest_paths(g, anchor, anchor_sets, plan, ws.length,
-                           Boundary(&ws.region, kNothingKept));
+  if (!patch_cone_longest_paths(g, anchor, anchor_sets, plan, {},
+                                kNothingKept, ws.length, ws)) {
+    return false;
+  }
   for (VertexId v : ws.order) length(v, ws.length[v.index()]);
+  return true;
 }
 
 /// One (vertex, value) result of an anchor sweep, kept until the cell
@@ -460,17 +507,19 @@ void AnchorAnalysis::compute_irredundant_at(VertexId v) {
 
 AnchorAnalysis AnchorAnalysis::compute(const cg::ConstraintGraph& g,
                                        base::WorkStealingPool* pool) {
-  return compute_sharded(g, forward_order(g), pool);
+  return compute_sharded(g, forward_order(g), pool, nullptr);
 }
 
 AnchorAnalysis AnchorAnalysis::compute(const cg::ConstraintGraph& g,
-                                       std::span<const int> topo) {
-  return compute_sharded(g, topo, nullptr);
+                                       std::span<const int> topo,
+                                       base::Watchdog* watchdog) {
+  return compute_sharded(g, topo, nullptr, watchdog);
 }
 
 AnchorAnalysis AnchorAnalysis::compute_sharded(const cg::ConstraintGraph& g,
                                                std::span<const int> topo,
-                                               base::WorkStealingPool* pool) {
+                                               base::WorkStealingPool* pool,
+                                               base::Watchdog* watchdog) {
   AnchorAnalysis a;
   a.sets_ = find_anchor_sets(g, topo);
   a.relevant_.reset(g.vertex_count(), a.sets_.domain.count());
@@ -486,6 +535,13 @@ AnchorAnalysis AnchorAnalysis::compute_sharded(const cg::ConstraintGraph& g,
   // in the vertex-major arrays, so workers writing them directly would
   // keep stealing each other's cache lines. Which worker sweeps an
   // anchor does not matter.
+  // A watchdog is single-threaded: only the sequential path takes one.
+  RELSCHED_CHECK(pool == nullptr || watchdog == nullptr,
+                 "a watchdog cannot be shared by pooled sweeps");
+  std::vector<int> position(topo.size());
+  for (std::size_t i = 0; i < topo.size(); ++i) {
+    position[static_cast<std::size_t>(topo[i])] = static_cast<int>(i);
+  }
   std::vector<std::vector<SweptCell>> defining(num_anchors);
   std::vector<std::vector<SweptCell>> cone(num_anchors);
   const std::size_t workers =
@@ -501,18 +557,21 @@ AnchorAnalysis AnchorAnalysis::compute_sharded(const cg::ConstraintGraph& g,
       const int col = static_cast<int>(i);
       std::vector<SweptCell> found_defining;
       std::vector<SweptCell> found_cone;
-      sweep_anchor(
-          g, anchors[i], a.sets_, topo, ws,
-          [&](VertexId v, graph::Weight d) {
-            found_defining.push_back({v, col, d});
-          },
-          [&](VertexId v, graph::Weight len) {
-            found_cone.push_back({v, col, len});
-          });
+      if (!sweep_anchor(
+              g, anchors[i], a.sets_, topo, position, ws, watchdog,
+              [&](VertexId v, graph::Weight d) {
+                found_defining.push_back({v, col, d});
+              },
+              [&](VertexId v, graph::Weight len) {
+                found_cone.push_back({v, col, len});
+              })) {
+        return;
+      }
       defining[i] = std::move(found_defining);
       cone[i] = std::move(found_cone);
     }
   });
+  if (watchdog != nullptr && watchdog->stopped()) return a;
   a.rows_recomputed_ = static_cast<int>(num_anchors);
 
   // R(v): x in R(v) iff a defining path from x reaches v, i.e. the
@@ -696,9 +755,10 @@ void AnchorAnalysis::update(const cg::ConstraintGraph& g,
   }
 
   // Sweep each touched anchor over the affected cone in the dense
-  // scratch rows. Unaffected in-neighbours are fixed boundary values: the
-  // sweeps load their kept cells as they first read them (their rows,
-  // and so their slots, are unchanged). Length values go back in place,
+  // scratch rows. Unaffected in-neighbours are fixed boundary values:
+  // the sweeps read the kept cells of the tails of the edges entering
+  // the cone (their rows, and so their slots, are unchanged), listed
+  // once for all touched anchors. Length values go back in place,
   // as the length layout is already settled. R(v) is patched from the
   // defining results -- x in R(v) iff the sweep found a defining path,
   // the equivalence compute() derives R from -- so the defining values
@@ -707,26 +767,43 @@ void AnchorAnalysis::update(const cg::ConstraintGraph& g,
   SweepWorkspace& ws = *plan.workspace;
   prepare(ws, n);
   // write() unshares an array from any fork relative before patching
-  // it; with no anchor touched, both stay physically shared.
+  // it; with no anchor touched, both stay physically shared (and the
+  // entering edges are never listed).
   std::vector<graph::Weight>* lengths = nullptr;
   const std::vector<graph::Weight>& kept_defining = defining_cells_.read();
   std::vector<SweptCell> swept;
   for (std::size_t i = 0; i < num_anchors; ++i) {
     if (!touched[i]) continue;
     ++rows_recomputed_;
-    if (lengths == nullptr) lengths = &length_cells_.write();
+    if (lengths == nullptr) {
+      lengths = &length_cells_.write();
+      ws.entering.clear();
+      for (VertexId v : plan.affected_topo) {
+        for (EdgeId eid : g.in_edges(v)) {
+          if (!plan.affected->contains(g.edge(eid).from)) {
+            ws.entering.push_back(eid);
+          }
+        }
+      }
+    }
     const VertexId x = anchors[i];
     const int col = static_cast<int>(i);
-    patch_defining_path_lengths(
-        g, x, plan, ws.defining, Boundary(plan.affected, [&](VertexId u) {
-          const std::size_t k = defining_index(col, u);
-          return k == kNoCell ? graph::kNegInf : kept_defining[k];
-        }));
-    patch_cone_longest_paths(
-        g, x, sets_, plan, ws.length, Boundary(plan.affected, [&](VertexId u) {
-          const std::size_t k = length_index(col, u);
-          return k == kNoCell ? graph::kNegInf : (*lengths)[k];
-        }));
+    const bool done =
+        patch_defining_path_lengths(
+            g, x, plan, ws.entering,
+            [&](VertexId u) {
+              const std::size_t k = defining_index(col, u);
+              return k == kNoCell ? graph::kNegInf : kept_defining[k];
+            },
+            ws.defining, ws) &&
+        patch_cone_longest_paths(
+            g, x, sets_, plan, ws.entering,
+            [&](VertexId u) {
+              const std::size_t k = length_index(col, u);
+              return k == kNoCell ? graph::kNegInf : (*lengths)[k];
+            },
+            ws.length, ws);
+    if (!done) return;
     for (VertexId v : plan.affected_topo) {
       const graph::Weight d = ws.defining[v.index()];
       if (d != graph::kNegInf) {

@@ -34,6 +34,7 @@
 // |A| x |V| dense rows they replace.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <span>
 #include <vector>
@@ -42,6 +43,7 @@
 #include "base/cow.hpp"
 #include "base/ids.hpp"
 #include "base/vertex_mask.hpp"
+#include "base/watchdog.hpp"
 #include "cg/constraint_graph.hpp"
 #include "graph/algorithms.hpp"
 
@@ -276,16 +278,24 @@ AnchorSets find_anchor_sets(const cg::ConstraintGraph& g,
 /// update(). A sweep relaxes one anchor's paths by vertex index, so it
 /// borrows these two vertex-indexed rows and scatters its result into
 /// the analysis's cells. A sweep writes every entry before it reads it,
-/// so the rows may hold anything between sweeps. Callers
-/// that update repeatedly keep one (the engine pools it with its other
-/// warm-path scratch), so a warm patch allocates nothing proportional
-/// to |V|.
+/// so the rows may hold anything between sweeps. The worklist arrays
+/// are scrubbed by their own queue, so a sweep touches only the
+/// entries of vertices it enqueued. Callers that update repeatedly keep
+/// one (the engine pools it with its other warm-path scratch), so a
+/// warm patch allocates nothing proportional to |V|.
 struct SweepWorkspace {
   std::vector<graph::Weight> defining;
   std::vector<graph::Weight> length;
   base::VertexMask region;
   std::vector<VertexId> order;
   std::vector<VertexId> heads;
+  /// Rise worklist of one patch: FIFO queue, per-vertex enqueue counts
+  /// and in-queue flags.
+  std::vector<VertexId> queue;
+  std::vector<int> enqueued;
+  std::vector<std::uint8_t> in_queue;
+  /// update(): the edges into the dirty cone from outside it.
+  std::vector<EdgeId> entering;
 };
 
 /// Dirty-region description for AnchorAnalysis::update(). Produced by
@@ -306,6 +316,10 @@ struct UpdatePlan {
   bool forward_changed = false;
   /// Scratch for the per-anchor sweeps, pooled by the caller.
   SweepWorkspace* workspace = nullptr;
+  /// Charged per vertex the sweeps relax (nullptr: no limit). When it
+  /// trips, update() stops early and leaves the analysis unusable; the
+  /// caller must discard it.
+  base::Watchdog* watchdog = nullptr;
 };
 
 class AnchorAnalysis {
@@ -327,9 +341,12 @@ class AnchorAnalysis {
 
   /// The same, sequentially, over `topo`, a topological order of Gf
   /// the caller already holds (the engine's cold resolve passes the
-  /// order it maintains instead of projecting and sorting Gf again).
+  /// order it maintains instead of sorting Gf again). A non-null
+  /// `watchdog` is charged per vertex the sweeps relax; when it trips
+  /// the result is incomplete and the caller must discard it.
   static AnchorAnalysis compute(const cg::ConstraintGraph& g,
-                                std::span<const int> topo);
+                                std::span<const int> topo,
+                                base::Watchdog* watchdog = nullptr);
 
   /// Anchor sets A(v) only (cheaper; enough for well-posedness checks).
   /// R(v) and IR(v) are empty and every length is graph::kNegInf.
@@ -438,7 +455,8 @@ class AnchorAnalysis {
 
   static AnchorAnalysis compute_sharded(const cg::ConstraintGraph& g,
                                         std::span<const int> topo,
-                                        base::WorkStealingPool* pool);
+                                        base::WorkStealingPool* pool,
+                                        base::Watchdog* watchdog);
   void compute_irredundant_at(VertexId v);
   /// Recomputes length_start_ and defining_start_ from the bit rows.
   void rebuild_starts();

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "base/strings.hpp"
+#include "graph/dynamic_topo.hpp"
 
 namespace relsched::cg {
 
@@ -248,20 +249,30 @@ graph::Digraph ConstraintGraph::project_forward() const {
   return g;
 }
 
+std::optional<std::vector<int>> ConstraintGraph::forward_order() const {
+  graph::DynamicTopoOrder topo;
+  if (!topo.reset(vertex_count(),
+                  [this](auto add) { for_each_forward_arc(add); })) {
+    return std::nullopt;
+  }
+  return topo.order();
+}
+
 std::vector<ValidationIssue> ConstraintGraph::validate() const {
-  const graph::Digraph forward = project_forward();
-  return validate(forward, graph::is_acyclic(forward));
+  const std::optional<std::vector<int>> order = forward_order();
+  if (!order.has_value()) return validate(std::nullopt);
+  return validate(std::span<const int>(*order));
 }
 
 std::vector<ValidationIssue> ConstraintGraph::validate(
-    const graph::Digraph& forward, bool acyclic) const {
+    std::optional<std::span<const int>> gf_order) const {
   std::vector<ValidationIssue> issues;
   if (vertices_.empty()) {
     issues.push_back({ValidationIssue::Kind::kNoVertices, VertexId::invalid(),
                       "graph has no vertices"});
     return issues;
   }
-  if (!acyclic) {
+  if (!gf_order.has_value()) {
     issues.push_back({ValidationIssue::Kind::kForwardCycle, VertexId::invalid(),
                       "forward constraint graph Gf has a cycle"});
     return issues;  // polarity checks are meaningless on a cyclic Gf
@@ -272,14 +283,35 @@ std::vector<ValidationIssue> ConstraintGraph::validate(
                       "graph is not polar: multiple sinks"});
     return issues;
   }
-  const auto from_source = graph::reachable_from(forward, source().value());
-  const auto to_sink = graph::reaching(forward, snk.value());
+  // Every forward edge points forward in the order, so one pass front
+  // to back settles reachability from the source, and one back to front
+  // settles reaching the sink.
+  const std::span<const int> order = *gf_order;
+  std::vector<std::uint8_t> from_source(vertices_.size(), 0);
+  std::vector<std::uint8_t> to_sink(vertices_.size(), 0);
+  from_source[source().index()] = 1;
+  for (const int node : order) {
+    if (from_source[static_cast<std::size_t>(node)] == 0) continue;
+    for (EdgeId eid : out_edges(VertexId(node))) {
+      const Edge& e = edges_[eid.index()];
+      if (is_forward(e.kind)) from_source[e.to.index()] = 1;
+    }
+  }
+  to_sink[snk.index()] = 1;
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    std::uint8_t& reaches = to_sink[static_cast<std::size_t>(*it)];
+    for (EdgeId eid : out_edges(VertexId(*it))) {
+      if (reaches != 0) break;
+      const Edge& e = edges_[eid.index()];
+      if (is_forward(e.kind)) reaches = to_sink[e.to.index()];
+    }
+  }
   for (const Vertex& v : vertices_) {
-    if (!from_source[v.id.index()]) {
+    if (from_source[v.id.index()] == 0) {
       issues.push_back({ValidationIssue::Kind::kNotReachableFromSource, v.id,
                         cat("vertex '", v.name, "' unreachable from source")});
     }
-    if (!to_sink[v.id.index()]) {
+    if (to_sink[v.id.index()] == 0) {
       issues.push_back({ValidationIssue::Kind::kDoesNotReachSink, v.id,
                         cat("vertex '", v.name, "' does not reach the sink")});
     }

@@ -373,6 +373,21 @@ class ConstraintGraph {
   /// Forward constraint graph Gf = (V, Ef), unbounded weights 0.
   [[nodiscard]] graph::Digraph project_forward() const;
 
+  /// Calls add(from, to) with the vertex indices of every forward edge,
+  /// in edge-id order -- the arc order of project_forward(), without
+  /// building it. Feeds graph::DynamicTopoOrder::reset().
+  template <typename Add>
+  void for_each_forward_arc(Add&& add) const {
+    for (const Edge& e : edges_) {
+      if (is_forward(e.kind)) add(e.from.value(), e.to.value());
+    }
+  }
+
+  /// Kahn's topological order of Gf, identical to
+  /// graph::topological_order(project_forward()); std::nullopt when Gf
+  /// has a cycle. For callers that hold no order of their own.
+  [[nodiscard]] std::optional<std::vector<int>> forward_order() const;
+
   // ---- Validation / export --------------------------------------------------
 
   /// Checks the paper's structural assumptions: Gf acyclic and the graph
@@ -380,11 +395,11 @@ class ConstraintGraph {
   /// Gf). Empty result means valid.
   [[nodiscard]] std::vector<ValidationIssue> validate() const;
 
-  /// The same checks on `forward`, this graph's project_forward(), with
-  /// `acyclic` its acyclicity verdict: a caller that already projected
-  /// and sorted Gf passes both instead of having them rebuilt.
+  /// The same checks given `gf_order`, a topological order of Gf the
+  /// caller already holds (std::nullopt: Gf is cyclic). Source and sink
+  /// reachability are one forward and one reverse pass over the order.
   [[nodiscard]] std::vector<ValidationIssue> validate(
-      const graph::Digraph& forward, bool acyclic) const;
+      std::optional<std::span<const int>> gf_order) const;
 
   /// Graphviz dot rendering (forward edges solid, backward dashed,
   /// anchors double-circled like the paper's figures).

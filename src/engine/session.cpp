@@ -264,28 +264,30 @@ void SynthesisSession::cold_resolve() {
   products_ = Products{};
   sched::ScheduleResult& out = products_.schedule;
 
-  // One projection of Gf and one topological order serve the whole
-  // cold pass: validation, anchor sets and the schedule all read them.
-  // The order is reset first, on every exit path, so it stays coherent
-  // with the graph: failed resolves (invalid, infeasible, ill-posed,
-  // cancelled) do not patch the order edge-by-edge the way the warm
-  // path does, so without this reset a checkpoint taken after
-  // edit -> failed-resolve would persist an order the edited graph no
-  // longer satisfies, and restore would reject its own snapshot. (On a
-  // forward cycle the reset fails, flagging the order invalid.)
-  {
-    const graph::Digraph forward = graph_.project_forward();
-    const bool acyclic = topo_.reset(forward);
-    if (const auto issues = graph_.validate(forward, acyclic);
-        !issues.empty()) {
-      out.status = sched::ScheduleStatus::kInvalidGraph;
-      out.message = issues.front().message;
-      return;
-    }
+  // One Gf adjacency and one topological order serve the whole cold
+  // pass: validation, feasibility, anchor sets and the schedule all
+  // read them. The order is reset first, on every exit path, so it
+  // stays coherent with the graph: failed resolves (invalid,
+  // infeasible, ill-posed, cancelled) do not patch the order
+  // edge-by-edge the way the warm path does, so without this reset a
+  // checkpoint taken after edit -> failed-resolve would persist an order
+  // the edited graph no longer satisfies, and restore would reject its
+  // own snapshot. (On a forward cycle the reset fails, flagging the
+  // order invalid.)
+  const bool acyclic = topo_.reset(graph_.vertex_count(), [this](auto add) {
+    graph_.for_each_forward_arc(add);
+  });
+  if (const auto issues = graph_.validate(
+          acyclic ? std::optional<std::span<const int>>(topo_.order())
+                  : std::nullopt);
+      !issues.empty()) {
+    out.status = sched::ScheduleStatus::kInvalidGraph;
+    out.message = issues.front().message;
+    return;
   }
-  // AnchorAnalysis::compute requires feasibility, so check() cannot be
-  // deferred past it.
-  if (!wellposed::is_feasible(graph_, &watchdog_)) {
+  // Theorem 1, from the order: AnchorAnalysis::compute requires
+  // feasibility, so it cannot be deferred past it.
+  if (!wellposed::is_feasible(graph_, topo_.order(), &watchdog_)) {
     if (watchdog_.stopped()) {
       // Aborted, not infeasible: feasibility is undecided.
       cancelled_products();
@@ -297,9 +299,14 @@ void SynthesisSession::cold_resolve() {
     return;
   }
   products_.analysis =
-      anchors::AnchorAnalysis::compute(graph_, topo_.order());
+      anchors::AnchorAnalysis::compute(graph_, topo_.order(), &watchdog_);
+  if (watchdog_.stopped()) {
+    cancelled_products();
+    return;
+  }
+  // Feasibility is settled; Theorem 2 is the containment check alone.
   const wellposed::CheckResult wp =
-      wellposed::check(graph_, products_.analysis.anchor_sets());
+      wellposed::check_containment(graph_, products_.analysis.anchor_sets());
   if (wp.status == wellposed::Status::kIllPosed) {
     out.status = sched::ScheduleStatus::kIllPosed;
     out.message = wp.message;
@@ -433,10 +440,17 @@ bool SynthesisSession::try_incremental(const std::vector<VertexId>& seeds,
   plan.seeds = seeds;
   plan.forward_changed = forward_changed;
   plan.workspace = &anchor_ws_;
+  plan.watchdog = &watchdog_;
   // In place: the cached analysis holds valid pre-edit products (the
   // incremental path is only taken when the last resolve succeeded).
   anchors::AnchorAnalysis& analysis = products_.analysis;
   analysis.update(graph_, plan);
+  if (watchdog_.stopped()) {
+    // The patch stopped midway; the analysis is unusable.
+    stats_.warm_anchor_us += us_between(t_spfa, Clock::now());
+    cancelled_products();
+    return true;
+  }
   stats_.anchor_rows_recomputed += analysis.rows_recomputed();
   stats_.anchor_rows_cold_equivalent +=
       static_cast<long long>(analysis.anchors().size());
@@ -645,7 +659,9 @@ std::optional<SynthesisSession> SynthesisSession::restore(
     return reject("snapshot products are newer than the snapshot graph");
   }
   if (topo_valid &&
-      !s.topo_.restore(s.graph_.project_forward(), std::move(topo_order))) {
+      !s.topo_.restore(s.graph_.vertex_count(),
+                       [&s](auto add) { s.graph_.for_each_forward_arc(add); },
+                       std::move(topo_order))) {
     return reject("snapshot topological order is inconsistent with the graph");
   }
   if (!potentials.empty() &&

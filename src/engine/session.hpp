@@ -85,7 +85,8 @@ struct SessionOptions {
 
   // ---- Cooperative cancellation ------------------------------------------
   // Each resolve runs under a base::Watchdog built from these three
-  // knobs; the SPFA/Bellman-Ford inner loops poll it once per quantum.
+  // knobs; the feasibility pass and label-correcting loops and the
+  // anchor sweeps charge it per vertex and poll it once per quantum.
   // A stopped resolve yields products with ScheduleStatus::kCancelled
   // and a certify::Code::kTimeout diag (undecided, not a verdict), and
   // the next resolve recomputes cold.

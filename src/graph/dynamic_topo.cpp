@@ -2,53 +2,53 @@
 
 #include <algorithm>
 
-#include "graph/algorithms.hpp"
-
 namespace relsched::graph {
 
-bool DynamicTopoOrder::reset(const Digraph& g) {
-  valid_ = false;
-  const auto topo = topological_order(g);
-  if (!topo.has_value()) return false;
-  const std::size_t n = static_cast<std::size_t>(g.node_count());
-  out_.assign(n, {});
-  in_.assign(n, {});
-  for (const Arc& arc : g.arcs()) {
-    out_[static_cast<std::size_t>(arc.from)].push_back(arc.to);
-    in_[static_cast<std::size_t>(arc.to)].push_back(arc.from);
+bool DynamicTopoOrder::sort_loaded() {
+  const std::size_t n = out_.size();
+  std::vector<int> indegree(n, 0);
+  for (std::size_t v = 0; v < n; ++v) {
+    indegree[v] = static_cast<int>(in_[v].size());
   }
-  order_ = *topo;
-  pos_.assign(n, 0);
-  for (std::size_t i = 0; i < order_.size(); ++i) {
+  // The order doubles as the FIFO ready queue: nodes are appended when
+  // they become ready and leave the queue in the same sequence.
+  order_.clear();
+  order_.reserve(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    if (indegree[v] == 0) order_.push_back(static_cast<int>(v));
+  }
+  for (std::size_t head = 0; head < order_.size(); ++head) {
+    for (int to : out_[static_cast<std::size_t>(order_[head])]) {
+      if (--indegree[static_cast<std::size_t>(to)] == 0) order_.push_back(to);
+    }
+  }
+  if (order_.size() != n) return false;
+  pos_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
     pos_[static_cast<std::size_t>(order_[i])] = static_cast<int>(i);
   }
   valid_ = true;
   return true;
 }
 
-bool DynamicTopoOrder::restore(const Digraph& g, std::vector<int> order) {
-  valid_ = false;
-  const std::size_t n = static_cast<std::size_t>(g.node_count());
+bool DynamicTopoOrder::adopt_order(std::vector<int> order) {
+  const std::size_t n = out_.size();
   if (order.size() != n) return false;
   std::vector<int> pos(n, -1);
   for (std::size_t i = 0; i < order.size(); ++i) {
     const int v = order[i];
-    if (v < 0 || static_cast<std::size_t>(v) >= n || pos[static_cast<std::size_t>(v)] != -1) {
+    if (v < 0 || static_cast<std::size_t>(v) >= n ||
+        pos[static_cast<std::size_t>(v)] != -1) {
       return false;  // not a permutation
     }
     pos[static_cast<std::size_t>(v)] = static_cast<int>(i);
   }
-  for (const Arc& arc : g.arcs()) {
-    if (pos[static_cast<std::size_t>(arc.from)] >=
-        pos[static_cast<std::size_t>(arc.to)]) {
-      return false;  // not a topological order of g
+  for (std::size_t from = 0; from < n; ++from) {
+    for (int to : out_[from]) {
+      if (pos[from] >= pos[static_cast<std::size_t>(to)]) {
+        return false;  // not a topological order of the arcs
+      }
     }
-  }
-  out_.assign(n, {});
-  in_.assign(n, {});
-  for (const Arc& arc : g.arcs()) {
-    out_[static_cast<std::size_t>(arc.from)].push_back(arc.to);
-    in_[static_cast<std::size_t>(arc.to)].push_back(arc.from);
   }
   order_ = std::move(order);
   pos_ = std::move(pos);

@@ -12,9 +12,10 @@
 // topological order of the remaining graph.
 #pragma once
 
+#include <utility>
 #include <vector>
 
-#include "graph/digraph.hpp"
+#include "base/error.hpp"
 
 namespace relsched::graph {
 
@@ -22,17 +23,31 @@ class DynamicTopoOrder {
  public:
   DynamicTopoOrder() = default;
 
-  /// (Re)initializes from `g`'s arcs. Returns false (and leaves the
-  /// object invalid) when `g` is cyclic.
-  bool reset(const Digraph& g);
+  /// (Re)initializes over `node_count` nodes from the arcs that
+  /// `for_each_arc(add)` enumerates by calling add(from, to), and sorts
+  /// them with Kahn's algorithm (FIFO ready queue seeded in node order,
+  /// each node's arcs visited in enumeration order). The caller's own
+  /// edge list feeds the adjacency directly, so no intermediate graph
+  /// is built. Returns false (and leaves the object invalid) when the
+  /// arcs close a cycle.
+  template <typename ForEachArc>
+  bool reset(int node_count, ForEachArc&& for_each_arc) {
+    load_arcs(node_count, std::forward<ForEachArc>(for_each_arc));
+    return sort_loaded();
+  }
 
-  /// (Re)initializes from `g`'s arcs adopting `order` verbatim instead
-  /// of recomputing one. Pearce–Kelly orders are path-dependent (they
+  /// (Re)initializes like reset(), adopting `order` verbatim instead of
+  /// recomputing one. Pearce–Kelly orders are path-dependent (they
   /// record the history of insertions), so restoring a checkpointed
   /// session bit-identically requires restoring the exact order, not an
   /// equivalent one. Returns false (object invalid) unless `order` is a
-  /// permutation of g's nodes under which every arc points forward.
-  bool restore(const Digraph& g, std::vector<int> order);
+  /// permutation of the nodes under which every arc points forward.
+  template <typename ForEachArc>
+  bool restore(int node_count, ForEachArc&& for_each_arc,
+               std::vector<int> order) {
+    load_arcs(node_count, std::forward<ForEachArc>(for_each_arc));
+    return adopt_order(std::move(order));
+  }
 
   [[nodiscard]] bool valid() const { return valid_; }
   [[nodiscard]] int node_count() const { return static_cast<int>(out_.size()); }
@@ -56,6 +71,30 @@ class DynamicTopoOrder {
   bool remove_arc(int from, int to);
 
  private:
+  /// Empties the adjacency (keeping each node's list capacity, so a
+  /// repeated reset of the same graph allocates nothing) and fills it
+  /// from `for_each_arc`.
+  template <typename ForEachArc>
+  void load_arcs(int node_count, ForEachArc&& for_each_arc) {
+    valid_ = false;
+    const std::size_t n = static_cast<std::size_t>(node_count);
+    out_.resize(n);
+    in_.resize(n);
+    for (std::size_t v = 0; v < n; ++v) {
+      out_[v].clear();
+      in_[v].clear();
+    }
+    for_each_arc([this](int from, int to) {
+      out_[static_cast<std::size_t>(from)].push_back(to);
+      in_[static_cast<std::size_t>(to)].push_back(from);
+    });
+  }
+  /// Kahn's order of the loaded arcs; false when they are cyclic.
+  bool sort_loaded();
+  /// Adopts `order` for the loaded arcs; false unless it is a
+  /// topological order of them.
+  bool adopt_order(std::vector<int> order);
+
   bool valid_ = false;
   std::vector<std::vector<int>> out_;  // mirror adjacency (node lists)
   std::vector<std::vector<int>> in_;

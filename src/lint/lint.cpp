@@ -171,20 +171,6 @@ bool never_binding(const cg::ConstraintGraph& g,
   return sep < u;
 }
 
-/// Feasibility of `g` with the backward edges marked in `dropped`
-/// removed: no positive cycle in the remaining G0 (Theorem 1).
-bool feasible_without(const cg::ConstraintGraph& g,
-                      const std::vector<bool>& dropped) {
-  graph::Digraph d(g.vertex_count());
-  for (const cg::Edge& e : g.edges()) {
-    if (e.kind == cg::EdgeKind::kMaxConstraint && dropped[e.id.index()]) {
-      continue;
-    }
-    d.add_arc(e.from.value(), e.to.value(), g.weight(e.id).value);
-  }
-  return !graph::longest_paths_from(d, g.source().value()).positive_cycle;
-}
-
 Finding redundant_finding(const cg::ConstraintGraph& g,
                           const RedundantEdge& r) {
   const cg::Edge& e = g.edge(r.edge);
@@ -310,7 +296,16 @@ int Report::count(Severity s) const {
 UnsatCore unsat_core(const cg::ConstraintGraph& g) {
   UnsatCore out;
   std::vector<bool> dropped(static_cast<std::size_t>(g.edge_count()), false);
-  if (feasible_without(g, dropped)) {
+  // Feasibility of `g` with the max constraints marked in `d` removed:
+  // no positive cycle in the remaining G0 (Theorem 1). Dropping max
+  // constraints leaves Gf alone, so every probe reuses one order of it
+  // (empty when Gf is cyclic: the probes then start from the source).
+  const std::vector<int> gf_order =
+      g.forward_order().value_or(std::vector<int>{});
+  const auto feasible_without = [&](const std::vector<bool>& d) {
+    return wellposed::is_feasible(g, gf_order, nullptr, &d);
+  };
+  if (feasible_without(dropped)) {
     out.verification_error = "graph is feasible; no core to extract";
     return out;
   }
@@ -322,17 +317,17 @@ UnsatCore unsat_core(const cg::ConstraintGraph& g) {
   for (const cg::Edge& e : g.edges()) {
     if (e.kind != cg::EdgeKind::kMaxConstraint) continue;
     dropped[e.id.index()] = true;
-    if (feasible_without(g, dropped)) {
+    if (feasible_without(dropped)) {
       dropped[e.id.index()] = false;  // needed: keep it
       out.core.push_back(e.id);
     }
   }
   // Explicit single-deletion minimality check (cheap; doubles as a
   // regression guard on the filter itself).
-  out.minimal = !feasible_without(g, dropped);
+  out.minimal = !feasible_without(dropped);
   for (const EdgeId e : out.core) {
     dropped[e.index()] = true;
-    if (!feasible_without(g, dropped)) out.minimal = false;
+    if (!feasible_without(dropped)) out.minimal = false;
     dropped[e.index()] = false;
   }
   // Independent cross-check: re-find the positive cycle inside the

@@ -51,8 +51,7 @@ graph::Weight RelativeSchedule::max_offset(VertexId anchor) const {
 
 std::vector<graph::Weight> RelativeSchedule::start_times(
     const cg::ConstraintGraph& g, const DelayProfile& profile) const {
-  const graph::Digraph forward = g.project_forward();
-  const auto topo = graph::topological_order(forward);
+  const auto topo = g.forward_order();
   RELSCHED_CHECK(topo.has_value(), "start_times requires an acyclic Gf");
   return start_times(g, profile, *topo);
 }

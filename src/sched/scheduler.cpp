@@ -1,6 +1,7 @@
 #include "sched/scheduler.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <span>
 #include <utility>
 
@@ -135,28 +136,35 @@ void run_rounds(const cg::ConstraintGraph& g,
   result.message = "no convergence within |Eb|+1 iterations";
 }
 
-/// The validate() + feasibility + well-posedness prechecks. False, with
-/// `result` carrying the verdict, when one fails.
-bool passes_prechecks(const cg::ConstraintGraph& g, ScheduleResult& result) {
-  if (const auto issues = g.validate(); !issues.empty()) {
-    result.status = ScheduleStatus::kInvalidGraph;
-    result.message = issues.front().message;
-    return false;
-  }
-  const auto wp = wellposed::check(g);
-  if (wp.status == wellposed::Status::kInfeasible) {
-    result.status = ScheduleStatus::kInfeasible;
-    result.message = wp.message;
-    result.diag = wp.diag;
-    return false;
-  }
-  if (wp.status == wellposed::Status::kIllPosed) {
-    result.status = ScheduleStatus::kIllPosed;
-    result.message = wp.message;
-    result.diag = wp.diag;
-    return false;
-  }
-  return true;
+/// A sorted Gf as validate() takes it.
+std::optional<std::span<const int>> as_order(
+    const std::optional<std::vector<int>>& topo) {
+  if (!topo.has_value()) return std::nullopt;
+  return std::span<const int>(*topo);
+}
+
+/// Structural validation over `gf_order` (std::nullopt: Gf is cyclic).
+/// False, with `result` carrying the verdict, when it fails.
+bool passes_validation(const cg::ConstraintGraph& g,
+                       std::optional<std::span<const int>> gf_order,
+                       ScheduleResult& result) {
+  const auto issues = g.validate(gf_order);
+  if (issues.empty()) return true;
+  result.status = ScheduleStatus::kInvalidGraph;
+  result.message = issues.front().message;
+  return false;
+}
+
+/// The well-posedness verdict `wp` as a schedule status. False, with
+/// `result` carrying the verdict, unless `wp` is well-posed.
+bool passes_wellposed(const wellposed::CheckResult& wp, ScheduleResult& result) {
+  if (wp.status == wellposed::Status::kWellPosed) return true;
+  result.status = wp.status == wellposed::Status::kInfeasible
+                      ? ScheduleStatus::kInfeasible
+                      : ScheduleStatus::kIllPosed;
+  result.message = wp.message;
+  result.diag = wp.diag;
+  return false;
 }
 
 /// Iterates from the paper's r = 0 state: offset 0 for every tracked
@@ -182,9 +190,16 @@ ScheduleResult schedule(const cg::ConstraintGraph& g,
                         const anchors::AnchorAnalysis& analysis,
                         const ScheduleOptions& options) {
   ScheduleResult result;
-  if (options.prechecks && !passes_prechecks(g, result)) return result;
-  const auto topo = graph::topological_order(g.project_forward());
-  if (!topo.has_value()) {
+  const std::optional<std::vector<int>> topo = g.forward_order();
+  if (options.prechecks) {
+    // The analysis in hand supplies the anchor sets: only validation
+    // and feasibility are computed here.
+    if (!passes_validation(g, as_order(topo), result) ||
+        !passes_wellposed(wellposed::check(g, analysis.anchor_sets(), *topo),
+                          result)) {
+      return result;
+    }
+  } else if (!topo.has_value()) {
     result.status = ScheduleStatus::kInvalidGraph;
     result.message = "forward constraint graph has a cycle";
     return result;
@@ -198,7 +213,12 @@ ScheduleResult schedule(const cg::ConstraintGraph& g,
                         std::span<const int> topo,
                         const ScheduleOptions& options) {
   ScheduleResult result;
-  if (options.prechecks && !passes_prechecks(g, result)) return result;
+  if (options.prechecks &&
+      (!passes_validation(g, topo, result) ||
+       !passes_wellposed(wellposed::check(g, analysis.anchor_sets(), topo),
+                         result))) {
+    return result;
+  }
   schedule_from_zero(g, analysis, options, topo, result);
   return result;
 }
@@ -241,20 +261,23 @@ ScheduleResult schedule(const cg::ConstraintGraph& g,
                         const ScheduleOptions& options) {
   // AnchorAnalysis::compute requires a valid, feasible graph; surface
   // those failures as statuses instead of tripping its preconditions.
-  if (!g.validate().empty()) {
-    ScheduleResult result;
-    result.status = ScheduleStatus::kInvalidGraph;
-    result.message = g.validate().front().message;
-    return result;
-  }
-  if (!wellposed::is_feasible(g)) {
-    ScheduleResult result;
+  // Each check runs once, over one topological order of Gf.
+  ScheduleResult result;
+  const std::optional<std::vector<int>> topo = g.forward_order();
+  if (!passes_validation(g, as_order(topo), result)) return result;
+  if (!wellposed::is_feasible(g, *topo)) {
     result.status = ScheduleStatus::kInfeasible;
     result.message = "positive cycle with unbounded delays set to 0";
     return result;
   }
-  const auto analysis = anchors::AnchorAnalysis::compute(g);
-  return schedule(g, analysis, options);
+  const auto analysis = anchors::AnchorAnalysis::compute(g, *topo);
+  if (options.prechecks &&
+      !passes_wellposed(
+          wellposed::check_containment(g, analysis.anchor_sets()), result)) {
+    return result;
+  }
+  schedule_from_zero(g, analysis, options, *topo, result);
+  return result;
 }
 
 RelativeSchedule decomposed_schedule(const cg::ConstraintGraph& g,

@@ -111,8 +111,7 @@ class Simulator::Engine {
     for (const driver::GraphSynthesis& gs : synthesis_.graphs) {
       GraphInfo& gi = info_[gs.graph_id.index()];
       gi.gs = &gs;
-      const graph::Digraph forward = gs.constraint_graph.project_forward();
-      const auto topo = graph::topological_order(forward);
+      const auto topo = gs.constraint_graph.forward_order();
       RELSCHED_CHECK(topo.has_value(), "scheduled graph must have acyclic Gf");
       gi.topo = *topo;
       // Dependency closure for same-cycle visibility decisions.

@@ -1,10 +1,11 @@
 #include "wellposed/wellposed.hpp"
 
+#include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "base/error.hpp"
 #include "base/strings.hpp"
-#include "graph/algorithms.hpp"
 
 namespace relsched::wellposed {
 
@@ -20,23 +21,13 @@ const char* to_string(Status status) {
   return "?";
 }
 
-bool is_feasible(const cg::ConstraintGraph& g, base::Watchdog* watchdog) {
-  const graph::Digraph full = g.project_full();
-  const graph::LongestPaths lp =
-      graph::longest_paths_from(full, g.source().value(), watchdog);
-  return !lp.aborted && !lp.positive_cycle;
-}
+namespace {
 
-bool is_feasible_incremental(const cg::ConstraintGraph& g,
-                             std::vector<graph::Weight>& potentials,
-                             std::span<const VertexId> dirty,
-                             SpfaWorkspace& ws, base::Watchdog* watchdog) {
-  const int n = g.vertex_count();
-  RELSCHED_CHECK(static_cast<int>(potentials.size()) == n,
-                 "potentials out of sync with the graph");
-  // Scrub only what the previous run touched: every entry it modified
-  // belongs to a vertex it enqueued, and those are exactly the queue's
-  // contents (the queue is never shrunk mid-run).
+/// Sizes `ws` for `n` vertices and scrubs only what the previous run
+/// touched: every entry it modified belongs to a vertex it enqueued,
+/// and those are exactly the queue's contents (the queue is never
+/// shrunk mid-run).
+void begin_run(SpfaWorkspace& ws, int n) {
   if (static_cast<int>(ws.enqueued.size()) < n) {
     ws.enqueued.resize(static_cast<std::size_t>(n), 0);
     ws.in_queue.resize(static_cast<std::size_t>(n), 0);
@@ -45,22 +36,37 @@ bool is_feasible_incremental(const cg::ConstraintGraph& g,
     ws.enqueued[v.index()] = 0;
     ws.in_queue[v.index()] = 0;
   }
-  ws.queue.assign(dirty.begin(), dirty.end());
-  // SPFA-style label correction with a FIFO queue. Old edges are
-  // satisfied by `potentials`, so only edges out of dirty vertices can
-  // be violated initially; every later violation has a tail we raised.
-  // With FIFO order, a vertex enqueued more than n times lies on a
-  // positive cycle (and any positive cycle keeps raising its vertices
-  // forever), so the counter is an exact detector.
-  for (const VertexId v : dirty) {
-    ws.in_queue[v.index()] = 1;
-    ws.enqueued[v.index()] = 1;
-  }
+  ws.queue.clear();
+}
+
+void seed(SpfaWorkspace& ws, VertexId v) {
+  if (ws.in_queue[v.index()] != 0) return;
+  ws.in_queue[v.index()] = 1;
+  ws.enqueued[v.index()] = 1;
+  ws.queue.push_back(v);
+}
+
+/// The label-correcting detector behind every feasibility verdict.
+/// `potentials` must satisfy every edge `relaxed` accepts except those
+/// out of the queued seeds. SPFA-style with a FIFO queue: every later
+/// violation has a tail the loop raised. With FIFO order, a vertex
+/// enqueued more than n times lies on a positive cycle (and any
+/// positive cycle keeps raising its vertices forever), so the counter
+/// is an exact detector. Unreachable vertices hold graph::kNegInf,
+/// which saturating_add keeps unreachable: only cycles the seeds reach
+/// are found, as Theorem 1's single-source formulation asks.
+template <typename Relaxed>
+bool relax_from_seeds(const cg::ConstraintGraph& g,
+                      std::vector<graph::Weight>& potentials,
+                      SpfaWorkspace& ws, base::Watchdog* watchdog,
+                      Relaxed relaxed) {
+  const int n = g.vertex_count();
   for (std::size_t head = 0; head < ws.queue.size(); ++head) {
     if (watchdog != nullptr && watchdog->charge()) return false;
     const VertexId v = ws.queue[head];
     ws.in_queue[v.index()] = 0;
     for (EdgeId eid : g.out_edges(v)) {
+      if (!relaxed(eid)) continue;
       const cg::Edge& e = g.edge(eid);
       const graph::Weight candidate =
           graph::saturating_add(potentials[v.index()], g.weight(eid).value);
@@ -73,6 +79,73 @@ bool is_feasible_incremental(const cg::ConstraintGraph& g,
     }
   }
   return true;
+}
+
+}  // namespace
+
+bool is_feasible(const cg::ConstraintGraph& g, std::span<const int> gf_order,
+                 base::Watchdog* watchdog,
+                 const std::vector<bool>* dropped_max) {
+  const int n = g.vertex_count();
+  if (n == 0) return true;
+  const auto relaxed = [&](EdgeId eid) {
+    return dropped_max == nullptr || !(*dropped_max)[eid.index()] ||
+           g.edge(eid).kind != cg::EdgeKind::kMaxConstraint;
+  };
+  std::vector<graph::Weight> potentials(static_cast<std::size_t>(n),
+                                        graph::kNegInf);
+  potentials[g.source().index()] = 0;
+  SpfaWorkspace ws;
+  begin_run(ws, n);
+  if (gf_order.empty()) {
+    seed(ws, g.source());
+  } else {
+    RELSCHED_CHECK(static_cast<int>(gf_order.size()) == n,
+                   "Gf order out of sync with the graph");
+    // Longest paths from the source over Gf, a DAG: one pass in
+    // topological order settles every forward edge.
+    for (const int node : gf_order) {
+      if (watchdog != nullptr && watchdog->charge()) return false;
+      const graph::Weight pv = potentials[static_cast<std::size_t>(node)];
+      if (pv == graph::kNegInf) continue;
+      for (EdgeId eid : g.out_edges(VertexId(node))) {
+        const cg::Edge& e = g.edge(eid);
+        if (!cg::is_forward(e.kind)) continue;
+        graph::Weight& head = potentials[e.to.index()];
+        head = std::max(head, graph::saturating_add(pv, g.weight(eid).value));
+      }
+    }
+    // Only backward edges can be violated now.
+    for (EdgeId eid : g.backward_edges()) {
+      const VertexId tail = g.edge(eid).from;
+      if (relaxed(eid) && potentials[tail.index()] != graph::kNegInf) {
+        seed(ws, tail);
+      }
+    }
+  }
+  return relax_from_seeds(g, potentials, ws, watchdog, relaxed);
+}
+
+bool is_feasible(const cg::ConstraintGraph& g, base::Watchdog* watchdog) {
+  const std::optional<std::vector<int>> order = g.forward_order();
+  const std::span<const int> gf_order =
+      order.has_value() ? std::span<const int>(*order) : std::span<const int>();
+  return is_feasible(g, gf_order, watchdog);
+}
+
+bool is_feasible_incremental(const cg::ConstraintGraph& g,
+                             std::vector<graph::Weight>& potentials,
+                             std::span<const VertexId> dirty,
+                             SpfaWorkspace& ws, base::Watchdog* watchdog) {
+  const int n = g.vertex_count();
+  RELSCHED_CHECK(static_cast<int>(potentials.size()) == n,
+                 "potentials out of sync with the graph");
+  // Old edges are satisfied by `potentials`, so only edges out of dirty
+  // vertices can be violated initially.
+  begin_run(ws, n);
+  for (const VertexId v : dirty) seed(ws, v);
+  return relax_from_seeds(g, potentials, ws, watchdog,
+                          [](EdgeId) { return true; });
 }
 
 bool is_feasible_incremental(const cg::ConstraintGraph& g,
@@ -120,12 +193,26 @@ CheckResult infeasible_result(const cg::ConstraintGraph& g) {
 }  // namespace
 
 CheckResult check(const cg::ConstraintGraph& g) {
-  return check(g, anchors::find_anchor_sets(g));
+  const std::optional<std::vector<int>> order = g.forward_order();
+  RELSCHED_CHECK(order.has_value(), "anchor analysis requires an acyclic Gf");
+  return check(g, anchors::find_anchor_sets(g, *order), *order);
 }
 
 CheckResult check(const cg::ConstraintGraph& g,
                   const anchors::AnchorSets& anchor_sets) {
   if (!is_feasible(g)) return infeasible_result(g);
+  return check_containment(g, anchor_sets);
+}
+
+CheckResult check(const cg::ConstraintGraph& g,
+                  const anchors::AnchorSets& anchor_sets,
+                  std::span<const int> gf_order) {
+  if (!is_feasible(g, gf_order)) return infeasible_result(g);
+  return check_containment(g, anchor_sets);
+}
+
+CheckResult check_containment(const cg::ConstraintGraph& g,
+                              const anchors::AnchorSets& anchor_sets) {
   // Theorem 2 requires A(tail) subset-of A(head) for every edge; forward
   // edges satisfy it by the definition of anchor sets, so only backward
   // edges need checking (paper's checkWellposed). The backward index is

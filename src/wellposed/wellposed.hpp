@@ -42,10 +42,24 @@ struct CheckResult {
   certify::Diag diag;
 };
 
-/// Theorem 1: feasibility via positive-cycle detection on G0.
-/// A non-null `watchdog` budgets the Bellman–Ford relaxation; when it
-/// trips the function returns false with watchdog->stopped() set --
-/// callers must treat that as "undecided", not "infeasible".
+/// Theorem 1: feasibility via positive-cycle detection on G0 (no
+/// positive cycle reachable from the source). G0 is the DAG Gf plus
+/// |Eb| backward edges, so one pass over `gf_order` (a topological
+/// order of Gf) gives longest paths from the source over Gf, and the
+/// FIFO label-correcting detector of is_feasible_incremental, seeded
+/// with the backward edges' tails, settles the rest. With an empty
+/// `gf_order` the detector starts from the source alone.
+/// A non-null `watchdog` is charged per vertex of the pass and per
+/// vertex the detector relaxes; when it trips the function returns
+/// false with watchdog->stopped() set -- callers must treat that as
+/// "undecided", not "infeasible". A non-null `dropped_max` (indexed by
+/// edge id) leaves out the max constraints it flags, as if removed.
+[[nodiscard]] bool is_feasible(const cg::ConstraintGraph& g,
+                               std::span<const int> gf_order,
+                               base::Watchdog* watchdog = nullptr,
+                               const std::vector<bool>* dropped_max = nullptr);
+
+/// The same, sorting Gf first; from the source alone when Gf is cyclic.
 [[nodiscard]] bool is_feasible(const cg::ConstraintGraph& g,
                                base::Watchdog* watchdog = nullptr);
 
@@ -91,6 +105,15 @@ struct SpfaWorkspace {
 CheckResult check(const cg::ConstraintGraph& g);
 CheckResult check(const cg::ConstraintGraph& g,
                   const anchors::AnchorSets& anchor_sets);
+/// The same, deciding feasibility over `gf_order` (see is_feasible).
+CheckResult check(const cg::ConstraintGraph& g,
+                  const anchors::AnchorSets& anchor_sets,
+                  std::span<const int> gf_order);
+
+/// The containment half of check() alone, for callers that already
+/// established feasibility: kWellPosed or kIllPosed, never kInfeasible.
+CheckResult check_containment(const cg::ConstraintGraph& g,
+                              const anchors::AnchorSets& anchor_sets);
 
 /// Containment re-check after an edit, assuming the pre-edit graph was
 /// well-posed and feasibility has already been re-established. A

@@ -189,6 +189,87 @@ std::string set_rows(const cg::ConstraintGraph& g,
   return out;
 }
 
+/// A ladder of `rungs` max constraints whose rises chain: rung i's
+/// backward edge y_i -> x_i lifts x_i, which feeds y_{i+1} through a
+/// delay-5 vertex, whose backward edge lifts x_{i+1}, and so on. Every
+/// x_i hangs directly off the anchor `a`, so it sits early in the
+/// topological order and each rise lands behind the pass that caused
+/// it: a sweep of whole-region passes needs one pass per rung.
+cg::ConstraintGraph backward_ladder(int rungs) {
+  cg::ConstraintGraph g("ladder");
+  const VertexId v0 = g.add_vertex("v0", cg::Delay::bounded(0));
+  const VertexId a = g.add_vertex("a", cg::Delay::unbounded());
+  const VertexId t = g.add_vertex("t", cg::Delay::bounded(0));
+  g.add_sequencing_edge(v0, a);
+  VertexId feed = a;
+  for (int i = 1; i <= rungs; ++i) {
+    const VertexId x = g.add_vertex(cat("x", i), cg::Delay::bounded(1));
+    const VertexId l = g.add_vertex(cat("l", i), cg::Delay::bounded(5));
+    const VertexId y = g.add_vertex(cat("y", i), cg::Delay::bounded(0));
+    g.add_sequencing_edge(a, x);
+    g.add_sequencing_edge(feed, l);
+    g.add_sequencing_edge(l, y);
+    g.add_sequencing_edge(y, t);
+    g.add_max_constraint(x, y, 1);
+    feed = x;
+  }
+  g.add_sequencing_edge(feed, t);
+  return g;
+}
+
+/// Whole-region passes in topological order that length(anchor, .)
+/// needs before one of them changes nothing, that one included: the
+/// cost of a sweep without a worklist.
+int region_passes(const cg::ConstraintGraph& g, VertexId anchor) {
+  const std::vector<int> topo = *g.forward_order();
+  std::vector<graph::Weight> dist(static_cast<std::size_t>(g.vertex_count()),
+                                  graph::kNegInf);
+  dist[anchor.index()] = 0;
+  for (int pass = 1;; ++pass) {
+    bool changed = false;
+    for (const int node : topo) {
+      for (EdgeId eid : g.in_edges(VertexId(node))) {
+        const graph::Weight candidate = graph::saturating_add(
+            dist[g.edge(eid).from.index()], g.weight(eid).value);
+        if (candidate > dist[static_cast<std::size_t>(node)]) {
+          dist[static_cast<std::size_t>(node)] = candidate;
+          changed = true;
+        }
+      }
+    }
+    if (!changed) return pass;
+  }
+}
+
+TEST(AnchorCellsProperty, ChainedBackwardRisesSettleThroughTheWorklist) {
+  cg::ConstraintGraph g = backward_ladder(6);
+  const VertexId a(1);
+  ASSERT_GE(region_passes(g, a), 4);
+  ASSERT_EQ(wellposed::check(g).status, wellposed::Status::kWellPosed);
+  ASSERT_EQ(mismatch(g, anchors::AnchorAnalysis::compute(g)), "");
+  // length(a, x_6) climbs by 5 per rung: 0, 4, 9, ..., 29 (x_i is
+  // vertex 3i).
+  EXPECT_EQ(anchors::AnchorAnalysis::compute(g).length(a, VertexId(18)), 29);
+
+  // Warm: loosening and tightening rungs re-settles the chain inside
+  // the dirty cone, through update()'s shared worklist.
+  engine::SynthesisSession session(std::move(g), {});
+  ASSERT_TRUE(session.resolve().ok());
+  std::vector<EdgeId> rungs;
+  for (const EdgeId e : session.graph().backward_edges()) rungs.push_back(e);
+  std::mt19937 rng(0x1ADD);
+  int warm = 0;
+  for (int step = 0; step < 24; ++step) {
+    session.set_constraint_bound(rungs[rng() % rungs.size()],
+                                 1 + static_cast<int>(rng() % 6));
+    const engine::Products& p = session.resolve();
+    ASSERT_TRUE(p.ok()) << "step " << step;
+    ASSERT_EQ(mismatch(session.graph(), p.analysis), "") << "step " << step;
+    warm += session.last_resolve_was_warm() ? 1 : 0;
+  }
+  EXPECT_GT(warm, 20);
+}
+
 TEST(AnchorCellsProperty, ColdMatchesDenseOracleAtEveryPoolWidth) {
   std::mt19937 rng(0xCE115);
   base::WorkStealingPool pool1(1), pool2(2), pool8(8);

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
 #include "base/error.hpp"
+#include "feasibility_cases.hpp"
 #include "testutil.hpp"
 
 namespace relsched::cg {
@@ -133,6 +138,88 @@ TEST(ConstraintGraph, ProjectionsPreserveStructure) {
   EXPECT_TRUE(graph::is_acyclic(forward));
   // The backward edge makes the full graph cyclic (v1 -> v2 -> v1).
   EXPECT_FALSE(graph::is_acyclic(full));
+}
+
+/// validate()'s verdict from the projection: Kahn over
+/// project_forward() and two graph floods, the checks the ordered
+/// passes replace.
+std::vector<ValidationIssue> flood_validate(const ConstraintGraph& g) {
+  std::vector<ValidationIssue> issues;
+  const graph::Digraph forward = g.project_forward();
+  if (!graph::is_acyclic(forward)) {
+    issues.push_back({ValidationIssue::Kind::kForwardCycle, VertexId::invalid(),
+                      "forward constraint graph Gf has a cycle"});
+    return issues;
+  }
+  if (!g.sink().is_valid()) {
+    issues.push_back({ValidationIssue::Kind::kMultipleSinks,
+                      VertexId::invalid(),
+                      "graph is not polar: multiple sinks"});
+    return issues;
+  }
+  const auto from_source = graph::reachable_from(forward, 0);
+  const auto to_sink = graph::reaching(forward, g.sink().value());
+  for (const Vertex& v : g.vertices()) {
+    if (!from_source[v.id.index()]) {
+      issues.push_back({ValidationIssue::Kind::kNotReachableFromSource, v.id,
+                        cat("vertex '", v.name, "' unreachable from source")});
+    }
+    if (!to_sink[v.id.index()]) {
+      issues.push_back({ValidationIssue::Kind::kDoesNotReachSink, v.id,
+                        cat("vertex '", v.name, "' does not reach the sink")});
+    }
+  }
+  return issues;
+}
+
+TEST(ConstraintGraph, OrderedValidationMatchesProjectionAndFloods) {
+  std::mt19937 rng(0x0DE5);
+  int cyclic = 0;
+  int unreachable = 0;
+  int removals = 0;
+  for (int i = 0; i < 400; ++i) {
+    ConstraintGraph g = relsched::testing::feasibility_case(rng);
+    // Swap-pop removals reorder the intrusive out-chains against the
+    // edge ids; the order must still follow edge-id order.
+    for (int k = static_cast<int>(rng() % 3); k > 0; --k) {
+      for (const Edge& e : g.edges()) {
+        if (e.kind == EdgeKind::kSequencing) continue;
+        const auto forward_count = [&g](auto match) {
+          return std::count_if(g.edges().begin(), g.edges().end(),
+                               [&](const Edge& f) {
+                                 return is_forward(f.kind) && match(f);
+                               });
+        };
+        const bool keeps_polarity =
+            e.kind == EdgeKind::kMaxConstraint ||
+            (forward_count([&](const Edge& f) { return f.from == e.from; }) >
+                 1 &&
+             forward_count([&](const Edge& f) { return f.to == e.to; }) > 1);
+        if (keeps_polarity) {
+          g.remove_constraint(e.id);
+          ++removals;
+          break;
+        }
+      }
+    }
+    const auto want_order = graph::topological_order(g.project_forward());
+    EXPECT_EQ(g.forward_order(), want_order) << "case " << i;
+    cyclic += want_order.has_value() ? 0 : 1;
+    const std::vector<ValidationIssue> want = flood_validate(g);
+    const std::vector<ValidationIssue> got = g.validate();
+    ASSERT_EQ(got.size(), want.size()) << "case " << i;
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      EXPECT_EQ(got[k].kind, want[k].kind) << "case " << i;
+      EXPECT_EQ(got[k].vertex, want[k].vertex) << "case " << i;
+      EXPECT_EQ(got[k].message, want[k].message) << "case " << i;
+      if (got[k].kind == ValidationIssue::Kind::kNotReachableFromSource) {
+        ++unreachable;
+      }
+    }
+  }
+  EXPECT_GT(cyclic, 20);
+  EXPECT_GT(unreachable, 50);
+  EXPECT_GT(removals, 100);
 }
 
 TEST(ConstraintGraph, DotExportMentionsAllVertices) {

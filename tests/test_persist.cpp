@@ -23,6 +23,7 @@
 #include "persist/snapshot.hpp"
 #include "persist/wal.hpp"
 #include "testutil.hpp"
+#include "wellposed/wellposed.hpp"
 
 namespace relsched::persist {
 namespace {
@@ -1061,6 +1062,67 @@ TEST(SessionCancellation, CancelTokenStopsResolve) {
   EXPECT_NE(p.schedule.message.find("cancellation requested"),
             std::string::npos)
       << p.schedule.message;
+}
+
+/// Steps the cold resolve's feasibility prologue charges on `g`, and
+/// its verdict.
+std::uint64_t prologue_steps(const cg::ConstraintGraph& g, bool* feasible) {
+  base::Watchdog dog(base::CancelToken{}, base::Watchdog::kNoDeadline, 0);
+  *feasible = wellposed::is_feasible(g, *g.forward_order(), &dog);
+  return dog.steps();
+}
+
+std::string products_bytes(const Products& p) {
+  persist::Writer w;
+  save_products(w, p);
+  return w.buffer();
+}
+
+TEST(SessionCancellation, StepLimitInPrologueOrSweepYieldsCancelled) {
+  testing::Fig2Graph fig;
+  const std::string fresh = products_bytes(SynthesisSession(fig.g).resolve());
+  bool feasible = false;
+  const std::uint64_t prologue = prologue_steps(fig.g, &feasible);
+  ASSERT_TRUE(feasible);
+  ASSERT_GT(prologue, 3u);
+  // Limits inside the topological pass, at the prologue's last step,
+  // and inside the anchor sweeps that follow it.
+  for (const std::uint64_t limit :
+       {std::uint64_t{2}, prologue - 1, prologue + 1, prologue + 6}) {
+    SessionOptions opts;
+    opts.step_limit = limit;
+    SynthesisSession session(fig.g, opts);
+    const Products& p = session.resolve();
+    EXPECT_EQ(p.schedule.status, sched::ScheduleStatus::kCancelled)
+        << "limit " << limit;
+    EXPECT_NE(p.schedule.message.find("iteration budget exhausted"),
+              std::string::npos)
+        << p.schedule.message;
+    EXPECT_EQ(session.stats().cancelled_resolves, 1);
+    // Lifting the limit recomputes cold, bit-identical to a fresh
+    // session.
+    session.set_cancellation(base::CancelToken{});
+    EXPECT_EQ(products_bytes(session.resolve()), fresh) << "limit " << limit;
+  }
+}
+
+TEST(SessionCancellation, StepLimitBeforeCycleDetectionIsNotInfeasible) {
+  testing::Fig2Graph fig;
+  // u = 0 between v0 and v4 closes a positive cycle (v4 sits >= 8
+  // cycles after v0).
+  fig.g.add_max_constraint(fig.v0, fig.v4, 0);
+  bool feasible = true;
+  const std::uint64_t steps = prologue_steps(fig.g, &feasible);
+  ASSERT_FALSE(feasible);
+  SessionOptions opts;
+  opts.step_limit = steps - 1;
+  SynthesisSession session(fig.g, opts);
+  EXPECT_EQ(session.resolve().schedule.status,
+            sched::ScheduleStatus::kCancelled);
+  session.set_cancellation(base::CancelToken{});
+  const Products& p = session.resolve();
+  EXPECT_EQ(p.schedule.status, sched::ScheduleStatus::kInfeasible);
+  EXPECT_EQ(products_bytes(p), products_bytes(SynthesisSession(fig.g).resolve()));
 }
 
 TEST(SessionEnv, CertifyFlagParsersAreStrict) {
