@@ -6,6 +6,11 @@
 // certified incremental engine and reports, per size:
 //
 //   cold     - a fresh certified SynthesisSession::resolve();
+//   steps    - the cold resolve split into its steps (Gf order,
+//              validation, feasibility, anchor analysis, containment,
+//              schedule, start times), each timed over the same calls
+//              the session makes, min and median over --reps, plus the
+//              heap bytes the Gf order and the schedule hold;
 //   warm     - a >= 100-edit sequence (alternately loosening and
 //              restoring max-constraint bounds spread across the
 //              design), every resolve certified and required to take
@@ -50,6 +55,8 @@
 //   --edits N            warm-sequence length (default 120; the 10^6
 //                        tier clamps it to 40)
 //   --seed N             generator seed (default 90)
+//   --reps N             repetitions of each cold measurement (default
+//                        5; the 10^6 tier clamps it to 2)
 //   --threads N          pool width for the parallel runs (default 4)
 //   --advisory-speedup   report the anchor-phase speedup gate but
 //                        never fail on it (noisy shared CI runners)
@@ -81,6 +88,8 @@
 #include "designs/generator.hpp"
 #include "engine/session.hpp"
 #include "explore/explorer.hpp"
+#include "graph/dynamic_topo.hpp"
+#include "wellposed/wellposed.hpp"
 
 using namespace relsched;
 
@@ -98,6 +107,11 @@ int cores_available() {
     return static_cast<int>(std::thread::hardware_concurrency());
   }
   return CPU_COUNT(&set);
+}
+
+double min_us(const std::vector<double>& samples) {
+  return samples.empty() ? 0.0
+                         : *std::min_element(samples.begin(), samples.end());
 }
 
 double median_us(std::vector<double>& samples) {
@@ -258,12 +272,27 @@ designs::GeneratorParams params_for(int vertices, std::uint64_t seed) {
   return p;
 }
 
+/// The steps of a cold resolve, in the order the session runs them.
+constexpr const char* kColdSteps[] = {"order",       "validation",
+                                      "feasibility", "anchors",
+                                      "containment", "schedule",
+                                      "start_times"};
+constexpr std::size_t kColdStepCount = std::size(kColdSteps);
+
 struct Row {
   int vertices = 0;
   int edges = 0;
   int anchors = 0;
   int edits = 0;
+  int cold_reps = 0;
   double cold_us = 0;
+  double cold_min_us = 0;
+  // Per cold step: min and median over cold_reps.
+  double step_min_us[kColdStepCount] = {};
+  double step_median_us[kColdStepCount] = {};
+  // Heap bytes of the Gf order and of the relative schedule.
+  std::size_t order_bytes = 0;
+  std::size_t schedule_bytes = 0;
   double warm_us = 0;
   int dirty_cone = 0;
   double topo_us = 0;
@@ -296,6 +325,65 @@ std::string fmt(double v, int precision = 1) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.*f", precision, v);
   return buf;
+}
+
+/// Times the cold resolve's steps one by one over the calls
+/// SynthesisSession's cold path makes, `reps` times, into `row`.
+/// Returns false when a step fails or the schedule differs from
+/// `want`, the session's own cold schedule.
+bool time_cold_steps(const cg::ConstraintGraph& g, int reps,
+                     const sched::RelativeSchedule& want, Row* row) {
+  std::vector<double> samples[kColdStepCount];
+  for (int r = 0; r < reps; ++r) {
+    graph::DynamicTopoOrder topo;
+    anchors::AnchorAnalysis analysis;
+    sched::ScheduleResult result;
+    bool ok = true;
+    std::size_t step = 0;
+    const auto time_step = [&](auto&& fn) {
+      samples[step++].push_back(timed_us(fn));
+    };
+    time_step([&] { ok = topo.reset(g); });
+    if (ok) time_step([&] { ok = g.validate(topo.order()).empty(); });
+    if (ok) time_step([&] { ok = wellposed::is_feasible(g, topo.order()); });
+    if (ok) {
+      time_step([&] {
+        analysis = anchors::AnchorAnalysis::compute(g, topo.order());
+      });
+    }
+    if (ok) {
+      time_step([&] {
+        ok = wellposed::check_containment(g, analysis.anchor_sets()).status ==
+             wellposed::Status::kWellPosed;
+      });
+    }
+    if (ok) {
+      sched::ScheduleOptions sopts;
+      sopts.prechecks = false;
+      time_step([&] {
+        result = sched::schedule(g, analysis, topo.order(), sopts);
+      });
+      ok = result.ok() && result.schedule == want;
+    }
+    std::vector<graph::Weight> start;
+    if (ok) {
+      time_step([&] {
+        start = result.schedule.start_times(g, {}, topo.order());
+      });
+    }
+    if (!ok) {
+      std::cerr << g.vertex_count() << ": cold step " << kColdSteps[step - 1]
+                << " failed or diverged from the session\n";
+      return false;
+    }
+    row->order_bytes = topo.heap_bytes();
+    row->schedule_bytes = result.schedule.heap_bytes();
+  }
+  for (std::size_t i = 0; i < kColdStepCount; ++i) {
+    row->step_min_us[i] = min_us(samples[i]);
+    row->step_median_us[i] = median_us(samples[i]);
+  }
+  return true;
 }
 
 /// Runs the warm edit sequence on `session` (already resolved once);
@@ -335,8 +423,9 @@ bool run_edit_sequence(engine::SynthesisSession& session,
 /// One size of the ladder: cold timing, the warm edit sequence, the
 /// anchor-phase parallel comparison, and every bit-identity gate.
 /// Returns false on a hard-gate failure.
-bool run_size(int vertices, int edits, std::uint64_t seed, bool timing,
-              const std::shared_ptr<base::WorkStealingPool>& pool, Row* out) {
+bool run_size(int vertices, int edits, int reps, std::uint64_t seed,
+              bool timing, const std::shared_ptr<base::WorkStealingPool>& pool,
+              Row* out) {
   cg::ConstraintGraph graph = designs::generate(params_for(vertices, seed));
   Row row;
   row.vertices = graph.vertex_count();
@@ -412,11 +501,13 @@ bool run_size(int vertices, int edits, std::uint64_t seed, bool timing,
   engine::SessionOptions opts;
   opts.certify = true;
 
-  // Cold baseline: fresh certified sessions over the pristine graph.
-  const int cold_repeats =
-      !timing ? 1 : (vertices >= 1000000 ? 1 : (vertices >= 100000 ? 3 : 7));
+  // Cold baseline: fresh certified sessions over the pristine graph,
+  // then the same resolve step by step.
+  row.cold_reps =
+      !timing ? 1 : (vertices >= 1000000 ? std::min(reps, 2) : reps);
   std::vector<double> cold_samples;
-  for (int i = 0; i < cold_repeats; ++i) {
+  sched::RelativeSchedule cold_schedule;
+  for (int i = 0; i < row.cold_reps; ++i) {
     engine::SynthesisSession fresh(graph, opts);
     cold_samples.push_back(timed_us([&] { fresh.resolve(); }));
     if (!fresh.products().ok()) {
@@ -424,8 +515,13 @@ bool run_size(int vertices, int edits, std::uint64_t seed, bool timing,
                 << fresh.products().schedule.message << "\n";
       return false;
     }
+    cold_schedule = fresh.products().schedule.schedule;
   }
+  row.cold_min_us = min_us(cold_samples);
   row.cold_us = median_us(cold_samples);
+  if (!time_cold_steps(graph, row.cold_reps, cold_schedule, &row)) {
+    return false;
+  }
 
   // Warm sequence: round-robin over the targets,
   // alternately loosening and restoring each bound. Constraint-only
@@ -523,6 +619,7 @@ int main(int argc, char** argv) {
   int single_vertices = 0;
   int edits = 120;
   int threads = 4;
+  int reps = 5;
   std::uint64_t seed = 90;
   bool check_only = false;
   bool advisory = false;
@@ -544,6 +641,13 @@ int main(int argc, char** argv) {
       threads = std::atoi(value);
       if (threads < 1 || threads > 512) {
         std::cerr << "--threads expects an integer in [1, 512]\n";
+        return EXIT_FAILURE;
+      }
+      ++i;
+    } else if (arg == "--reps" && value != nullptr) {
+      reps = std::atoi(value);
+      if (reps < 1 || reps > 1000) {
+        std::cerr << "--reps expects an integer in [1, 1000]\n";
         return EXIT_FAILURE;
       }
       ++i;
@@ -573,7 +677,8 @@ int main(int argc, char** argv) {
     const int vertices = single_vertices > 0 ? single_vertices : 10000;
     const int check_edits = std::min(edits, 24);
     Row row;
-    if (!run_size(vertices, check_edits, seed, /*timing=*/false, pool, &row)) {
+    if (!run_size(vertices, check_edits, reps, seed, /*timing=*/false, pool,
+                  &row)) {
       return EXIT_FAILURE;
     }
     std::cout << "session check: " << row.vertices << " vertices, "
@@ -599,7 +704,8 @@ int main(int argc, char** argv) {
     // wall clock sane without weakening any gate.
     const int size_edits = size >= 1000000 ? std::min(edits, 40) : edits;
     Row row;
-    if (!run_size(size, size_edits, seed, /*timing=*/true, pool, &row)) {
+    if (!run_size(size, size_edits, reps, seed, /*timing=*/true, pool,
+                  &row)) {
       return EXIT_FAILURE;
     }
     row.peak_rss_mb = peak_rss_mb();
@@ -618,6 +724,26 @@ int main(int argc, char** argv) {
                    fmt(row.peak_rss_mb, 1)});
   }
   table.print(std::cout);
+
+  std::cout << "\ncold resolve steps (us, min / median over the rung's "
+               "repetitions) and heap bytes\n\n";
+  TextTable steps;
+  std::vector<std::string> step_header = {"|V|", "reps"};
+  for (const char* step : kColdSteps) step_header.push_back(step);
+  step_header.push_back("order B");
+  step_header.push_back("schedule B");
+  steps.set_header(step_header);
+  for (const Row& row : rows) {
+    std::vector<std::string> cells = {cat(row.vertices), cat(row.cold_reps)};
+    for (std::size_t i = 0; i < kColdStepCount; ++i) {
+      cells.push_back(cat(fmt(row.step_min_us[i]), " / ",
+                          fmt(row.step_median_us[i])));
+    }
+    cells.push_back(cat(row.order_bytes));
+    cells.push_back(cat(row.schedule_bytes));
+    steps.add_row(cells);
+  }
+  steps.print(std::cout);
 
   std::cout << "\nwarm-path phase breakdown (us per warm resolve)\n\n";
   TextTable phases;
@@ -666,7 +792,9 @@ int main(int argc, char** argv) {
                               .field("edges", row.edges)
                               .field("anchors", row.anchors)
                               .field("edits", row.edits)
+                              .field("cold_reps", row.cold_reps)
                               .field("cold_us", row.cold_us)
+                              .field("cold_min_us", row.cold_min_us)
                               .field("warm_us", row.warm_us)
                               .field("speedup", row.speedup())
                               .field("dirty_cone_vertices", row.dirty_cone)
@@ -682,6 +810,17 @@ int main(int argc, char** argv) {
                                      row.anchor_speedup())
                               .field("peak_rss_mb", row.peak_rss_mb)
                               .field("binary_round_trip", row.binary_checked);
+    benchio::Json steps_json = benchio::Json::object();
+    for (std::size_t i = 0; i < kColdStepCount; ++i) {
+      steps_json.field(kColdSteps[i],
+                       benchio::Json::object()
+                           .field("min_us", row.step_min_us[i])
+                           .field("median_us", row.step_median_us[i]));
+    }
+    entry.field("cold_steps", std::move(steps_json))
+        .field("order_heap_bytes", static_cast<long long>(row.order_bytes))
+        .field("schedule_heap_bytes",
+               static_cast<long long>(row.schedule_bytes));
     if (row.binary_checked) {
       entry.field("binary_write_us", row.binary_write_us)
           .field("binary_read_us", row.binary_read_us);
@@ -689,8 +828,8 @@ int main(int argc, char** argv) {
     sizes_json.element(std::move(entry));
   }
   // Where the numbers came from, in the shape of perfbench's env block.
-  // Every timing is one measurement of one run: a single-run record,
-  // not a median.
+  // Cold timings are medians (and minima) over `repetitions` (each
+  // rung's cold_reps); warm and anchor-phase timings are as before.
   benchio::Json env = benchio::Json::object()
                           .field("compiler", BENCH_COMPILER)
                           .field("flags", BENCH_FLAGS)
@@ -699,7 +838,7 @@ int main(int argc, char** argv) {
                           .field("cores_available", cores_available())
                           .field("pool_threads", threads)
                           .field("seed", static_cast<long long>(seed))
-                          .field("repetitions", 1);
+                          .field("repetitions", reps);
   benchio::Json::object()
       .field("bench", "scale")
       .field("env", env)

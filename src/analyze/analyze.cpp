@@ -537,8 +537,8 @@ std::string certify_scheduled(const cg::ConstraintGraph& g,
   for (std::size_t i = 0; i < ex.vertex_map.size(); ++i) {
     const VertexId ov = ex.vertex_map[i];
     const auto full_set = analysis.anchor_set(ov);
-    const auto& entries =
-        result.schedule.offsets(VertexId(static_cast<int>(i))).entries();
+    const sched::OffsetView entries =
+        result.schedule.offsets(VertexId(static_cast<int>(i)));
     if (static_cast<int>(entries.size()) != full_set.size()) {
       return cat("offset map of '", g.vertex(ov).name, "' tracks ",
                  entries.size(), " anchors in the subgraph vs ",

@@ -1,9 +1,12 @@
 // Interned-name storage for graph vertices.
 //
-// Names live in large append-only chunks instead of one heap string per
+// Names live in append-only chunks instead of one heap string per
 // vertex: a 10^5-vertex design stores all names in a handful of 64 KiB
 // blocks, and Vertex carries a 16-byte string_view instead of a 32-byte
-// std::string. Chunks are shared_ptr-owned and immutable once shared:
+// std::string. Chunk capacities double from 256 bytes up to 64 KiB, so
+// a graph of a few dozen vertices -- one per loop body of an HDL design
+// -- does not reserve 64 KiB it never touches. Chunks are
+// shared_ptr-owned and immutable once shared:
 //
 //   - Copying an arena (graph copies, session forks) copies only the
 //     chunk pointers; every existing string_view stays valid because
@@ -14,6 +17,7 @@
 //     mutates under a view.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -28,8 +32,12 @@ class NameArena {
   std::string_view intern(std::string_view s) {
     if (chunks_.empty() || chunks_.back().use_count() != 1 ||
         chunks_.back()->size() + s.size() > chunks_.back()->capacity()) {
+      const std::size_t grown =
+          chunks_.empty()
+              ? kFirstChunkBytes
+              : std::min(2 * chunks_.back()->capacity(), kChunkBytes);
       auto chunk = std::make_shared<std::string>();
-      chunk->reserve(std::max<std::size_t>(kChunkBytes, s.size()));
+      chunk->reserve(std::max(grown, s.size()));
       chunks_.push_back(std::move(chunk));
     }
     std::string& chunk = *chunks_.back();
@@ -39,6 +47,7 @@ class NameArena {
   }
 
  private:
+  static constexpr std::size_t kFirstChunkBytes = 256;
   static constexpr std::size_t kChunkBytes = std::size_t{1} << 16;
   std::vector<std::shared_ptr<std::string>> chunks_;
 };

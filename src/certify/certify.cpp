@@ -137,19 +137,6 @@ Diag schedule_violation(const cg::ConstraintGraph& g, EdgeId edge,
   return d;
 }
 
-/// sigma_a(v) looked up through the inline entries() accessor (keeps
-/// this library link-independent of relsched_sched).
-std::optional<graph::Weight> offset_of(const sched::OffsetMap& offsets,
-                                       VertexId anchor) {
-  const auto& entries = offsets.entries();
-  auto it = std::lower_bound(entries.begin(), entries.end(), anchor,
-                             [](const sched::OffsetMap::Entry& e, VertexId a) {
-                               return e.first < a;
-                             });
-  if (it == entries.end() || it->first != anchor) return std::nullopt;
-  return it->second;
-}
-
 /// Zero-profile delay contribution of `v` (mirrors
 /// sched::DelayProfile::delay_of with an empty profile).
 graph::Weight zero_profile_delay(const cg::ConstraintGraph& g, VertexId v) {
@@ -473,7 +460,7 @@ Diag check_schedule_against(const cg::ConstraintGraph& g,
     if (w.unbounded) {
       // Sequencing edge out of an anchor: T(h) >= T(t) + d(t) for every
       // d(t) iff h tracks t with a nonnegative offset.
-      const auto sigma = offset_of(schedule.offsets(h), t);
+      const auto sigma = schedule.offset(h, t);
       if (!sigma.has_value() || *sigma < 0) {
         return schedule_violation(
             g, e.id, t, sigma.value_or(graph::kNegInf), 0, "missing-anchor",
@@ -496,7 +483,7 @@ Diag check_schedule_against(const cg::ConstraintGraph& g,
                 "' constrains its own anchor '", vname(g, a),
                 "': unsatisfiable for unbounded delays"));
       }
-      const auto sigma_h = offset_of(schedule.offsets(h), a);
+      const auto sigma_h = schedule.offset(h, a);
       if (!sigma_h.has_value()) {
         return schedule_violation(
             g, e.id, a, graph::kNegInf, sigma_t + w.value, "missing-anchor",
@@ -545,7 +532,7 @@ Diag check_products(const cg::ConstraintGraph& g,
   for (int vi = 0; vi < g.vertex_count(); ++vi) {
     const VertexId v(vi);
     const auto tracked = analysis.anchor_set(v);
-    const auto& entries = schedule.offsets(v).entries();
+    const sched::OffsetView entries = schedule.offsets(v);
     if (static_cast<int>(entries.size()) != tracked.size()) {
       return schedule_violation(
           g, EdgeId::invalid(), v, static_cast<graph::Weight>(entries.size()),

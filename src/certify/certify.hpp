@@ -25,7 +25,7 @@
 //                      order and zero-profile start times).
 //
 // Layering: certify links only base/graph/cg/anchors. It consumes
-// sched/relative_schedule.hpp header-only (entries(), offsets(v) and
+// sched/relative_schedule.hpp header-only (offsets(v), offset(v, a) and
 // vertex_count() are inline), so wellposed and sched can both depend on
 // certify without a library cycle.
 #pragma once

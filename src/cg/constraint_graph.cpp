@@ -251,8 +251,7 @@ graph::Digraph ConstraintGraph::project_forward() const {
 
 std::optional<std::vector<int>> ConstraintGraph::forward_order() const {
   graph::DynamicTopoOrder topo;
-  if (!topo.reset(vertex_count(),
-                  [this](auto add) { for_each_forward_arc(add); })) {
+  if (!topo.reset(*this)) {
     return std::nullopt;
   }
   return topo.order();
@@ -285,16 +284,28 @@ std::vector<ValidationIssue> ConstraintGraph::validate(
   }
   // Every forward edge points forward in the order, so one pass front
   // to back settles reachability from the source, and one back to front
-  // settles reaching the sink.
+  // settles reaching the sink. The source must be an anchor of every
+  // other vertex (v0 in A(v)): reached through one of the source's
+  // sequencing edges, whose weight is the unbounded delta(v0). Bit 1
+  // marks any forward path from the source, bit 2 one that leaves it
+  // through a sequencing edge.
+  constexpr std::uint8_t kReached = 1;
+  constexpr std::uint8_t kAnchored = 2;
   const std::span<const int> order = *gf_order;
   std::vector<std::uint8_t> from_source(vertices_.size(), 0);
   std::vector<std::uint8_t> to_sink(vertices_.size(), 0);
-  from_source[source().index()] = 1;
+  from_source[source().index()] = kReached;
   for (const int node : order) {
-    if (from_source[static_cast<std::size_t>(node)] == 0) continue;
+    const std::uint8_t reached = from_source[static_cast<std::size_t>(node)];
+    if (reached == 0) continue;
+    const bool at_source = node == source().value();
     for (EdgeId eid : out_edges(VertexId(node))) {
       const Edge& e = edges_[eid.index()];
-      if (is_forward(e.kind)) from_source[e.to.index()] = 1;
+      if (!is_forward(e.kind)) continue;
+      from_source[e.to.index()] |=
+          !at_source ? reached
+          : e.kind == EdgeKind::kSequencing ? kReached | kAnchored
+                                            : kReached;
     }
   }
   to_sink[snk.index()] = 1;
@@ -310,6 +321,13 @@ std::vector<ValidationIssue> ConstraintGraph::validate(
     if (from_source[v.id.index()] == 0) {
       issues.push_back({ValidationIssue::Kind::kNotReachableFromSource, v.id,
                         cat("vertex '", v.name, "' unreachable from source")});
+    } else if (v.id != source() &&
+               (from_source[v.id.index()] & kAnchored) == 0) {
+      issues.push_back(
+          {ValidationIssue::Kind::kNotReachableFromSource, v.id,
+           cat("vertex '", v.name,
+               "' is reached from the source only through minimum timing "
+               "constraints")});
     }
     if (to_sink[v.id.index()] == 0) {
       issues.push_back({ValidationIssue::Kind::kDoesNotReachSink, v.id,

@@ -373,13 +373,29 @@ class ConstraintGraph {
   /// Forward constraint graph Gf = (V, Ef), unbounded weights 0.
   [[nodiscard]] graph::Digraph project_forward() const;
 
-  /// Calls add(from, to) with the vertex indices of every forward edge,
-  /// in edge-id order -- the arc order of project_forward(), without
-  /// building it. Feeds graph::DynamicTopoOrder::reset().
-  template <typename Add>
-  void for_each_forward_arc(Add&& add) const {
-    for (const Edge& e : edges_) {
-      if (is_forward(e.kind)) add(e.from.value(), e.to.value());
+  // ---- Forward adjacency (Gf) ----------------------------------------------
+  // Read straight from the intrusive chains and the forward-degree
+  // counters: the adjacency graph::DynamicTopoOrder walks.
+
+  /// Number of forward edges into `v`.
+  [[nodiscard]] int forward_in_degree(int v) const {
+    return forward_in_count_[static_cast<std::size_t>(v)];
+  }
+  /// Calls f(head, edge id) for each forward edge out of `v`, in chain
+  /// (insertion) order.
+  template <typename F>
+  void for_each_forward_out(int v, F&& f) const {
+    for (EdgeId eid : out_edges(VertexId(v))) {
+      const Edge& e = edges_[eid.index()];
+      if (is_forward(e.kind)) f(e.to.value(), eid.value());
+    }
+  }
+  /// Calls f(tail) for each forward edge into `v`, in chain order.
+  template <typename F>
+  void for_each_forward_in(int v, F&& f) const {
+    for (EdgeId eid : in_edges(VertexId(v))) {
+      const Edge& e = edges_[eid.index()];
+      if (is_forward(e.kind)) f(e.from.value());
     }
   }
 
@@ -392,7 +408,9 @@ class ConstraintGraph {
 
   /// Checks the paper's structural assumptions: Gf acyclic and the graph
   /// polar (single source/sink, all vertices on a source-to-sink path in
-  /// Gf). Empty result means valid.
+  /// Gf), with the source an anchor of every other vertex (v0 in A(v):
+  /// some Gf path from v0 to v starts with a sequencing edge, not a
+  /// minimum timing constraint). Empty result means valid.
   [[nodiscard]] std::vector<ValidationIssue> validate() const;
 
   /// The same checks given `gf_order`, a topological order of Gf the

@@ -31,6 +31,26 @@ double us_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::micro>(b - a).count();
 }
 
+/// Loaded products index only vertices of the loaded graph: the
+/// analysis and the schedule cover all `n` of them (or, unless the
+/// products are ok, none), and every offset's anchor is a vertex.
+bool products_fit(const Products& p, int n) {
+  const std::size_t rows = p.analysis.anchor_sets().domain.index.size();
+  const sched::RelativeSchedule& schedule = p.schedule.schedule;
+  const bool empty_ok = !p.ok();
+  if (!(rows == static_cast<std::size_t>(n) || (empty_ok && rows == 0)) ||
+      !(schedule.vertex_count() == n ||
+        (empty_ok && schedule.vertex_count() == 0))) {
+    return false;
+  }
+  for (int v = 0; v < schedule.vertex_count(); ++v) {
+    for (const VertexId a : schedule.offsets(VertexId(v)).anchors()) {
+      if (a.value() >= n) return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 bool certify_default() {
@@ -274,9 +294,7 @@ void SynthesisSession::cold_resolve() {
   // the edited graph no longer satisfies, and restore would reject its
   // own snapshot. (On a forward cycle the reset fails, flagging the
   // order invalid.)
-  const bool acyclic = topo_.reset(graph_.vertex_count(), [this](auto add) {
-    graph_.for_each_forward_arc(add);
-  });
+  const bool acyclic = topo_.reset(graph_);
   if (const auto issues = graph_.validate(
           acyclic ? std::optional<std::span<const int>>(topo_.order())
                   : std::nullopt);
@@ -329,27 +347,7 @@ bool SynthesisSession::try_incremental(const std::vector<VertexId>& seeds,
   // graph invalid; defer to the cold path, which reports it.
   if (!topo_.valid()) return false;
   const Clock::time_point t_begin = Clock::now();
-  // The journal suffix since the last resolve: products_.revision is
-  // the absolute revision the cached products were computed at.
-  const std::vector<cg::Edit>& edits = graph_.edits();
-  const std::uint64_t base = graph_.journal_base();
-  for (std::size_t i = static_cast<std::size_t>(products_.revision - base);
-       i < edits.size(); ++i) {
-    const cg::Edit& e = edits[i];
-    switch (e.kind) {
-      case cg::Edit::Kind::kAddMinConstraint:
-        if (!topo_.add_arc(e.from.value(), e.to.value())) return false;
-        break;
-      case cg::Edit::Kind::kRemoveConstraint:
-        if (e.forward) {
-          RELSCHED_CHECK(topo_.remove_arc(e.from.value(), e.to.value()),
-                         "topo mirror out of sync with the graph");
-        }
-        break;
-      default:
-        break;  // backward edges and re-weights never touch Gf's order
-    }
-  }
+  if (!replay_forward_insertions()) return false;
 
   // Dirty cone: everything reachable from a seed in the current full
   // graph. One flood covers the whole journal suffix -- k edits, one
@@ -495,6 +493,48 @@ bool SynthesisSession::try_incremental(const std::vector<VertexId>& seeds,
   products_.schedule = std::move(rescheduled);
   if (products_.ok()) adopt_schedule();
   stats_.warm_resched_us += us_between(t_anchor, Clock::now());
+  return true;
+}
+
+bool SynthesisSession::replay_forward_insertions() {
+  // The journal suffix since the last resolve: products_.revision is
+  // the absolute revision the cached products were computed at. The
+  // order reads the edited graph, which already holds every arc of the
+  // suffix. An insertion that a later edit of the suffix removes never
+  // reaches the final Gf, so it is not replayed; the others stay
+  // pending -- skipped by the discovery walks -- until their turn.
+  // Removals need nothing: deleting an arc keeps any order valid.
+  using Arc = graph::DynamicTopoOrder::Arc;
+  const std::vector<cg::Edit>& edits = graph_.edits();
+  const std::size_t first =
+      static_cast<std::size_t>(products_.revision - graph_.journal_base());
+  std::vector<Arc> removed_later;
+  std::vector<Arc> replay;  // surviving insertions, last first
+  for (std::size_t i = edits.size(); i-- > first;) {
+    const cg::Edit& e = edits[i];
+    if (!e.forward) continue;
+    const Arc arc{e.from.value(), e.to.value()};
+    if (e.kind == cg::Edit::Kind::kRemoveConstraint) {
+      removed_later.push_back(arc);
+    } else if (e.kind == cg::Edit::Kind::kAddMinConstraint) {
+      const auto it =
+          std::find(removed_later.begin(), removed_later.end(), arc);
+      if (it != removed_later.end()) {
+        removed_later.erase(it);
+      } else {
+        replay.push_back(arc);
+      }
+    }
+  }
+  // `replay` doubles as the pending multiset: its not-yet-replayed
+  // prefix holds exactly the later insertions.
+  for (std::size_t k = replay.size(); k-- > 0;) {
+    const Arc arc = replay[k];
+    if (!topo_.add_arc(arc.from, arc.to, graph_,
+                       std::span<const Arc>(replay.data(), k))) {
+      return false;
+    }
+  }
   return true;
 }
 
@@ -658,10 +698,11 @@ std::optional<SynthesisSession> SynthesisSession::restore(
   if (s.products_.revision > s.graph_.revision()) {
     return reject("snapshot products are newer than the snapshot graph");
   }
+  if (!products_fit(s.products_, s.graph_.vertex_count())) {
+    return reject("snapshot products do not fit the snapshot graph");
+  }
   if (topo_valid &&
-      !s.topo_.restore(s.graph_.vertex_count(),
-                       [&s](auto add) { s.graph_.for_each_forward_arc(add); },
-                       std::move(topo_order))) {
+      !s.topo_.restore(s.graph_, std::move(topo_order))) {
     return reject("snapshot topological order is inconsistent with the graph");
   }
   if (!potentials.empty() &&

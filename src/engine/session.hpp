@@ -478,6 +478,9 @@ class SynthesisSession {
   void certify_cold_products();
   /// Refreshes topo/potentials after a successful schedule.
   void adopt_schedule();
+  /// Replays the journal suffix's min-constraint insertions into topo_
+  /// (Pearce-Kelly); false when one closes a forward cycle.
+  bool replay_forward_insertions();
   /// |reachable set| from `seeds` over the current full graph; the
   /// cone-accounting primitive behind commit()'s statistics.
   [[nodiscard]] int flood_count(std::span<const VertexId> seeds) const;

@@ -154,6 +154,11 @@ bool load_graph(Reader& r, cg::ConstraintGraph* out) {
           // Stored as the backward edge (t, h) with fixed weight -u:
           // re-adding the constraint between (h, t) with bound u
           // reproduces the stored edge bit-for-bit in the same slot.
+          // The most negative weight has no bound u to negate into.
+          if (weight == std::numeric_limits<std::int32_t>::min()) {
+            r.fail();
+            return false;
+          }
           g.add_max_constraint(VertexId(to), VertexId(from), -weight);
           break;
         default:
@@ -362,9 +367,9 @@ void save_schedule(Writer& w, const sched::RelativeSchedule& schedule) {
   const int n = schedule.vertex_count();
   w.u32(static_cast<std::uint32_t>(n));
   for (int v = 0; v < n; ++v) {
-    const auto& entries = schedule.offsets(VertexId(v)).entries();
-    w.u32(static_cast<std::uint32_t>(entries.size()));
-    for (const auto& [anchor, offset] : entries) {
+    const sched::OffsetView offsets = schedule.offsets(VertexId(v));
+    w.u32(static_cast<std::uint32_t>(offsets.size()));
+    for (const auto& [anchor, offset] : offsets.entries()) {
       w.i32(anchor.value());
       w.i64(offset);
     }
@@ -377,30 +382,35 @@ bool load_schedule(Reader& r, sched::RelativeSchedule* out) {
     r.fail();
     return false;
   }
-  sched::RelativeSchedule schedule(static_cast<int>(n));
+  // Only the vertex count is bounded by the bytes left before anything
+  // is sized by it; cells are appended as they are read, each vertex's
+  // count checked against the bytes left first.
+  sched::RelativeSchedule schedule;
+  schedule.reserve(static_cast<int>(n), 0);
   for (std::uint32_t v = 0; v < n; ++v) {
     const std::uint32_t entries = r.u32();
     if (!r.ok() || r.remaining() / 12 < entries) {
       r.fail();
       return false;
     }
-    sched::OffsetMap& map = schedule.offsets(VertexId(static_cast<int>(v)));
+    schedule.add_vertex();
     VertexId previous = VertexId::invalid();
     for (std::uint32_t i = 0; i < entries; ++i) {
       const VertexId anchor(r.i32());
       const graph::Weight offset = r.i64();
-      // Entries are stored sorted by anchor; enforce it so set() is a
-      // pure append and the rebuilt map is bit-identical.
+      // Entries are stored sorted by anchor; enforce it so the rebuilt
+      // cells are bit-identical.
       if (!anchor.is_valid() ||
           (previous.is_valid() && anchor <= previous)) {
         r.fail();
         return false;
       }
-      map.set(anchor, offset);
+      schedule.add_cell(anchor, offset);
       previous = anchor;
     }
   }
   if (!r.ok()) return false;
+  schedule.shrink_to_fit();
   *out = std::move(schedule);
   return true;
 }

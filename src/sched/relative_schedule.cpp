@@ -1,50 +1,69 @@
 #include "sched/relative_schedule.hpp"
 
 #include <algorithm>
+#include <ostream>
 
 #include "base/error.hpp"
 #include "graph/algorithms.hpp"
 
 namespace relsched::sched {
 
-std::optional<graph::Weight> OffsetMap::get(VertexId anchor) const {
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), anchor,
-      [](const Entry& e, VertexId a) { return e.first < a; });
-  if (it == entries_.end() || it->first != anchor) return std::nullopt;
-  return it->second;
+std::ostream& operator<<(std::ostream& os, const OffsetView& offsets) {
+  os << '{';
+  const char* sep = "";
+  for (const auto& [anchor, sigma] : offsets.entries()) {
+    os << sep << 'v' << anchor.value() << ':' << sigma;
+    sep = ", ";
+  }
+  return os << '}';
 }
 
-void OffsetMap::set(VertexId anchor, graph::Weight value) {
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), anchor,
-      [](const Entry& e, VertexId a) { return e.first < a; });
-  if (it != entries_.end() && it->first == anchor) {
-    it->second = value;
-  } else {
-    entries_.insert(it, Entry{anchor, value});
-  }
+void RelativeSchedule::reserve(int vertices, std::size_t cells) {
+  start_.reserve(static_cast<std::size_t>(vertices) + 1);
+  anchor_.reserve(cells);
+  value_.reserve(cells);
 }
 
-bool OffsetMap::raise(VertexId anchor, graph::Weight value) {
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), anchor,
-      [](const Entry& e, VertexId a) { return e.first < a; });
-  if (it != entries_.end() && it->first == anchor) {
-    if (value > it->second) {
-      it->second = value;
-      return true;
-    }
-    return false;
+void RelativeSchedule::add_vertex() {
+  if (start_.empty()) start_.push_back(0);
+  start_.push_back(start_.back());
+}
+
+void RelativeSchedule::add_cell(VertexId anchor, graph::Weight value) {
+  RELSCHED_CHECK(!start_.empty(), "add_cell() before add_vertex()");
+  RELSCHED_CHECK(start_.back() == start_[start_.size() - 2] ||
+                     anchor_.back() < anchor,
+                 "a vertex's cells must ascend by anchor");
+  RELSCHED_CHECK(anchor_.size() < UINT32_MAX, "too many schedule cells");
+  anchor_.push_back(anchor);
+  value_.push_back(value);
+  ++start_.back();
+}
+
+void RelativeSchedule::shrink_to_fit() {
+  start_.shrink_to_fit();
+  anchor_.shrink_to_fit();
+  value_.shrink_to_fit();
+}
+
+void RelativeSchedule::set(VertexId v, VertexId a, graph::Weight value) {
+  const auto first = anchor_.begin() + start_[v.index()];
+  const auto last = anchor_.begin() + start_[v.index() + 1];
+  const auto it = std::lower_bound(first, last, a);
+  const auto at = it - anchor_.begin();
+  if (it != last && *it == a) {
+    value_[static_cast<std::size_t>(at)] = value;
+    return;
   }
-  entries_.insert(it, Entry{anchor, value});
-  return true;
+  anchor_.insert(it, a);
+  value_.insert(value_.begin() + at, value);
+  for (std::size_t i = v.index() + 1; i < start_.size(); ++i) ++start_[i];
 }
 
 graph::Weight RelativeSchedule::max_offset(VertexId anchor) const {
   graph::Weight best = 0;
-  for (const OffsetMap& om : offsets_) {
-    if (auto v = om.get(anchor)) best = std::max(best, *v);
+  for (std::size_t i = 0; i < anchor_.size(); ++i) {
+    if (anchor_[i] == anchor) best = std::max(best, value_[i]);
   }
   return best;
 }

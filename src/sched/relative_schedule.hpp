@@ -10,6 +10,9 @@
 // which the control unit realizes with counters or shift registers.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
+#include <iosfwd>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -22,31 +25,85 @@
 
 namespace relsched::sched {
 
-/// Offsets of one vertex: sorted (anchor, offset) pairs.
-class OffsetMap {
+/// One vertex's offsets: (anchor, sigma_anchor(v)) pairs in ascending
+/// anchor order. A read-only window into a RelativeSchedule's cells,
+/// valid until the schedule is mutated or destroyed.
+class OffsetView {
  public:
   using Entry = std::pair<VertexId, graph::Weight>;
 
-  [[nodiscard]] std::optional<graph::Weight> get(VertexId anchor) const;
-  /// Sets sigma_anchor to `value`; inserts the anchor if absent.
-  void set(VertexId anchor, graph::Weight value);
-  /// max-update; returns true if the stored value increased.
-  bool raise(VertexId anchor, graph::Weight value);
+  OffsetView(std::span<const VertexId> anchors,
+             std::span<const graph::Weight> values)
+      : anchors_(anchors), values_(values) {}
 
-  [[nodiscard]] bool empty() const { return entries_.empty(); }
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
-  /// Drops all entries, keeping the capacity (warm reschedules reseed a
-  /// vertex's offsets in place).
-  void clear() { entries_.clear(); }
-  [[nodiscard]] const std::vector<Entry>& entries() const { return entries_; }
+  class iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = Entry;
+    using difference_type = std::ptrdiff_t;
 
-  friend bool operator==(const OffsetMap& a, const OffsetMap& b) {
-    return a.entries_ == b.entries_;
+    iterator() = default;
+    iterator(const VertexId* anchor, const graph::Weight* value)
+        : anchor_(anchor), value_(value) {}
+    Entry operator*() const { return {*anchor_, *value_}; }
+    iterator& operator++() {
+      ++anchor_;
+      ++value_;
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator t = *this;
+      ++*this;
+      return t;
+    }
+    friend bool operator==(const iterator& a, const iterator& b) {
+      return a.anchor_ == b.anchor_;
+    }
+    friend bool operator!=(const iterator& a, const iterator& b) {
+      return !(a == b);
+    }
+
+   private:
+    const VertexId* anchor_ = nullptr;
+    const graph::Weight* value_ = nullptr;
+  };
+  [[nodiscard]] iterator begin() const {
+    return iterator(anchors_.data(), values_.data());
+  }
+  [[nodiscard]] iterator end() const {
+    return iterator(anchors_.data() + anchors_.size(), nullptr);
+  }
+  /// The entries as a range: `for (const auto& [a, sigma] :
+  /// view.entries())`.
+  [[nodiscard]] OffsetView entries() const { return *this; }
+
+  [[nodiscard]] std::span<const VertexId> anchors() const { return anchors_; }
+  [[nodiscard]] std::span<const graph::Weight> values() const {
+    return values_;
+  }
+  [[nodiscard]] std::size_t size() const { return anchors_.size(); }
+  [[nodiscard]] bool empty() const { return anchors_.empty(); }
+
+  /// sigma_anchor(v); nullopt when `anchor` is not tracked.
+  [[nodiscard]] std::optional<graph::Weight> get(VertexId anchor) const {
+    const auto it = std::lower_bound(anchors_.begin(), anchors_.end(), anchor);
+    if (it == anchors_.end() || *it != anchor) return std::nullopt;
+    return values_[static_cast<std::size_t>(it - anchors_.begin())];
+  }
+
+  friend bool operator==(const OffsetView& a, const OffsetView& b) {
+    return std::equal(a.anchors_.begin(), a.anchors_.end(),
+                      b.anchors_.begin(), b.anchors_.end()) &&
+           std::equal(a.values_.begin(), a.values_.end(), b.values_.begin(),
+                      b.values_.end());
   }
 
  private:
-  std::vector<Entry> entries_;
+  std::span<const VertexId> anchors_;
+  std::span<const graph::Weight> values_;
 };
+
+std::ostream& operator<<(std::ostream& os, const OffsetView& offsets);
 
 /// Actual execution delays assumed for anchors when evaluating a
 /// schedule. Anchors without an explicit entry take delay 0 (their
@@ -69,24 +126,60 @@ class DelayProfile {
   std::unordered_map<VertexId, int> delays_;
 };
 
+/// All offsets of a schedule in one vertex-major CSR layout: vertex v's
+/// cells are [start_[v], start_[v + 1]) of the anchor and value arrays,
+/// anchors ascending. The layout is fixed when the schedule is built
+/// (the scheduler lays out the tracked sets once); the iteration then
+/// writes values in place.
 class RelativeSchedule {
  public:
   RelativeSchedule() = default;
-  explicit RelativeSchedule(int vertex_count)
-      : offsets_(static_cast<std::size_t>(vertex_count)) {}
 
   [[nodiscard]] int vertex_count() const {
-    return static_cast<int>(offsets_.size());
+    return start_.empty() ? 0 : static_cast<int>(start_.size()) - 1;
   }
-  [[nodiscard]] const OffsetMap& offsets(VertexId v) const {
-    return offsets_[v.index()];
+  [[nodiscard]] OffsetView offsets(VertexId v) const {
+    const std::size_t b = start_[v.index()];
+    const std::size_t e = start_[v.index() + 1];
+    return OffsetView(std::span<const VertexId>(anchor_).subspan(b, e - b),
+                      std::span<const graph::Weight>(value_).subspan(b, e - b));
   }
-  [[nodiscard]] OffsetMap& offsets(VertexId v) { return offsets_[v.index()]; }
 
   /// sigma_a(v); nullopt when `a` is not tracked for v.
   [[nodiscard]] std::optional<graph::Weight> offset(VertexId v,
                                                     VertexId a) const {
-    return offsets_[v.index()].get(a);
+    return offsets(v).get(a);
+  }
+
+  // ---- Construction ------------------------------------------------------
+
+  /// Reserves room for `vertices` vertices and `cells` cells in total.
+  void reserve(int vertices, std::size_t cells);
+  /// Appends vertex vertex_count(), tracking no anchor yet.
+  void add_vertex();
+  /// Appends a cell to the last vertex; anchors must ascend.
+  void add_cell(VertexId anchor, graph::Weight value);
+  /// Drops spare capacity (after a build of unknown size).
+  void shrink_to_fit();
+
+  /// Sets sigma_a(v), inserting the cell when v does not track `a` yet
+  /// (which shifts every later cell: meant for tools and tests, not
+  /// for the scheduler's loops).
+  void set(VertexId v, VertexId a, graph::Weight value);
+
+  /// Vertex v's values, writable in place (aligned with
+  /// offsets(v).anchors()).
+  [[nodiscard]] std::span<graph::Weight> values(VertexId v) {
+    const std::size_t b = start_[v.index()];
+    return std::span<graph::Weight>(value_).subspan(
+        b, start_[v.index() + 1] - b);
+  }
+
+  /// Heap bytes held by the three arrays.
+  [[nodiscard]] std::size_t heap_bytes() const {
+    return start_.capacity() * sizeof(std::uint32_t) +
+           anchor_.capacity() * sizeof(VertexId) +
+           value_.capacity() * sizeof(graph::Weight);
   }
 
   /// Maximum offset w.r.t. `anchor` over all vertices (sigma_a^max, §VI);
@@ -103,8 +196,17 @@ class RelativeSchedule {
       const cg::ConstraintGraph& g, const DelayProfile& profile,
       std::span<const int> topo) const;
 
+  /// Equal vertex counts and equal offsets at every vertex.
+  friend bool operator==(const RelativeSchedule& a, const RelativeSchedule& b) {
+    return a.vertex_count() == b.vertex_count() && a.anchor_ == b.anchor_ &&
+           a.value_ == b.value_ &&
+           (a.vertex_count() == 0 || a.start_ == b.start_);
+  }
+
  private:
-  std::vector<OffsetMap> offsets_;
+  std::vector<std::uint32_t> start_;  // |V| + 1 entries, or none
+  std::vector<VertexId> anchor_;
+  std::vector<graph::Weight> value_;
 };
 
 /// Verifies that the start times induced by `schedule` under `profile`

@@ -33,13 +33,14 @@ namespace {
 
 /// One vertex of IncrementalOffset (the forward longest-path sweep in
 /// topological order): raises v's offsets monotonically from their
-/// current values over its forward in-edges.
-void offset_step(const cg::ConstraintGraph& g,
-                 const anchors::AnchorAnalysis& analysis,
-                 anchors::AnchorMode mode, VertexId v,
+/// current values over its forward in-edges. v's cells are its tracked
+/// set, so each in-neighbour's cells merge into them by a two-cursor
+/// walk over the ascending anchors.
+void offset_step(const cg::ConstraintGraph& g, VertexId v,
                  RelativeSchedule& sched) {
-  const auto tracked = analysis.set(v, mode);
+  const std::span<const VertexId> tracked = sched.offsets(v).anchors();
   if (tracked.empty()) return;
+  const std::span<graph::Weight> sigma = sched.values(v);
   for (EdgeId eid : g.in_edges(v)) {
     const cg::Edge& e = g.edge(eid);
     if (!cg::is_forward(e.kind)) continue;
@@ -47,11 +48,20 @@ void offset_step(const cg::ConstraintGraph& g,
     const graph::Weight w = g.weight(eid).value;
     // The tail itself may be an anchor: sigma_p(p) = 0 by
     // normalization, so v inherits sigma_p(v) >= w.
-    if (g.is_anchor(p) && tracked.contains(p)) {
-      sched.offsets(v).raise(p, w);
+    if (g.is_anchor(p)) {
+      const auto it = std::lower_bound(tracked.begin(), tracked.end(), p);
+      if (it != tracked.end() && *it == p) {
+        graph::Weight& cell =
+            sigma[static_cast<std::size_t>(it - tracked.begin())];
+        cell = std::max(cell, w);
+      }
     }
-    for (const auto& [a, sigma_p] : sched.offsets(p).entries()) {
-      if (tracked.contains(a)) sched.offsets(v).raise(a, sigma_p + w);
+    const OffsetView from = sched.offsets(p);
+    std::size_t i = 0;
+    for (const auto& [a, sigma_p] : from.entries()) {
+      while (i < tracked.size() && tracked[i] < a) ++i;
+      if (i == tracked.size()) break;
+      if (tracked[i] == a) sigma[i] = std::max(sigma[i], sigma_p + w);
     }
   }
 }
@@ -64,7 +74,8 @@ void offset_step(const cg::ConstraintGraph& g,
 /// violations (the head *is* the anchor, whose own offset is pinned at
 /// 0) cannot be repaired; they count as violations and surface as
 /// inconsistency after |Eb|+1 rounds (they only occur on infeasible
-/// graphs, which the prechecks reject anyway).
+/// graphs, which the prechecks reject anyway). Anchors common to both
+/// endpoints are found by a two-cursor walk over their cells.
 int backward_edge_sweep(const cg::ConstraintGraph& g,
                         const RelativeSchedule& sched,
                         RelativeSchedule* repair,
@@ -75,21 +86,39 @@ int backward_edge_sweep(const cg::ConstraintGraph& g,
     const VertexId t = e.from;
     const VertexId h = e.to;
     const graph::Weight w = e.fixed_weight;  // <= 0
+    const OffsetView head = sched.offsets(h);
+    const std::span<const VertexId> head_anchors = head.anchors();
+    std::size_t j = 0;
     bool edge_violated = false;
     for (const auto& [a, sigma_t] : sched.offsets(t).entries()) {
       if (a == h) {
         if (sigma_t + w > 0) edge_violated = true;  // sigma_h(h) == 0 fixed
-      } else if (const auto sigma_h = sched.offsets(h).get(a);
-                 sigma_h.has_value() && *sigma_h < sigma_t + w) {
-        // .has_value() filters anchors not common to both endpoints.
-        if (repair != nullptr) repair->offsets(h).set(a, sigma_t + w);
-        edge_violated = true;
+      } else {
+        while (j < head_anchors.size() && head_anchors[j] < a) ++j;
+        if (j < head_anchors.size() && head_anchors[j] == a &&
+            head.values()[j] < sigma_t + w) {
+          if (repair != nullptr) repair->values(h)[j] = sigma_t + w;
+          edge_violated = true;
+        }
       }
       if (edge_violated && repair == nullptr) break;
     }
     if (edge_violated) ++violated;
   }
   return violated;
+}
+
+/// The paper's r = 0 state laid out once: vertex v's cells are its
+/// tracked set `analysis.set(v, mode)`, every offset 0.
+RelativeSchedule zero_schedule(const anchors::AnchorAnalysis& analysis,
+                               anchors::AnchorMode mode, int vertex_count) {
+  RelativeSchedule sched;
+  sched.reserve(vertex_count, analysis.total_anchor_set_size(mode));
+  for (int vi = 0; vi < vertex_count; ++vi) {
+    sched.add_vertex();
+    for (VertexId a : analysis.set(VertexId(vi), mode)) sched.add_cell(a, 0);
+  }
+  return sched;
 }
 
 /// The shared iteration loop (paper Fig 8): alternate IncrementalOffset
@@ -100,15 +129,13 @@ int backward_edge_sweep(const cg::ConstraintGraph& g,
 /// every backward edge; warm restarts pass the dirty cone and the
 /// backward edges with a head inside it.
 template <typename Order>
-void run_rounds(const cg::ConstraintGraph& g,
-                const anchors::AnchorAnalysis& analysis,
-                const ScheduleOptions& options, const Order& order,
-                std::span<const EdgeId> backward, RelativeSchedule sched,
-                ScheduleResult& result) {
+void run_rounds(const cg::ConstraintGraph& g, const ScheduleOptions& options,
+                const Order& order, std::span<const EdgeId> backward,
+                RelativeSchedule sched, ScheduleResult& result) {
   const int max_rounds = g.backward_edge_count() + 1;
   for (int round = 1; round <= max_rounds; ++round) {
     for (const auto node : order) {
-      offset_step(g, analysis, options.mode, VertexId(node), sched);
+      offset_step(g, VertexId(node), sched);
     }
     result.iterations = round;
 
@@ -173,15 +200,19 @@ void schedule_from_zero(const cg::ConstraintGraph& g,
                         const anchors::AnchorAnalysis& analysis,
                         const ScheduleOptions& options,
                         std::span<const int> topo, ScheduleResult& result) {
-  RelativeSchedule sched(g.vertex_count());
-  for (int vi = 0; vi < g.vertex_count(); ++vi) {
-    const VertexId v(vi);
-    for (VertexId a : analysis.set(v, options.mode)) {
-      sched.offsets(v).set(a, 0);
-    }
+  run_rounds(g, options, topo, g.backward_edges(),
+             zero_schedule(analysis, options.mode, g.vertex_count()), result);
+}
+
+/// True when `cells` lists exactly the members of `set`.
+bool same_anchors(std::span<const VertexId> cells,
+                  const anchors::AnchorSetView& set) {
+  std::size_t i = 0;
+  for (VertexId a : set) {
+    if (i == cells.size() || cells[i] != a) return false;
+    ++i;
   }
-  run_rounds(g, analysis, options, topo, g.backward_edges(), std::move(sched),
-             result);
+  return i == cells.size();
 }
 
 }  // namespace
@@ -239,10 +270,38 @@ ScheduleResult reschedule(const cg::ConstraintGraph& g,
   // state. Every seed is therefore <= the minimum schedule, and the
   // monotone-raise iteration converges to exactly the offsets a cold
   // schedule() of `g` would produce, in at most as many rounds.
+  // The cells are zeroed in place while every affected vertex still
+  // tracks the same anchors. A Gf edit that changed some A(v) moves
+  // cell boundaries: the layout is then rebuilt in one pass, keeping
+  // the unaffected vertices' cells.
+  bool same_layout = true;
   for (VertexId v : affected_topo) {
-    OffsetMap& offsets = previous.offsets(v);
-    offsets.clear();
-    for (VertexId a : analysis.anchor_set(v)) offsets.set(a, 0);
+    if (!same_anchors(previous.offsets(v).anchors(), analysis.anchor_set(v))) {
+      same_layout = false;
+      break;
+    }
+  }
+  if (same_layout) {
+    for (VertexId v : affected_topo) {
+      const std::span<graph::Weight> sigma = previous.values(v);
+      std::fill(sigma.begin(), sigma.end(), 0);
+    }
+  } else {
+    RelativeSchedule relaid;
+    relaid.reserve(g.vertex_count(),
+                   analysis.total_anchor_set_size(anchors::AnchorMode::kFull));
+    for (int vi = 0; vi < g.vertex_count(); ++vi) {
+      const VertexId v(vi);
+      relaid.add_vertex();
+      if (affected.contains(v)) {
+        for (VertexId a : analysis.anchor_set(v)) relaid.add_cell(a, 0);
+      } else {
+        for (const auto& [a, sigma] : previous.offsets(v).entries()) {
+          relaid.add_cell(a, sigma);
+        }
+      }
+    }
+    previous = std::move(relaid);
   }
   // An edge with both endpoints unaffected joins two vertices whose
   // offsets never move off the previous fixpoint, and the cone is
@@ -252,7 +311,7 @@ ScheduleResult reschedule(const cg::ConstraintGraph& g,
   for (EdgeId eid : g.backward_edges()) {
     if (affected.contains(g.edge(eid).to)) candidates.push_back(eid);
   }
-  run_rounds(g, analysis, options, affected_topo, candidates,
+  run_rounds(g, options, affected_topo, candidates,
              std::move(previous), result);
   return result;
 }
@@ -283,9 +342,11 @@ ScheduleResult schedule(const cg::ConstraintGraph& g,
 RelativeSchedule decomposed_schedule(const cg::ConstraintGraph& g,
                                      const anchors::AnchorAnalysis& analysis,
                                      anchors::AnchorMode mode) {
-  RelativeSchedule out(g.vertex_count());
+  RelativeSchedule out;
+  out.reserve(g.vertex_count(), analysis.total_anchor_set_size(mode));
   for (int vi = 0; vi < g.vertex_count(); ++vi) {
     const VertexId v(vi);
+    out.add_vertex();
     // The mode's set lies inside A(v), whose anchors always reach v
     // inside their own cone.
     const auto keep = analysis.set(v, mode);
@@ -293,7 +354,7 @@ RelativeSchedule decomposed_schedule(const cg::ConstraintGraph& g,
     for (const auto [a, len] : analysis.lengths_at(v)) {
       if (!keep.contains(a)) continue;
       RELSCHED_CHECK(len != graph::kNegInf, "anchor cannot reach vertex");
-      out.offsets(v).set(a, len);
+      out.add_cell(a, len);
       ++kept;
     }
     RELSCHED_CHECK(kept == keep.size(), "anchor cannot reach vertex");
@@ -304,12 +365,14 @@ RelativeSchedule decomposed_schedule(const cg::ConstraintGraph& g,
 RelativeSchedule restrict_schedule(const RelativeSchedule& schedule,
                                    const anchors::AnchorAnalysis& analysis,
                                    anchors::AnchorMode mode) {
-  RelativeSchedule out(schedule.vertex_count());
+  RelativeSchedule out;
+  out.reserve(schedule.vertex_count(), analysis.total_anchor_set_size(mode));
   for (int vi = 0; vi < schedule.vertex_count(); ++vi) {
     const VertexId v(vi);
+    out.add_vertex();
     const auto keep = analysis.set(v, mode);
     for (const auto& [a, sigma] : schedule.offsets(v).entries()) {
-      if (keep.contains(a)) out.offsets(v).set(a, sigma);
+      if (keep.contains(a)) out.add_cell(a, sigma);
     }
   }
   return out;

@@ -2,7 +2,7 @@
 //
 //   1. Perturb-and-recheck: every slack interval is exact in both
 //      directions -- tightening a constraint by its slack leaves the
-//      minimum schedule bit-identical (every OffsetMap equal);
+//      minimum schedule bit-identical (every vertex's offsets equal);
 //      tightening one past it changes the schedule or breaks the
 //      graph. This is the analyzer's core soundness claim.
 //   2. Every critical-subgraph extraction certifies, across all

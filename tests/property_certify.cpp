@@ -193,7 +193,7 @@ TEST(CheckSchedule, CatchesLoweredOffset) {
   ASSERT_TRUE(result.ok());
   // v4 tracks sigma_v0 = 8 (Table II); lowering it violates the
   // sequencing edge v3 -> v4.
-  result.schedule.offsets(f.v4).set(f.g.source(), 0);
+  result.schedule.set(f.v4, f.g.source(), 0);
   const Diag diag = check_schedule(f.g, result.schedule);
   ASSERT_EQ(diag.code, Code::kScheduleViolation);
   ASSERT_TRUE(diag.has_witness());
@@ -208,7 +208,7 @@ TEST(CheckProducts, CatchesForeignAnchorEntry) {
   ASSERT_TRUE(result.ok());
   // v1 does not track 'a' (no path a -> v1); a spurious huge entry
   // keeps the schedule numerically valid but breaks A(v) tracking.
-  result.schedule.offsets(f.v1).set(f.a, 50);
+  result.schedule.set(f.v1, f.a, 50);
   EXPECT_NE(check_products(f.g, analysis, result.schedule).code, Code::kNone);
 }
 
@@ -318,10 +318,11 @@ TEST(CertifierProperty, RandomSchedulesCertifyAndRejectCorruption) {
     if (tracked.empty()) continue;
     const VertexId victim =
         tracked[rng() % tracked.size()];
-    const auto& entries = result.schedule.offsets(victim).entries();
-    const auto entry = entries[rng() % entries.size()];
+    const auto anchors = result.schedule.offsets(victim).anchors();
+    const VertexId anchor = anchors[rng() % anchors.size()];
     const graph::Weight delta = (rng() % 2 == 0) ? 1 : -1;
-    result.schedule.offsets(victim).set(entry.first, entry.second + delta);
+    result.schedule.set(victim, anchor,
+                        *result.schedule.offset(victim, anchor) + delta);
     EXPECT_NE(check_products(g, analysis, result.schedule).code, Code::kNone)
         << "offset corruption not caught at '" << g.vertex(victim).name << "'";
   }

@@ -421,10 +421,7 @@ TEST(EngineTransactions, InfeasibleExcursionInsideTxn) {
   }
   SynthesisSession session(std::move(fig.g), {});
   ASSERT_TRUE(session.resolve().ok());
-  std::vector<sched::OffsetMap> before;
-  for (int vi = 0; vi < session.graph().vertex_count(); ++vi) {
-    before.push_back(session.products().schedule.schedule.offsets(VertexId(vi)));
-  }
+  const sched::RelativeSchedule before = session.products().schedule.schedule;
 
   session.begin_txn();
   session.set_constraint_bound(max_edge, 0);  // infeasible if materialized
@@ -433,7 +430,7 @@ TEST(EngineTransactions, InfeasibleExcursionInsideTxn) {
   EXPECT_TRUE(committed.ok());
   for (int vi = 0; vi < session.graph().vertex_count(); ++vi) {
     EXPECT_EQ(committed.schedule.schedule.offsets(VertexId(vi)),
-              before[static_cast<std::size_t>(vi)]);
+              before.offsets(VertexId(vi)));
   }
   // Two edits on the same edge flood the same cone: merged is exactly
   // half of the sum, and strictly below it (overlap, not disjoint).
@@ -459,10 +456,7 @@ TEST(EngineTransactions, IllPosedExcursionInsideTxn) {
   const VertexId v0 = fig.v0, v3 = fig.v3;
   SynthesisSession session(std::move(fig.g), {});
   ASSERT_TRUE(session.resolve().ok());
-  std::vector<sched::OffsetMap> before;
-  for (int vi = 0; vi < session.graph().vertex_count(); ++vi) {
-    before.push_back(session.products().schedule.schedule.offsets(VertexId(vi)));
-  }
+  const sched::RelativeSchedule before = session.products().schedule.schedule;
 
   session.begin_txn();
   const EdgeId bad = session.add_max_constraint(v0, v3, 10);
@@ -471,7 +465,7 @@ TEST(EngineTransactions, IllPosedExcursionInsideTxn) {
   EXPECT_TRUE(committed.ok());
   for (int vi = 0; vi < session.graph().vertex_count(); ++vi) {
     EXPECT_EQ(committed.schedule.schedule.offsets(VertexId(vi)),
-              before[static_cast<std::size_t>(vi)]);
+              before.offsets(VertexId(vi)));
   }
 
   // Sanity: materialized step-by-step, the excursion is ill-posed.

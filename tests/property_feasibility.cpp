@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cg/graph_io.hpp"
 #include "engine/session.hpp"
 #include "feasibility_cases.hpp"
 #include "graph/algorithms.hpp"
@@ -128,13 +129,12 @@ TEST(FeasibilityProperty, ColdResolveMatchesRecordedOracle) {
       }
       if (core.empty()) core = "-";
     }
-    // The oracle holds uncertified verdicts: a few of these graphs
-    // reach a vertex from the source only through a min constraint,
-    // and the certifier rejects their schedules (at the recording
-    // engine too), which is not what this test compares.
-    engine::SessionOptions uncertified;
-    uncertified.certify = false;
-    engine::SynthesisSession session(g, uncertified);
+    // Certified: every schedule these graphs yield must pass the
+    // certifier (a vertex reached from the source only through a min
+    // constraint is rejected by validation, not scheduled at T = 0).
+    engine::SessionOptions certified;
+    certified.certify = true;
+    engine::SynthesisSession session(g, certified);
     const engine::Products& p = session.resolve();
     EXPECT_EQ(cat("feasible=", feasible ? 1 : 0, " status=",
                   sched::to_string(p.schedule.status),
@@ -144,6 +144,44 @@ TEST(FeasibilityProperty, ColdResolveMatchesRecordedOracle) {
         << "case " << want.index;
     EXPECT_EQ(p.schedule.message, want.message) << "case " << want.index;
   }
+}
+
+// The source must be an anchor of every vertex: v6 hangs off v0 only
+// through `min v0 v6 4`, so A(v6) would be empty and the schedule would
+// start v6 at T = 0, below the bound. Validation rejects the graph,
+// naming v6, and a certified cold resolve reports it instead of
+// throwing on its own products.
+TEST(FeasibilityProperty, SourceReachedOnlyThroughMinConstraintIsInvalid) {
+  const cg::ParseResult parsed = cg::from_text(
+      "graph min_only\n"
+      "vertex v0 0\nvertex v1 2\nvertex v6 1\nvertex v7 0\n"
+      "seq v0 v1\nseq v1 v7\nseq v6 v7\nmin v0 v6 4\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  const cg::ConstraintGraph& g = *parsed.graph;
+  const std::vector<cg::ValidationIssue> issues = g.validate();
+  ASSERT_EQ(issues.size(), 1u);
+  EXPECT_EQ(issues[0].kind, cg::ValidationIssue::Kind::kNotReachableFromSource);
+  EXPECT_EQ(issues[0].vertex, VertexId(2));
+  EXPECT_EQ(issues[0].message,
+            "vertex 'v6' is reached from the source only through minimum "
+            "timing constraints");
+
+  engine::SessionOptions certified;
+  certified.certify = true;
+  engine::SynthesisSession session(g, certified);
+  const engine::Products& p = session.resolve();
+  EXPECT_EQ(p.schedule.status, sched::ScheduleStatus::kInvalidGraph);
+  EXPECT_EQ(p.schedule.message, issues[0].message);
+
+  // A sequencing edge out of the source makes v0 an anchor of v6 again,
+  // and the certified schedule honours the bound.
+  cg::ConstraintGraph fixed = g;
+  fixed.add_sequencing_edge(VertexId(0), VertexId(2));
+  EXPECT_TRUE(fixed.validate().empty());
+  engine::SynthesisSession ok_session(fixed, certified);
+  const engine::Products& q = ok_session.resolve();
+  ASSERT_TRUE(q.ok());
+  EXPECT_EQ(q.schedule.schedule.offset(VertexId(2), VertexId(0)), 4);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Randomized property tests for the static analyzer:
 //
 //   1. strip_redundant preserves the minimum relative schedule
-//      bit-for-bit (every OffsetMap identical) on randomized
+//      bit-for-bit (every vertex's offsets identical) on randomized
 //      well-posed graphs -- the analyzer's core soundness claim.
 //   2. unsat_core extracts a verified, single-deletion-minimal core on
 //      randomized infeasible graphs: the core replays infeasible and

@@ -103,7 +103,7 @@ TEST_P(ScheduleProperties, P4_NoOffsetCanBeReduced) {
         for (int k = 0; k < 3; ++k) {
           const auto& [v, a] = positive[rng() % positive.size()];
           RelativeSchedule mutated = result.schedule;
-          mutated.offsets(v).set(a, *mutated.offset(v, a) - 1);
+          mutated.set(v, a, *mutated.offset(v, a) - 1);
           bool violated = false;
           std::uniform_int_distribution<int> delay(0, 12);
           for (int p = 0; p < 12 && !violated; ++p) {

@@ -141,8 +141,8 @@ TEST(ConstraintGraph, ProjectionsPreserveStructure) {
 }
 
 /// validate()'s verdict from the projection: Kahn over
-/// project_forward() and two graph floods, the checks the ordered
-/// passes replace.
+/// project_forward() and graph floods, the checks the ordered passes
+/// replace.
 std::vector<ValidationIssue> flood_validate(const ConstraintGraph& g) {
   std::vector<ValidationIssue> issues;
   const graph::Digraph forward = g.project_forward();
@@ -158,11 +158,26 @@ std::vector<ValidationIssue> flood_validate(const ConstraintGraph& g) {
     return issues;
   }
   const auto from_source = graph::reachable_from(forward, 0);
+  // v0 in A(v): flooded from the heads of the source's sequencing edges.
+  std::vector<bool> anchored(static_cast<std::size_t>(g.vertex_count()),
+                             false);
+  for (EdgeId eid : g.out_edges(g.source())) {
+    if (g.edge(eid).kind != EdgeKind::kSequencing) continue;
+    const auto from_head = graph::reachable_from(forward, g.edge(eid).to.value());
+    for (std::size_t v = 0; v < anchored.size(); ++v) {
+      anchored[v] = anchored[v] || from_head[v];
+    }
+  }
   const auto to_sink = graph::reaching(forward, g.sink().value());
   for (const Vertex& v : g.vertices()) {
     if (!from_source[v.id.index()]) {
       issues.push_back({ValidationIssue::Kind::kNotReachableFromSource, v.id,
                         cat("vertex '", v.name, "' unreachable from source")});
+    } else if (v.id != g.source() && !anchored[v.id.index()]) {
+      issues.push_back({ValidationIssue::Kind::kNotReachableFromSource, v.id,
+                        cat("vertex '", v.name,
+                            "' is reached from the source only through "
+                            "minimum timing constraints")});
     }
     if (!to_sink[v.id.index()]) {
       issues.push_back({ValidationIssue::Kind::kDoesNotReachSink, v.id,
@@ -220,6 +235,30 @@ TEST(ConstraintGraph, OrderedValidationMatchesProjectionAndFloods) {
   EXPECT_GT(cyclic, 20);
   EXPECT_GT(unreachable, 50);
   EXPECT_GT(removals, 100);
+}
+
+// Removing e1 swap-pops the last edge (v0 -> v2) into id 1, ahead of
+// v0 -> v1 (id 2) in id order while it stays last in v0's out-chain.
+// Kahn's order releases v0's successors by edge id: v3, v2, v1.
+TEST(ConstraintGraph, ForwardOrderReleasesByEdgeIdAfterSwapPop) {
+  ConstraintGraph g("swap_pop");
+  const VertexId v0 = g.add_vertex("v0", Delay::bounded(0));
+  const VertexId v1 = g.add_vertex("v1", Delay::bounded(1));
+  const VertexId v2 = g.add_vertex("v2", Delay::bounded(1));
+  const VertexId v3 = g.add_vertex("v3", Delay::bounded(1));
+  const VertexId v4 = g.add_vertex("v4", Delay::bounded(0));
+  g.add_sequencing_edge(v0, v3);
+  const EdgeId extra = g.add_min_constraint(v0, v3, 2);
+  g.add_sequencing_edge(v0, v1);
+  g.add_sequencing_edge(v3, v4);
+  g.add_sequencing_edge(v1, v4);
+  g.add_sequencing_edge(v2, v4);
+  g.add_sequencing_edge(v0, v2);
+  g.remove_constraint(extra);
+  ASSERT_EQ(g.edge(EdgeId(1)).to, v2);
+  const std::vector<int> want = {0, 3, 2, 1, 4};
+  EXPECT_EQ(graph::topological_order(g.project_forward()), want);
+  EXPECT_EQ(g.forward_order(), want);
 }
 
 TEST(ConstraintGraph, DotExportMentionsAllVertices) {

@@ -24,12 +24,8 @@ EdgeId find_max_edge(const cg::ConstraintGraph& g) {
   return EdgeId::invalid();
 }
 
-std::vector<sched::OffsetMap> snapshot_offsets(const SynthesisSession& s) {
-  std::vector<sched::OffsetMap> out;
-  for (int vi = 0; vi < s.graph().vertex_count(); ++vi) {
-    out.push_back(s.products().schedule.schedule.offsets(VertexId(vi)));
-  }
-  return out;
+sched::RelativeSchedule snapshot_offsets(const SynthesisSession& s) {
+  return s.products().schedule.schedule;
 }
 
 TEST(SessionStatsTest, TransactionCountersAndConeAccounting) {
@@ -79,7 +75,7 @@ TEST(SessionStatsTest, ForkCountersAndCopyOnWriteRows) {
   // length cells.
   const int total_rows = 2;
   ASSERT_GT(parent.products().analysis.anchors().size(), 0u);
-  const std::vector<sched::OffsetMap> before = snapshot_offsets(parent);
+  const sched::RelativeSchedule before = snapshot_offsets(parent);
 
   {
     SynthesisSession f1 = parent.fork();
@@ -101,9 +97,11 @@ TEST(SessionStatsTest, ForkCountersAndCopyOnWriteRows) {
     // The parent still shares both arrays with f2, and its products are
     // untouched by f1's edit.
     EXPECT_EQ(parent.stats().anchor_rows_shared, total_rows);
-    const std::vector<sched::OffsetMap> after = snapshot_offsets(parent);
-    for (std::size_t vi = 0; vi < before.size(); ++vi) {
-      EXPECT_EQ(after[vi], before[vi]) << "v" << vi;
+    const sched::RelativeSchedule after = snapshot_offsets(parent);
+    ASSERT_EQ(after.vertex_count(), before.vertex_count());
+    for (int vi = 0; vi < before.vertex_count(); ++vi) {
+      EXPECT_EQ(after.offsets(VertexId(vi)), before.offsets(VertexId(vi)))
+          << "v" << vi;
     }
   }
   // Forks gone: nothing left to share with.

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -574,6 +575,68 @@ TEST(SessionCheckpoint, RoundTripRestoresBitIdenticalProducts) {
   ASSERT_TRUE(session.resolve().ok());
   ASSERT_TRUE(restored->resolve().ok());
   expect_same_products(session, *restored);
+}
+
+// A snapshot whose products cover another graph's vertices: restore
+// rejects it instead of evaluating offsets past the graph.
+TEST(SessionCheckpoint, RejectsProductsThatDoNotFitTheGraph) {
+  const std::string dir = persist::temp_dir("ckpt_misfit");
+  cg::ConstraintGraph chain("chain");
+  const VertexId c0 = chain.add_vertex("c0", cg::Delay::bounded(0));
+  const VertexId c1 = chain.add_vertex("c1", cg::Delay::bounded(2));
+  const VertexId c2 = chain.add_vertex("c2", cg::Delay::bounded(0));
+  chain.add_sequencing_edge(c0, c1);
+  chain.add_sequencing_edge(c1, c2);
+  SynthesisSession donor(std::move(chain), {});
+  ASSERT_TRUE(donor.resolve().ok());
+
+  testing::Fig2Graph fig;
+  ASSERT_GE(fig.g.revision(), donor.products().revision);
+  persist::Writer w;
+  persist::save_graph(w, fig.g);
+  w.u8(0);      // full anchor sets
+  w.b(true);    // resolved once
+  w.b(false);   // nothing pending
+  save_products(w, donor.products());
+  w.b(true);
+  w.vec_i32(*fig.g.forward_order());
+  w.vec_i64({});
+  save_stats(w, donor.stats());
+  ASSERT_TRUE(persist::write_framed_file(persist::snapshot_path(dir),
+                                         "RSNAP001", 4, w.buffer())
+                  .ok());
+
+  SynthesisSession::RestoreReport report;
+  EXPECT_FALSE(SynthesisSession::restore(dir, {}, &report).has_value());
+  EXPECT_EQ(report.error.code, persist::ErrorCode::kFormat);
+  EXPECT_EQ(report.error.message,
+            "snapshot products do not fit the snapshot graph");
+}
+
+// A stored max-constraint weight of INT32_MIN has no bound to negate
+// into; the graph loader rejects it instead of overflowing.
+TEST(SessionCheckpoint, GraphLoaderRejectsUnnegatableMaxWeight) {
+  persist::Writer w;
+  w.str("g");
+  w.u64(100);  // revision
+  w.u32(2);
+  w.str("v0");
+  w.i32(0);
+  w.str("v1");
+  w.i32(1);
+  w.u32(2);
+  w.u8(static_cast<std::uint8_t>(cg::EdgeKind::kSequencing));
+  w.i32(0);
+  w.i32(1);
+  w.i32(0);
+  w.u8(static_cast<std::uint8_t>(cg::EdgeKind::kMaxConstraint));
+  w.i32(1);
+  w.i32(0);
+  w.i32(std::numeric_limits<std::int32_t>::min());
+  persist::Reader r(w.buffer());
+  cg::ConstraintGraph g;
+  EXPECT_FALSE(persist::load_graph(r, &g));
+  EXPECT_FALSE(r.ok());
 }
 
 TEST(SessionCheckpoint, EnospcCheckpointFailsCleanlyThenRecovers) {

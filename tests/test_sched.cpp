@@ -28,6 +28,24 @@ TEST(Scheduler, Fig2OffsetsMatchTable2) {
   EXPECT_FALSE(s.offset(f.v2, f.a).has_value());
 }
 
+// A min constraint out of an anchor longer than every sequencing path:
+// the anchor's own offset at the head comes from the constraint's
+// weight (sigma_a(a) = 0), not from an in-neighbour's cells.
+TEST(Scheduler, MinConstraintOutOfAnAnchorSetsItsOffset) {
+  Fig2Graph f;
+  for (const cg::Edge& e : f.g.edges()) {
+    if (e.kind == cg::EdgeKind::kMinConstraint) {
+      f.g.set_constraint_bound(e.id, 7);
+    }
+  }
+  const auto analysis = anchors::AnchorAnalysis::compute(f.g);
+  const auto result = schedule(f.g, analysis);
+  ASSERT_TRUE(result.ok()) << result.message;
+  EXPECT_EQ(result.schedule.offset(f.v3, f.v0), 7);
+  EXPECT_EQ(result.schedule.offset(f.v4, f.v0), 12);
+  EXPECT_EQ(result.schedule, decomposed_schedule(f.g, analysis));
+}
+
 TEST(Scheduler, Fig2ConvergesInOneIteration) {
   Fig2Graph f;
   const auto result = schedule(f.g);
