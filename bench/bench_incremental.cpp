@@ -7,12 +7,15 @@
 //          feasibility, well-posedness, scheduling from zero offsets);
 //   warm - re-resolving the same session after a single constraint
 //          edit (alternately loosening and restoring one max-constraint
-//          bound), which recomputes only the dirty cone and warm-starts
-//          the scheduler from the previous offsets.
+//          bound), which recomputes only the dirty cone and publishes
+//          the patched length cells as the schedule.
 //
 // Emits a human-readable table plus BENCH_incremental.json, and exits
 // nonzero when the warm path is less than 5x faster than cold on the
-// largest design (the engine's headline guarantee).
+// largest design (the engine's headline guarantee). The gates read
+// medians; the spread of every timed loop (min, median, p95 and the
+// repetition count) is printed and written beside them, since both
+// ratio gates divide by a cold resolve.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -41,6 +44,25 @@ double median_us(std::vector<double>& samples) {
                               : 0.5 * (samples[n / 2 - 1] + samples[n / 2]));
 }
 
+/// One timed loop's spread: min, median and nearest-rank p95.
+struct Spread {
+  double min_us = 0;
+  double median_us = 0;
+  double p95_us = 0;
+  int reps = 0;
+};
+
+Spread spread_of(std::vector<double> samples) {
+  Spread s;
+  s.reps = static_cast<int>(samples.size());
+  if (samples.empty()) return s;
+  s.median_us = median_us(samples);  // sorts
+  s.min_us = samples.front();
+  const std::size_t rank = (samples.size() * 95 + 99) / 100;
+  s.p95_us = samples[rank - 1];
+  return s;
+}
+
 template <typename Fn>
 double timed_us(Fn&& fn) {
   const auto t0 = Clock::now();
@@ -58,6 +80,9 @@ struct Row {
   double warm_us = 0;
   double certified_warm_us = 0;
   double journaled_warm_us = 0;
+  Spread cold;
+  Spread warm;
+  Spread certified_warm;
   double certify_us = 0;
   long long wal_records = 0;
   long long wal_fsyncs = 0;
@@ -170,7 +195,8 @@ int main() {
       cold.push_back(timed_us([&] { fresh.resolve(); }));
       if (!fresh.products().ok()) return EXIT_FAILURE;
     }
-    row.cold_us = median_us(cold);
+    row.cold = spread_of(cold);
+    row.cold_us = row.cold.median_us;
 
     // Warm: alternately loosen and restore the bound, one edit per
     // resolve, so every resolve takes the incremental path.
@@ -180,7 +206,8 @@ int main() {
       warm.push_back(timed_us([&] { session.resolve(); }));
       if (!session.products().ok()) return EXIT_FAILURE;
     }
-    row.warm_us = median_us(warm);
+    row.warm = spread_of(warm);
+    row.warm_us = row.warm.median_us;
 
     // Certified warm: the same edit loop with the independent certifier
     // validating every warm product (schedule + analysis against the
@@ -196,7 +223,8 @@ int main() {
       certified_warm.push_back(timed_us([&] { certified.resolve(); }));
       if (!certified.products().ok()) return EXIT_FAILURE;
     }
-    row.certified_warm_us = median_us(certified_warm);
+    row.certified_warm = spread_of(certified_warm);
+    row.certified_warm_us = row.certified_warm.median_us;
     const engine::SessionStats certified_stats = certified.stats();
     if (certified_stats.certificate_failures != 0) {
       std::cerr << name << ": certifier tripped on a clean warm run\n";
@@ -267,10 +295,25 @@ int main() {
   }
   table.print(std::cout);
 
+  std::cout << "\nspread (us): min / median / p95 over the repetitions\n\n";
+  TextTable spread;
+  spread.set_header({"design", "cold", "reps", "warm", "reps", "cert warm",
+                     "reps"});
+  const auto spread_cell = [](const Spread& s) {
+    return cat(fmt(s.min_us), " / ", fmt(s.median_us), " / ", fmt(s.p95_us));
+  };
+  for (const Row& row : rows) {
+    spread.add_row({row.design, spread_cell(row.cold), cat(row.cold.reps),
+                    spread_cell(row.warm), cat(row.warm.reps),
+                    spread_cell(row.certified_warm),
+                    cat(row.certified_warm.reps)});
+  }
+  spread.print(std::cout);
+
   std::cout << "\nwarm-path phase breakdown (us per warm resolve)\n\n";
   TextTable phases;
-  phases.set_header(
-      {"design", "topo patch", "SPFA repair", "anchor patch", "reschedule"});
+  phases.set_header({"design", "topo patch", "SPFA repair", "anchor patch",
+                     "schedule refresh"});
   for (const Row& row : rows) {
     phases.add_row({row.design, fmt(row.topo_us, 2), fmt(row.spfa_us, 2),
                     fmt(row.anchor_us, 2), fmt(row.resched_us, 2)});
@@ -284,6 +327,13 @@ int main() {
     }
   }
 
+  const auto spread_json = [](const Spread& s) {
+    return benchio::Json::object()
+        .field("min_us", s.min_us)
+        .field("median_us", s.median_us)
+        .field("p95_us", s.p95_us)
+        .field("reps", s.reps);
+  };
   benchio::Json designs_json = benchio::Json::array();
   for (const Row& row : rows) {
     designs_json.element(benchio::Json::object()
@@ -307,7 +357,11 @@ int main() {
                              .field("warm_topo_us", row.topo_us)
                              .field("warm_spfa_us", row.spfa_us)
                              .field("warm_anchor_us", row.anchor_us)
-                             .field("warm_resched_us", row.resched_us));
+                             .field("warm_resched_us", row.resched_us)
+                             .field("cold_spread", spread_json(row.cold))
+                             .field("warm_spread", spread_json(row.warm))
+                             .field("certified_warm_spread",
+                                    spread_json(row.certified_warm)));
   }
   benchio::Json::object()
       .field("bench", "incremental")

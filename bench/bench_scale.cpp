@@ -7,16 +7,19 @@
 //
 //   cold     - a fresh certified SynthesisSession::resolve();
 //   steps    - the cold resolve split into its steps (Gf order,
-//              validation, feasibility, anchor analysis, containment,
-//              schedule, start times), each timed over the same calls
-//              the session makes, min and median over --reps, plus the
-//              heap bytes the Gf order and the schedule hold;
+//              validation, feasibility, anchor analysis, containment),
+//              each timed over the same calls the session makes, min
+//              and median over --reps, plus the heap bytes the Gf order
+//              holds and those the products hold for the schedule
+//              beyond the analysis (0 while the schedule is a view of
+//              the analysis's length cells);
 //   warm     - a >= 100-edit sequence (alternately loosening and
 //              restoring max-constraint bounds spread across the
 //              design), every resolve certified and required to take
 //              the warm path;
 //   phase    - the warm-path breakdown (topo patch / SPFA repair /
-//              anchor patch / reschedule), averaged per warm resolve;
+//              anchor patch / schedule refresh), averaged per warm
+//              resolve;
 //   parallel - the cold anchor-analysis phase timed sequentially vs
 //              sharded across a work-stealing pool
 //              (AnchorAnalysis::compute(g, pool); engine resolves are
@@ -273,10 +276,8 @@ designs::GeneratorParams params_for(int vertices, std::uint64_t seed) {
 }
 
 /// The steps of a cold resolve, in the order the session runs them.
-constexpr const char* kColdSteps[] = {"order",       "validation",
-                                      "feasibility", "anchors",
-                                      "containment", "schedule",
-                                      "start_times"};
+constexpr const char* kColdSteps[] = {"order", "validation", "feasibility",
+                                      "anchors", "containment"};
 constexpr std::size_t kColdStepCount = std::size(kColdSteps);
 
 struct Row {
@@ -290,7 +291,8 @@ struct Row {
   // Per cold step: min and median over cold_reps.
   double step_min_us[kColdStepCount] = {};
   double step_median_us[kColdStepCount] = {};
-  // Heap bytes of the Gf order and of the relative schedule.
+  // Heap bytes of the Gf order, and those the products hold for the
+  // schedule beyond the analysis.
   std::size_t order_bytes = 0;
   std::size_t schedule_bytes = 0;
   double warm_us = 0;
@@ -329,15 +331,15 @@ std::string fmt(double v, int precision = 1) {
 
 /// Times the cold resolve's steps one by one over the calls
 /// SynthesisSession's cold path makes, `reps` times, into `row`.
-/// Returns false when a step fails or the schedule differs from
-/// `want`, the session's own cold schedule.
+/// Returns false when a step fails or the schedule (the analysis's
+/// length cells) differs from `want`, the session's own cold schedule.
 bool time_cold_steps(const cg::ConstraintGraph& g, int reps,
                      const sched::RelativeSchedule& want, Row* row) {
   std::vector<double> samples[kColdStepCount];
   for (int r = 0; r < reps; ++r) {
     graph::DynamicTopoOrder topo;
+    std::vector<graph::Weight> potentials;
     anchors::AnchorAnalysis analysis;
-    sched::ScheduleResult result;
     bool ok = true;
     std::size_t step = 0;
     const auto time_step = [&](auto&& fn) {
@@ -345,10 +347,16 @@ bool time_cold_steps(const cg::ConstraintGraph& g, int reps,
     };
     time_step([&] { ok = topo.reset(g); });
     if (ok) time_step([&] { ok = g.validate(topo.order()).empty(); });
-    if (ok) time_step([&] { ok = wellposed::is_feasible(g, topo.order()); });
     if (ok) {
       time_step([&] {
-        analysis = anchors::AnchorAnalysis::compute(g, topo.order());
+        ok = wellposed::is_feasible(g, topo.order(), nullptr, nullptr,
+                                    &potentials);
+      });
+    }
+    if (ok) {
+      time_step([&] {
+        analysis = anchors::AnchorAnalysis::compute(g, topo.order(), nullptr,
+                                                    potentials);
       });
     }
     if (ok) {
@@ -356,20 +364,7 @@ bool time_cold_steps(const cg::ConstraintGraph& g, int reps,
         ok = wellposed::check_containment(g, analysis.anchor_sets()).status ==
              wellposed::Status::kWellPosed;
       });
-    }
-    if (ok) {
-      sched::ScheduleOptions sopts;
-      sopts.prechecks = false;
-      time_step([&] {
-        result = sched::schedule(g, analysis, topo.order(), sopts);
-      });
-      ok = result.ok() && result.schedule == want;
-    }
-    std::vector<graph::Weight> start;
-    if (ok) {
-      time_step([&] {
-        start = result.schedule.start_times(g, {}, topo.order());
-      });
+      ok = ok && sched::RelativeSchedule::from_lengths(analysis) == want;
     }
     if (!ok) {
       std::cerr << g.vertex_count() << ": cold step " << kColdSteps[step - 1]
@@ -377,7 +372,6 @@ bool time_cold_steps(const cg::ConstraintGraph& g, int reps,
       return false;
     }
     row->order_bytes = topo.heap_bytes();
-    row->schedule_bytes = result.schedule.heap_bytes();
   }
   for (std::size_t i = 0; i < kColdStepCount; ++i) {
     row->step_min_us[i] = min_us(samples[i]);
@@ -515,7 +509,11 @@ bool run_size(int vertices, int edits, int reps, std::uint64_t seed,
                 << fresh.products().schedule.message << "\n";
       return false;
     }
-    cold_schedule = fresh.products().schedule.schedule;
+    const engine::Products& products = fresh.products();
+    cold_schedule = products.schedule.schedule;
+    row.schedule_bytes = products.schedule.schedule.views(products.analysis)
+                             ? 0
+                             : products.schedule.schedule.heap_bytes();
   }
   row.cold_min_us = min_us(cold_samples);
   row.cold_us = median_us(cold_samples);
@@ -748,7 +746,7 @@ int main(int argc, char** argv) {
   std::cout << "\nwarm-path phase breakdown (us per warm resolve)\n\n";
   TextTable phases;
   phases.set_header(
-      {"|V|", "topo patch", "SPFA repair", "anchor patch", "reschedule"});
+      {"|V|", "topo patch", "SPFA repair", "anchor patch", "schedule refresh"});
   for (const Row& row : rows) {
     phases.add_row({cat(row.vertices), fmt(row.topo_us, 2),
                     fmt(row.spfa_us, 2), fmt(row.anchor_us, 2),

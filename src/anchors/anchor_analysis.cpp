@@ -80,14 +80,9 @@ AnchorSetView AnchorAnalysis::set(VertexId v, AnchorMode mode) const {
 
 std::size_t AnchorAnalysis::length_index(int col, VertexId v) const {
   const std::uint64_t* row = sets_.matrix.row(v.index());
-  if (base::words_test(row, col)) {
-    return length_start_[v.index()] +
-           static_cast<std::size_t>(base::words_rank(row, col));
-  }
-  // An anchor is never in its own A(v); its self cell comes last.
-  return sets_.domain.anchors[static_cast<std::size_t>(col)] == v
-             ? length_start_[v.index() + 1] - 1
-             : kNoCell;
+  if (!base::words_test(row, col)) return kNoCell;
+  return lengths_.read().start[v.index()] +
+         static_cast<std::size_t>(base::words_rank(row, col));
 }
 
 std::size_t AnchorAnalysis::defining_index(int col, VertexId v) const {
@@ -100,8 +95,28 @@ std::size_t AnchorAnalysis::defining_index(int col, VertexId v) const {
 graph::Weight AnchorAnalysis::length(VertexId anchor, VertexId v) const {
   const int pos = sets_.domain.index[anchor.index()];
   RELSCHED_CHECK(pos >= 0, "length() queried for a non-anchor");
+  // An anchor is never in its own A(v); on a feasible graph no path
+  // returns to it with positive length, so length(a, a) = 0.
+  if (anchor == v) return 0;
   const std::size_t k = length_index(pos, v);
-  return k == kNoCell ? graph::kNegInf : length_cells_.read()[k];
+  return k == kNoCell ? graph::kNegInf : lengths_.read().value[k];
+}
+
+void AnchorAnalysis::length_column(VertexId anchor,
+                                   std::vector<graph::Weight>& out) const {
+  const int col = sets_.domain.index[anchor.index()];
+  RELSCHED_CHECK(col >= 0, "length_column() queried for a non-anchor");
+  const CellTable& t = lengths_.read();
+  out.assign(t.start.size() - 1, graph::kNegInf);
+  for (std::size_t v = 0; v < out.size(); ++v) {
+    const std::uint64_t* row = sets_.matrix.row(static_cast<int>(v));
+    // The source's column is the first: no rank, so no popcount (a call
+    // on targets without the instruction) on this per-warm-resolve path.
+    if (!base::words_test(row, col)) continue;
+    out[v] = t.value[t.start[v] + static_cast<std::size_t>(
+                                      col == 0 ? 0 : base::words_rank(row, col))];
+  }
+  out[anchor.index()] = 0;
 }
 
 graph::Weight AnchorAnalysis::maximal_defining_path_length(VertexId anchor,
@@ -116,7 +131,7 @@ void AnchorAnalysis::corrupt_length_row_for_testing(VertexId anchor,
                                                     int keep_prefix) {
   const int pos = sets_.domain.index[anchor.index()];
   if (pos < 0) return;
-  std::vector<graph::Weight>& cells = length_cells_.write();
+  std::vector<graph::Weight>& cells = lengths_.write().value;
   for (int vi = std::max(keep_prefix, 0); vi < sets_.matrix.rows(); ++vi) {
     const std::size_t k = length_index(pos, VertexId(vi));
     if (k != kNoCell) cells[k] = graph::kNegInf;
@@ -136,33 +151,45 @@ void AnchorAnalysis::flip_irredundant_bit_for_testing(VertexId v,
   }
 }
 
-int AnchorAnalysis::cell_arrays_shared() const {
-  return (length_cells_.shared() ? 1 : 0) + (defining_cells_.shared() ? 1 : 0);
+int AnchorAnalysis::cell_arrays_shared(int views) const {
+  return (lengths_.use_count() > 1 + views ? 1 : 0) +
+         (defining_cells_.shared() ? 1 : 0);
 }
 
 namespace {
 
-/// CSR row starts over `m`'s rows: row v owns popcount(row v) cells,
-/// plus one when `self` is non-null and marks v as an anchor.
-std::vector<std::size_t> cell_starts(const base::BitMatrix& m,
-                                     const AnchorDomain* self) {
-  std::vector<std::size_t> start(static_cast<std::size_t>(m.rows()) + 1, 0);
+/// CSR row starts over `m`'s rows: row v owns popcount(row v) cells.
+std::vector<std::uint32_t> cell_starts(const base::BitMatrix& m) {
+  std::vector<std::uint32_t> start(static_cast<std::size_t>(m.rows()) + 1, 0);
+  std::size_t total = 0;
   for (int v = 0; v < m.rows(); ++v) {
-    std::size_t count = static_cast<std::size_t>(m.row_popcount(v));
-    if (self != nullptr && self->index[static_cast<std::size_t>(v)] >= 0) {
-      ++count;
-    }
-    start[static_cast<std::size_t>(v) + 1] =
-        start[static_cast<std::size_t>(v)] + count;
+    total += static_cast<std::size_t>(m.row_popcount(v));
+    RELSCHED_CHECK(total < UINT32_MAX, "too many anchor cells");
+    start[static_cast<std::size_t>(v) + 1] = static_cast<std::uint32_t>(total);
   }
   return start;
 }
 
+/// The length table's layout over A(v): starts and anchor ids from the
+/// bit rows, every value kNegInf.
+CellTable length_layout(const AnchorSets& sets) {
+  CellTable t;
+  t.start = cell_starts(sets.matrix);
+  t.anchor.reserve(t.start.back());
+  for (std::size_t v = 0; v < sets.size(); ++v) {
+    for (const VertexId a : sets[v]) t.anchor.push_back(a);
+  }
+  t.value.assign(t.start.back(), graph::kNegInf);
+  return t;
+}
+
 }  // namespace
 
-void AnchorAnalysis::rebuild_starts() {
-  length_start_ = cell_starts(sets_.matrix, &sets_.domain);
-  defining_start_ = cell_starts(relevant_, nullptr);
+void AnchorAnalysis::rebuild_layouts() {
+  lengths_ = base::Cow<CellTable>(length_layout(sets_));
+  defining_start_ = cell_starts(relevant_);
+  defining_cells_ = Cells(
+      std::vector<graph::Weight>(defining_start_.back(), graph::kNegInf));
 }
 
 std::size_t AnchorAnalysis::total_anchor_set_size(AnchorMode mode) const {
@@ -211,8 +238,7 @@ AnchorAnalysis AnchorAnalysis::compute_anchor_sets_only(
   a.sets_ = find_anchor_sets(g);
   a.relevant_.reset(g.vertex_count(), a.sets_.domain.count());
   a.irredundant_.reset(g.vertex_count(), a.sets_.domain.count());
-  a.rebuild_starts();
-  a.length_cells_.write().assign(a.length_start_.back(), graph::kNegInf);
+  a.rebuild_layouts();
   return a;
 }
 
@@ -423,28 +449,40 @@ void prepare(SweepWorkspace& ws, int n) {
 /// reaches) and the cone. Each is derived with its update() patch, the
 /// region standing in for the affected set, so a cold sweep costs the
 /// region, not |E|. Calls `defining(v, value)` for every finite
-/// defining value and `length(v, value)` for every cone vertex
-/// (the anchor included). Returns false when `watchdog` tripped.
+/// defining value and `length(v, value)` for every cone vertex but the
+/// anchor. Returns false when `watchdog` tripped.
+///
+/// With `lengths_given` (the source, cone V) only the defining values
+/// are swept, over the whole order: that region is nearly V too.
 template <typename OnDefining, typename OnLength>
 bool sweep_anchor(const cg::ConstraintGraph& g, VertexId anchor,
                   const AnchorSets& anchor_sets, std::span<const int> topo,
                   std::span<const int> position, SweepWorkspace& ws,
-                  base::Watchdog* watchdog, OnDefining defining,
-                  OnLength length) {
+                  base::Watchdog* watchdog, bool lengths_given,
+                  OnDefining defining, OnLength length) {
   UpdatePlan plan;
   plan.affected = &ws.region;
   plan.watchdog = watchdog;
 
-  ws.heads.clear();
-  for (EdgeId eid : g.out_edges(anchor)) {
-    if (g.weight(eid).unbounded) ws.heads.push_back(g.edge(eid).to);
+  if (lengths_given) {
+    ws.region.reset(g.vertex_count());
+    ws.order.clear();
+    for (const int node : topo) {
+      ws.region.insert(VertexId(node));
+      ws.order.push_back(VertexId(node));
+    }
+  } else {
+    ws.heads.clear();
+    for (EdgeId eid : g.out_edges(anchor)) {
+      if (g.weight(eid).unbounded) ws.heads.push_back(g.edge(eid).to);
+    }
+    reachable_in_topo_order(
+        g, ws.heads,
+        [&](const cg::Edge& e) {
+          return e.from != anchor && !g.weight(e.id).unbounded;
+        },
+        topo, position, ws.region, ws.order);
   }
-  reachable_in_topo_order(
-      g, ws.heads,
-      [&](const cg::Edge& e) {
-        return e.from != anchor && !g.weight(e.id).unbounded;
-      },
-      topo, position, ws.region, ws.order);
   plan.affected_topo = ws.order;
   // A region holds every vertex a value can reach, so nothing enters it.
   if (!patch_defining_path_lengths(g, anchor, plan, {}, kNothingKept,
@@ -456,6 +494,7 @@ bool sweep_anchor(const cg::ConstraintGraph& g, VertexId anchor,
       defining(v, ws.defining[v.index()]);
     }
   }
+  if (lengths_given) return true;
 
   reachable_in_topo_order(
       g, std::span<const VertexId>(&anchor, 1),
@@ -466,7 +505,9 @@ bool sweep_anchor(const cg::ConstraintGraph& g, VertexId anchor,
                                 kNothingKept, ws.length, ws)) {
     return false;
   }
-  for (VertexId v : ws.order) length(v, ws.length[v.index()]);
+  for (VertexId v : ws.order) {
+    if (v != anchor) length(v, ws.length[v.index()]);
+  }
   return true;
 }
 
@@ -507,19 +548,19 @@ void AnchorAnalysis::compute_irredundant_at(VertexId v) {
 
 AnchorAnalysis AnchorAnalysis::compute(const cg::ConstraintGraph& g,
                                        base::WorkStealingPool* pool) {
-  return compute_sharded(g, forward_order(g), pool, nullptr);
+  return compute_sharded(g, forward_order(g), pool, nullptr, {});
 }
 
-AnchorAnalysis AnchorAnalysis::compute(const cg::ConstraintGraph& g,
-                                       std::span<const int> topo,
-                                       base::Watchdog* watchdog) {
-  return compute_sharded(g, topo, nullptr, watchdog);
+AnchorAnalysis AnchorAnalysis::compute(
+    const cg::ConstraintGraph& g, std::span<const int> topo,
+    base::Watchdog* watchdog, std::span<const graph::Weight> source_lengths) {
+  return compute_sharded(g, topo, nullptr, watchdog, source_lengths);
 }
 
-AnchorAnalysis AnchorAnalysis::compute_sharded(const cg::ConstraintGraph& g,
-                                               std::span<const int> topo,
-                                               base::WorkStealingPool* pool,
-                                               base::Watchdog* watchdog) {
+AnchorAnalysis AnchorAnalysis::compute_sharded(
+    const cg::ConstraintGraph& g, std::span<const int> topo,
+    base::WorkStealingPool* pool, base::Watchdog* watchdog,
+    std::span<const graph::Weight> source_lengths) {
   AnchorAnalysis a;
   a.sets_ = find_anchor_sets(g, topo);
   a.relevant_.reset(g.vertex_count(), a.sets_.domain.count());
@@ -538,6 +579,9 @@ AnchorAnalysis AnchorAnalysis::compute_sharded(const cg::ConstraintGraph& g,
   // A watchdog is single-threaded: only the sequential path takes one.
   RELSCHED_CHECK(pool == nullptr || watchdog == nullptr,
                  "a watchdog cannot be shared by pooled sweeps");
+  RELSCHED_CHECK(source_lengths.empty() ||
+                     source_lengths.size() == static_cast<std::size_t>(n),
+                 "source lengths out of sync with the graph");
   std::vector<int> position(topo.size());
   for (std::size_t i = 0; i < topo.size(); ++i) {
     position[static_cast<std::size_t>(topo[i])] = static_cast<int>(i);
@@ -555,10 +599,11 @@ AnchorAnalysis AnchorAnalysis::compute_sharded(const cg::ConstraintGraph& g,
     prepare(ws, n);
     for (std::size_t i = next_anchor++; i < num_anchors; i = next_anchor++) {
       const int col = static_cast<int>(i);
+      const bool given = anchors[i] == g.source() && !source_lengths.empty();
       std::vector<SweptCell> found_defining;
       std::vector<SweptCell> found_cone;
       if (!sweep_anchor(
-              g, anchors[i], a.sets_, topo, position, ws, watchdog,
+              g, anchors[i], a.sets_, topo, position, ws, watchdog, given,
               [&](VertexId v, graph::Weight d) {
                 found_defining.push_back({v, col, d});
               },
@@ -566,6 +611,18 @@ AnchorAnalysis AnchorAnalysis::compute_sharded(const cg::ConstraintGraph& g,
                 found_cone.push_back({v, col, len});
               })) {
         return;
+      }
+      if (given) {
+        // The source's cone is all of V, so its cone-restricted longest
+        // paths are G0's, which feasibility's pass already computed.
+        found_cone.reserve(static_cast<std::size_t>(n));
+        for (int vi = 0; vi < n; ++vi) {
+          const VertexId v(vi);
+          if (v == anchors[i]) continue;
+          RELSCHED_CHECK(a.sets_.matrix.test(vi, col),
+                         "a vertex outside the source's cone");
+          found_cone.push_back({v, col, source_lengths[v.index()]});
+        }
       }
       defining[i] = std::move(found_defining);
       cone[i] = std::move(found_cone);
@@ -579,28 +636,22 @@ AnchorAnalysis AnchorAnalysis::compute_sharded(const cg::ConstraintGraph& g,
   // relevantAnchor traversal in §IV-D visits exactly these vertices).
   // With R(v) and A(v) known, so are both layouts. The cells are placed
   // by a per-vertex cursor: anchors ascend, so each vertex's cells
-  // arrive in bit order; an anchor's own cone cell is its vertex's
-  // trailing self cell.
+  // arrive in bit order.
   for (const std::vector<SweptCell>& cells : defining) {
     for (const SweptCell& c : cells) a.relevant_.set(c.v.value(), c.col);
   }
-  a.rebuild_starts();
-  const auto scatter = [&](const std::vector<std::vector<SweptCell>>& lists,
-                           const std::vector<std::size_t>& start,
-                           bool self_cells,
-                           std::vector<graph::Weight>& values) {
-    values.assign(start.back(), graph::kNegInf);
-    std::vector<std::size_t> cursor(start.begin(), start.end() - 1);
-    for (std::size_t i = 0; i < lists.size(); ++i) {
-      for (const SweptCell& c : lists[i]) {
-        const std::size_t v = c.v.index();
-        const bool self = self_cells && c.v == anchors[i];
-        values[self ? start[v + 1] - 1 : cursor[v]++] = c.value;
-      }
+  a.rebuild_layouts();
+  const auto scatter = [](const std::vector<std::vector<SweptCell>>& lists,
+                          const std::vector<std::uint32_t>& start,
+                          std::vector<graph::Weight>& values) {
+    std::vector<std::uint32_t> cursor(start.begin(), start.end() - 1);
+    for (const std::vector<SweptCell>& cells : lists) {
+      for (const SweptCell& c : cells) values[cursor[c.v.index()]++] = c.value;
     }
   };
-  scatter(defining, a.defining_start_, false, a.defining_cells_.write());
-  scatter(cone, a.length_start_, true, a.length_cells_.write());
+  scatter(defining, a.defining_start_, a.defining_cells_.write());
+  CellTable& lengths = a.lengths_.write();
+  scatter(cone, lengths.start, lengths.value);
 
   // IR(v) writes only vertex v's bit row and reads state that is
   // immutable from here on.
@@ -612,26 +663,23 @@ AnchorAnalysis AnchorAnalysis::compute_sharded(const cg::ConstraintGraph& g,
 
 namespace {
 
-/// Rebuilds one value array after bit rows changed. `start` and
-/// `cells` hold the pre-edit layout; `old_rows[v]` is v's pre-edit bit
-/// row where it changed (nullptr where it did not). Every cell that
-/// survives keeps its value; new cells start at kNegInf. A vertex's
-/// trailing self cell (the length layout's length(v, v)) is carried
-/// over too.
-void relayout(const base::BitMatrix& rows, const AnchorDomain* self,
-              const std::vector<const std::uint64_t*>& old_rows,
-              std::vector<std::size_t>& start,
-              base::Cow<std::vector<graph::Weight>>& cells) {
-  std::vector<std::size_t> new_start = cell_starts(rows, self);
-  const std::vector<graph::Weight>& old = cells.read();
-  std::vector<graph::Weight> fresh(new_start.back(), graph::kNegInf);
+/// Carries one value array over a change of bit rows. `start` and
+/// `old` are the pre-edit layout, `new_start` and `fresh` the new one;
+/// `old_rows[v]` is v's pre-edit bit row where it changed (nullptr where
+/// it did not). Every cell that survives keeps its value; new cells
+/// keep the kNegInf `fresh` holds.
+void carry_values(const base::BitMatrix& rows,
+                  const std::vector<const std::uint64_t*>& old_rows,
+                  std::span<const std::uint32_t> start,
+                  std::span<const graph::Weight> old,
+                  std::span<const std::uint32_t> new_start,
+                  std::span<graph::Weight> fresh) {
   for (int vi = 0; vi < rows.rows(); ++vi) {
     const std::size_t v = static_cast<std::size_t>(vi);
     const std::uint64_t* was = old_rows[v];
     if (was == nullptr) {
-      std::copy(old.begin() + static_cast<std::ptrdiff_t>(start[v]),
-                old.begin() + static_cast<std::ptrdiff_t>(start[v + 1]),
-                fresh.begin() + static_cast<std::ptrdiff_t>(new_start[v]));
+      std::copy(old.begin() + start[v], old.begin() + start[v + 1],
+                fresh.begin() + new_start[v]);
       continue;
     }
     const std::uint64_t* now = rows.row(vi);
@@ -644,10 +692,7 @@ void relayout(const base::BitMatrix& rows, const AnchorDomain* self,
       }
       ++k;
     }
-    if (k < new_start[v + 1]) fresh[k] = old[start[v + 1] - 1];  // self cell
   }
-  start = std::move(new_start);
-  cells.write() = std::move(fresh);
 }
 
 }  // namespace
@@ -706,26 +751,32 @@ void AnchorAnalysis::update(const cg::ConstraintGraph& g,
 
   // A flipped A(v) bit moves length cells: rebuild that layout now, in
   // one pass that carries every kept value over, so the sweeps below
-  // read and write settled slots.
-  const auto relayout_if_changed =
-      [&](const base::BitMatrix& rows, const std::vector<std::uint64_t>& prev,
-          const AnchorDomain* self, std::vector<std::size_t>& start,
-          Cells& cells) {
-        std::vector<const std::uint64_t*> old_rows;
-        for (std::size_t i = 0; i < plan.affected_topo.size(); ++i) {
-          const std::uint64_t* was = prev.data() + i * words;
-          const VertexId v = plan.affected_topo[i];
-          if (base::words_equal(was, rows.row(v.index()), words)) continue;
-          if (old_rows.empty()) {
-            old_rows.assign(static_cast<std::size_t>(n), nullptr);
-          }
-          old_rows[v.index()] = was;
-        }
-        if (!old_rows.empty()) relayout(rows, self, old_rows, start, cells);
-      };
+  // read and write settled slots. `changed_rows` lists the pre-edit
+  // rows of the affected vertices whose row differs from `rows` now
+  // (empty when none does).
+  const auto changed_rows = [&](const base::BitMatrix& rows,
+                                const std::vector<std::uint64_t>& prev) {
+    std::vector<const std::uint64_t*> old_rows;
+    for (std::size_t i = 0; i < plan.affected_topo.size(); ++i) {
+      const std::uint64_t* was = prev.data() + i * words;
+      const VertexId v = plan.affected_topo[i];
+      if (base::words_equal(was, rows.row(v.index()), words)) continue;
+      if (old_rows.empty()) {
+        old_rows.assign(static_cast<std::size_t>(n), nullptr);
+      }
+      old_rows[v.index()] = was;
+    }
+    return old_rows;
+  };
   if (plan.forward_changed) {
-    relayout_if_changed(sets_.matrix, prev_anchor_rows, &sets_.domain,
-                        length_start_, length_cells_);
+    if (const auto old_rows = changed_rows(sets_.matrix, prev_anchor_rows);
+        !old_rows.empty()) {
+      CellTable fresh = length_layout(sets_);
+      const CellTable& old = lengths_.read();
+      carry_values(sets_.matrix, old_rows, old.start, old.value, fresh.start,
+                   fresh.value);
+      lengths_ = base::Cow<CellTable>(std::move(fresh));
+    }
   }
 
   // Which anchors' values must be recomputed? Anchor x's values can
@@ -776,7 +827,7 @@ void AnchorAnalysis::update(const cg::ConstraintGraph& g,
     if (!touched[i]) continue;
     ++rows_recomputed_;
     if (lengths == nullptr) {
-      lengths = &length_cells_.write();
+      lengths = &lengths_.write().value;
       ws.entering.clear();
       for (VertexId v : plan.affected_topo) {
         for (EdgeId eid : g.in_edges(v)) {
@@ -799,6 +850,7 @@ void AnchorAnalysis::update(const cg::ConstraintGraph& g,
         patch_cone_longest_paths(
             g, x, sets_, plan, ws.entering,
             [&](VertexId u) {
+              if (u == x) return graph::Weight{0};
               const std::size_t k = length_index(col, u);
               return k == kNoCell ? graph::kNegInf : (*lengths)[k];
             },
@@ -812,13 +864,20 @@ void AnchorAnalysis::update(const cg::ConstraintGraph& g,
       } else {
         relevant_.clear(v.index(), col);
       }
-      if (v == x || sets_.matrix.test(v.index(), col)) {
+      if (sets_.matrix.test(v.index(), col)) {
         (*lengths)[length_index(col, v)] = ws.length[v.index()];
       }
     }
   }
-  relayout_if_changed(relevant_, prev_relevant_rows, nullptr, defining_start_,
-                      defining_cells_);
+  if (const auto old_rows = changed_rows(relevant_, prev_relevant_rows);
+      !old_rows.empty()) {
+    std::vector<std::uint32_t> new_start = cell_starts(relevant_);
+    std::vector<graph::Weight> fresh(new_start.back(), graph::kNegInf);
+    carry_values(relevant_, old_rows, defining_start_, defining_cells_.read(),
+                 new_start, fresh);
+    defining_start_ = std::move(new_start);
+    defining_cells_ = Cells(std::move(fresh));
+  }
   if (!swept.empty()) {
     std::vector<graph::Weight>& cells = defining_cells_.write();
     for (const SweptCell& c : swept) {

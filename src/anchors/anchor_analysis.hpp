@@ -26,12 +26,14 @@
 // a's cone ({a} union {v : a in A(v)}), and |rho*(a, v)| exactly where
 // a in R(v) (Definition 9). Each value kind is one vertex-major CSR
 // array aligned with a bit matrix: vertex v's length cells are one per
-// anchor of A(v), in the row's bit order, then length(v, v) = 0 when v
-// is itself an anchor; its defining cells are one per anchor of R(v).
-// Consumers walk a set and its cells in step (AnchorCells), so no rank
-// is computed per cell. The designs this repo generates hold 1.0-1.25
-// anchors per vertex, so the cells are a few percent of the
-// |A| x |V| dense rows they replace.
+// anchor of A(v), in the row's bit order (length(a, a) = 0 is a
+// constant and has no cell); its defining cells are one per anchor of
+// R(v). Consumers walk a set and its cells in step (AnchorCells), so no
+// rank is computed per cell. The designs this repo generates hold
+// 1.0-1.25 anchors per vertex, so the cells are a few percent of the
+// |A| x |V| dense rows they replace. By Theorem 3 the length cells are
+// also the full-mode minimum schedule, so they live in the CellTable
+// layout sched::RelativeSchedule reads: a session's schedule views them.
 #pragma once
 
 #include <cstdint>
@@ -264,6 +266,22 @@ struct AnchorSets {
   }
 };
 
+/// Cells in one vertex-major CSR layout: vertex v's cells are
+/// [start[v], start[v + 1]) of `anchor` and `value`, anchors ascending.
+/// Both the analysis's length cells and a RelativeSchedule use it.
+struct CellTable {
+  std::vector<std::uint32_t> start;  // |V| + 1 entries, or none
+  std::vector<VertexId> anchor;
+  std::vector<graph::Weight> value;
+
+  /// Heap bytes held by the three arrays.
+  [[nodiscard]] std::size_t heap_bytes() const {
+    return start.capacity() * sizeof(std::uint32_t) +
+           anchor.capacity() * sizeof(VertexId) +
+           value.capacity() * sizeof(graph::Weight);
+  }
+};
+
 /// findAnchorSet (paper §IV-A): anchor sets A(v) over the forward
 /// constraint graph. Worst case O(|Ef| * |A| / 64) words merged.
 /// Precondition: Gf acyclic.
@@ -344,9 +362,15 @@ class AnchorAnalysis {
   /// order it maintains instead of sorting Gf again). A non-null
   /// `watchdog` is charged per vertex the sweeps relax; when it trips
   /// the result is incomplete and the caller must discard it.
-  static AnchorAnalysis compute(const cg::ConstraintGraph& g,
-                                std::span<const int> topo,
-                                base::Watchdog* watchdog = nullptr);
+  ///
+  /// A non-empty `source_lengths` holds G0's longest paths from the
+  /// source, as wellposed::is_feasible leaves them. The source's cone is
+  /// all of V on a valid graph (checked), so they are its length cells
+  /// and its cone sweep is skipped.
+  static AnchorAnalysis compute(
+      const cg::ConstraintGraph& g, std::span<const int> topo,
+      base::Watchdog* watchdog = nullptr,
+      std::span<const graph::Weight> source_lengths = {});
 
   /// Anchor sets A(v) only (cheaper; enough for well-posedness checks).
   /// R(v) and IR(v) are empty and every length is graph::kNegInf.
@@ -372,8 +396,11 @@ class AnchorAnalysis {
   /// Value arrays (length cells, defining cells: at most 2) still
   /// shared with another analysis, i.e. with a fork relative. Copies of
   /// an AnchorAnalysis share them copy-on-write; update() clones an
-  /// array only when it patches it. For engine statistics.
-  [[nodiscard]] int cell_arrays_shared() const;
+  /// array only when it patches it. `views` is the number of schedule
+  /// views of this analysis the caller holds itself (they share the
+  /// length table too, but are no fork relative). For engine
+  /// statistics.
+  [[nodiscard]] int cell_arrays_shared(int views = 0) const;
 
   [[nodiscard]] const std::vector<VertexId>& anchors() const {
     return sets_.domain.anchors;
@@ -408,9 +435,19 @@ class AnchorAnalysis {
   /// Sweeps over A(v) read these instead of calling length() per cell.
   /// length(v, v) of an anchor v is not among them.
   [[nodiscard]] AnchorCells lengths_at(VertexId v) const {
-    return AnchorCells(anchor_set(v),
-                       length_cells_.read().data() + length_start_[v.index()]);
+    const CellTable& t = lengths_.read();
+    return AnchorCells(anchor_set(v), t.value.data() + t.start[v.index()]);
   }
+
+  /// Every length cell, shared copy-on-write: the table a full-mode
+  /// sched::RelativeSchedule views (RelativeSchedule::from_lengths).
+  [[nodiscard]] const base::Cow<CellTable>& length_table() const {
+    return lengths_;
+  }
+
+  /// length(anchor, v) for every vertex v, into `out` (resized to |V|):
+  /// the source's column is the zero-profile start times.
+  void length_column(VertexId anchor, std::vector<graph::Weight>& out) const;
 
   /// |rho*(a, v)|: the length of the *maximal defining path* from
   /// anchor `a` to `v` (Definitions 8 and 10) -- the longest path whose
@@ -453,13 +490,13 @@ class AnchorAnalysis {
   using Cells = base::Cow<std::vector<graph::Weight>>;
   static constexpr std::size_t kNoCell = static_cast<std::size_t>(-1);
 
-  static AnchorAnalysis compute_sharded(const cg::ConstraintGraph& g,
-                                        std::span<const int> topo,
-                                        base::WorkStealingPool* pool,
-                                        base::Watchdog* watchdog);
+  static AnchorAnalysis compute_sharded(
+      const cg::ConstraintGraph& g, std::span<const int> topo,
+      base::WorkStealingPool* pool, base::Watchdog* watchdog,
+      std::span<const graph::Weight> source_lengths);
   void compute_irredundant_at(VertexId v);
-  /// Recomputes length_start_ and defining_start_ from the bit rows.
-  void rebuild_starts();
+  /// Lays out both cell arrays from the bit rows (values kNegInf).
+  void rebuild_layouts();
   /// Index of (anchor column `col`, v)'s cell, or kNoCell when v is
   /// outside the column's cone / relevant region.
   [[nodiscard]] std::size_t length_index(int col, VertexId v) const;
@@ -471,14 +508,11 @@ class AnchorAnalysis {
   /// R(v) and IR(v), over sets_.domain's columns.
   base::BitMatrix relevant_;
   base::BitMatrix irredundant_;
-  /// length_cells_[length_start_[v] .. length_start_[v + 1]) holds
-  /// length(a, v) for a in A(v), in bit order, then length(v, v) when v
-  /// is an anchor. |V| + 1 starts.
-  std::vector<std::size_t> length_start_;
-  Cells length_cells_;
+  /// Vertex v's cells hold length(a, v) for a in A(v), in bit order.
+  base::Cow<CellTable> lengths_;
   /// defining_cells_[defining_start_[v] .. defining_start_[v + 1])
-  /// holds |rho*(a, v)| for a in R(v), in bit order.
-  std::vector<std::size_t> defining_start_;
+  /// holds |rho*(a, v)| for a in R(v), in bit order. |V| + 1 starts.
+  std::vector<std::uint32_t> defining_start_;
   Cells defining_cells_;
 };
 

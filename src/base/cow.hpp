@@ -5,7 +5,9 @@
 // first iff it is shared. The engine uses this for the per-anchor path
 // rows of AnchorAnalysis -- the O(|anchors| * |V|) bulk of a session's
 // products -- so that forked sessions share the cold baseline and each
-// fork pays only for the rows its own dirty cone touches.
+// fork pays only for the rows its own dirty cone touches. A full-mode
+// sched::RelativeSchedule shares the length rows the same way: it is a
+// view of them, not a copy.
 //
 // Thread-safety contract (what the parallel explorer relies on):
 //   - Concurrent copies of the same Cow (forking) are safe: copying a
@@ -45,6 +47,8 @@ class Cow {
 
   /// True when the payload is shared with at least one other Cow.
   [[nodiscard]] bool shared() const { return ptr_.use_count() > 1; }
+  /// Cows sharing the payload, this one included.
+  [[nodiscard]] long use_count() const { return ptr_.use_count(); }
 
  private:
   std::shared_ptr<T> ptr_;

@@ -631,15 +631,6 @@ Diag check_products(const cg::ConstraintGraph& g,
               "' disagrees with the sets derived from the graph"));
     }
   }
-  for (const VertexId a : anchor_list) {
-    const graph::Weight self = analysis.length(a, a);
-    if (self != 0) {
-      return schedule_violation(
-          g, EdgeId::invalid(), a, self, 0, "length-row",
-          cat("length(", vname(g, a), ", ", vname(g, a), ")=", self,
-              ", expected 0"));
-    }
-  }
   // Dominance of one cone edge e = (t, h) in anchor a's cells.
   const auto dominance_violation = [&](EdgeId eid, VertexId a,
                                        graph::Weight len, graph::Weight bound) {

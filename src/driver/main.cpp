@@ -648,7 +648,7 @@ int run_graph_session(cg::ConstraintGraph g, const RunOptions& run,
   }
   const cg::ConstraintGraph& graph = session->graph();
   const sched::RelativeSchedule& schedule = products.schedule.schedule;
-  std::cout << "scheduled in " << products.schedule.iterations
+  std::cout << "scheduled in " << sched::iteration_count(graph, products.analysis)
             << " iteration(s)\n";
   if (out.schedule || (!out.verilog && !out.dot)) {
     driver::print_schedule_table(std::cout, graph, products.analysis,

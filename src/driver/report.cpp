@@ -99,7 +99,8 @@ void print_design_report(std::ostream& os, const seq::Design& design,
                    std::to_string(g.vertex_count()),
                    std::to_string(gs.analysis.anchors().size()),
                    std::to_string(sum_full), std::to_string(sum_ir),
-                   cat(gs.latency), std::to_string(gs.schedule.iterations),
+                   cat(gs.latency),
+                   std::to_string(sched::iteration_count(g, gs.analysis)),
                    std::to_string(gs.binding.serializations.size() +
                                   gs.wellposed_fix.added_edges.size())});
   }

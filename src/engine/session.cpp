@@ -23,32 +23,26 @@ using Clock = std::chrono::steady_clock;
 constexpr std::string_view kSnapshotMagic = "RSNAP001";
 // v2: anchor analysis serialized as anchor-domain + bitset rows (the
 // struct-of-arrays core refactor). v3: SessionStats grew wal_retries
-// (the serving layer's flaky-filesystem counter). Older snapshots are
-// not readable.
-constexpr std::uint32_t kSnapshotVersion = 4;
+// (the serving layer's flaky-filesystem counter). v5: products store no
+// schedule cells (a view of the analysis's, rebound on load), iteration
+// count, order copy or length(a, a) cells. Older snapshots are not
+// readable.
+constexpr std::uint32_t kSnapshotVersion = 5;
 
 double us_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::micro>(b - a).count();
 }
 
 /// Loaded products index only vertices of the loaded graph: the
-/// analysis and the schedule cover all `n` of them (or, unless the
-/// products are ok, none), and every offset's anchor is a vertex.
-bool products_fit(const Products& p, int n) {
+/// analysis covers all `n` of them (or, unless the products are ok,
+/// none). An ok product's schedule is a view of that analysis, and the
+/// restored potentials are its source column, so the source must be
+/// one of its anchors.
+bool products_fit(const Products& p, const cg::ConstraintGraph& g) {
   const std::size_t rows = p.analysis.anchor_sets().domain.index.size();
-  const sched::RelativeSchedule& schedule = p.schedule.schedule;
-  const bool empty_ok = !p.ok();
-  if (!(rows == static_cast<std::size_t>(n) || (empty_ok && rows == 0)) ||
-      !(schedule.vertex_count() == n ||
-        (empty_ok && schedule.vertex_count() == 0))) {
-    return false;
-  }
-  for (int v = 0; v < schedule.vertex_count(); ++v) {
-    for (const VertexId a : schedule.offsets(VertexId(v)).anchors()) {
-      if (a.value() >= n) return false;
-    }
-  }
-  return true;
+  const bool covers = rows == static_cast<std::size_t>(g.vertex_count());
+  if (!p.ok()) return covers || rows == 0;
+  return covers && p.analysis.is_anchor(g.source());
 }
 
 }  // namespace
@@ -71,7 +65,8 @@ SynthesisSession::SynthesisSession(cg::ConstraintGraph graph,
 SessionStats SynthesisSession::stats() const {
   SessionStats s = stats_;
   s.forks_taken = forks_taken_->load(std::memory_order_relaxed);
-  s.anchor_rows_shared = products_.analysis.cell_arrays_shared();
+  s.anchor_rows_shared = products_.analysis.cell_arrays_shared(
+      products_.schedule.schedule.views(products_.analysis) ? 1 : 0);
   if (wal_ != nullptr) {
     s.wal_records = wal_->appended_records();
     s.wal_fsyncs = wal_->fsyncs();
@@ -272,10 +267,10 @@ const Products& SynthesisSession::resolve() {
   return products_;
 }
 
-void SynthesisSession::adopt_schedule() {
-  products_.topo = topo_.order();
-  potentials_ =
-      products_.schedule.schedule.start_times(graph_, {}, topo_.order());
+void SynthesisSession::publish_schedule() {
+  products_.schedule.status = sched::ScheduleStatus::kScheduled;
+  products_.schedule.schedule =
+      sched::RelativeSchedule::from_lengths(products_.analysis);
 }
 
 void SynthesisSession::cold_resolve() {
@@ -285,8 +280,8 @@ void SynthesisSession::cold_resolve() {
   sched::ScheduleResult& out = products_.schedule;
 
   // One Gf adjacency and one topological order serve the whole cold
-  // pass: validation, feasibility, anchor sets and the schedule all
-  // read them. The order is reset first, on every exit path, so it
+  // pass: validation, feasibility and the anchor analysis all read
+  // them. The order is reset first, on every exit path, so it
   // stays coherent with the graph: failed resolves (invalid,
   // infeasible, ill-posed, cancelled) do not patch the order
   // edge-by-edge the way the warm path does, so without this reset a
@@ -304,8 +299,11 @@ void SynthesisSession::cold_resolve() {
     return;
   }
   // Theorem 1, from the order: AnchorAnalysis::compute requires
-  // feasibility, so it cannot be deferred past it.
-  if (!wellposed::is_feasible(graph_, topo_.order(), &watchdog_)) {
+  // feasibility, so it cannot be deferred past it. The pass leaves the
+  // longest paths from the source: the source's length cells, and the
+  // zero-profile start times the warm SPFA repairs from.
+  if (!wellposed::is_feasible(graph_, topo_.order(), &watchdog_, nullptr,
+                              &potentials_)) {
     if (watchdog_.stopped()) {
       // Aborted, not infeasible: feasibility is undecided.
       cancelled_products();
@@ -316,8 +314,8 @@ void SynthesisSession::cold_resolve() {
     out.diag = certify::find_positive_cycle(graph_);
     return;
   }
-  products_.analysis =
-      anchors::AnchorAnalysis::compute(graph_, topo_.order(), &watchdog_);
+  products_.analysis = anchors::AnchorAnalysis::compute(
+      graph_, topo_.order(), &watchdog_, potentials_);
   if (watchdog_.stopped()) {
     cancelled_products();
     return;
@@ -332,12 +330,10 @@ void SynthesisSession::cold_resolve() {
     return;
   }
 
-  sched::ScheduleOptions sopts;
-  sopts.prechecks = false;
-  out = sched::schedule(graph_, products_.analysis, topo_.order(), sopts);
+  // Theorem 3: the minimum schedule is the length cells just computed.
+  publish_schedule();
   stats_.anchor_rows_recomputed += products_.analysis.rows_recomputed();
   stats_.anchor_rows_cold_equivalent += products_.analysis.rows_recomputed();
-  if (out.ok()) adopt_schedule();
 }
 
 bool SynthesisSession::try_incremental(const std::vector<VertexId>& seeds,
@@ -384,10 +380,10 @@ bool SynthesisSession::try_incremental(const std::vector<VertexId>& seeds,
     fault_.kind = FaultInjector::Kind::kNone;
   }
   // The cone in forward topological order: the anchor patch's
-  // relaxation sweeps and the cone-restricted reschedule both walk it
-  // front-to-back instead of scanning all V positions for dirty bits.
-  // (Filtered through the mask so an injected kFlipDirtyBit victim is
-  // skipped by every downstream consumer, like the old bit-scan was.)
+  // relaxation sweeps walk it front-to-back instead of scanning all V
+  // positions for dirty bits. (Filtered through the mask so an injected
+  // kFlipDirtyBit victim is skipped by every downstream consumer, like
+  // the old bit-scan was.)
   affected_topo_.clear();
   for (VertexId v : last_dirty_cone_) {
     if (affected_mask_.contains(v)) affected_topo_.push_back(v);
@@ -432,6 +428,9 @@ bool SynthesisSession::try_incremental(const std::vector<VertexId>& seeds,
   const Clock::time_point t_spfa = Clock::now();
   stats_.warm_spfa_us += us_between(t_topo, t_spfa);
 
+  // Drop the schedule's view of the length cells first, so the patch
+  // below writes them in place instead of cloning them away from it.
+  products_.schedule.schedule = {};
   anchors::UpdatePlan plan;
   plan.affected = &affected_mask_;
   plan.affected_topo = affected_topo_;
@@ -477,7 +476,6 @@ bool SynthesisSession::try_incremental(const std::vector<VertexId>& seeds,
   stats_.warm_anchor_us += us_between(t_spfa, t_anchor);
   if (wp.status == wellposed::Status::kIllPosed) {
     // Mirrors the cold path: keep the analysis, drop the schedule.
-    products_.topo.clear();
     products_.schedule = sched::ScheduleResult{};
     products_.schedule.status = sched::ScheduleStatus::kIllPosed;
     products_.schedule.message = wp.message;
@@ -485,13 +483,12 @@ bool SynthesisSession::try_incremental(const std::vector<VertexId>& seeds,
     return true;
   }
 
-  sched::ScheduleOptions sopts;
-  sopts.prechecks = false;
-  sched::ScheduleResult rescheduled = sched::reschedule(
-      graph_, analysis, std::move(products_.schedule.schedule),
-      affected_mask_, affected_topo_, sopts);
-  products_.schedule = std::move(rescheduled);
-  if (products_.ok()) adopt_schedule();
+  // The patched length cells are the new minimum schedule (Theorem 3).
+  // The potentials are refreshed from the source's cells at every
+  // vertex: the SPFA repair leaves valid potentials, not the longest
+  // paths, and a corrupted one outside the cone is re-derived here.
+  publish_schedule();
+  analysis.length_column(graph_.source(), potentials_);
   stats_.warm_resched_us += us_between(t_anchor, Clock::now());
   return true;
 }
@@ -698,7 +695,7 @@ std::optional<SynthesisSession> SynthesisSession::restore(
   if (s.products_.revision > s.graph_.revision()) {
     return reject("snapshot products are newer than the snapshot graph");
   }
-  if (!products_fit(s.products_, s.graph_.vertex_count())) {
+  if (!products_fit(s.products_, s.graph_)) {
     return reject("snapshot products do not fit the snapshot graph");
   }
   if (topo_valid &&
@@ -714,11 +711,10 @@ std::optional<SynthesisSession> SynthesisSession::restore(
   s.force_cold_ = pending_cold || !topo_valid;
   if (resolved_once && !s.force_cold_ && s.products_.ok()) {
     // Recomputed, not trusted: the potentials seed future warm SPFA
-    // repairs, and recomputing them from the certified schedule is as
-    // cheap as validating the serialized copy.
-    s.potentials_ =
-        s.products_.schedule.schedule.start_times(s.graph_, {},
-                                                  s.topo_.order());
+    // repairs, and reading them from the source's length cells (which
+    // verify_restored certifies) is as cheap as validating the
+    // serialized copy.
+    s.products_.analysis.length_column(s.graph_.source(), s.potentials_);
   } else {
     s.potentials_ = std::move(potentials);
   }
@@ -865,17 +861,34 @@ void SynthesisSession::verify_restored(RestoreReport& report) {
 void save_products(persist::Writer& w, const Products& products) {
   w.u64(products.revision);
   persist::save_analysis(w, products.analysis);
-  persist::save_schedule_result(w, products.schedule);
-  w.vec_i32(products.topo);
+  // The schedule's cells are the analysis's (Theorem 3): only the
+  // verdict is stored, and load_products rebinds the view.
+  w.u8(static_cast<std::uint8_t>(products.schedule.status));
+  w.str(products.schedule.message);
+  persist::save_diag(w, products.schedule.diag);
   persist::save_diag(w, products.certificate);
 }
 
 bool load_products(persist::Reader& r, Products* out) {
   out->revision = r.u64();
   if (!persist::load_analysis(r, &out->analysis)) return false;
-  if (!persist::load_schedule_result(r, &out->schedule)) return false;
-  out->topo = r.vec_i32();
-  if (!persist::load_diag(r, &out->certificate)) return false;
+  const std::uint8_t status = r.u8();
+  if (!r.ok() ||
+      status > static_cast<std::uint8_t>(sched::ScheduleStatus::kCancelled)) {
+    r.fail();
+    return false;
+  }
+  out->schedule = sched::ScheduleResult{};
+  out->schedule.status = static_cast<sched::ScheduleStatus>(status);
+  out->schedule.message = r.str();
+  if (!persist::load_diag(r, &out->schedule.diag) ||
+      !persist::load_diag(r, &out->certificate)) {
+    return false;
+  }
+  if (out->ok()) {
+    out->schedule.schedule =
+        sched::RelativeSchedule::from_lengths(out->analysis);
+  }
   return r.ok();
 }
 
@@ -909,27 +922,41 @@ void save_stats(persist::Writer& w, const SessionStats& stats) {
 }
 
 bool load_stats(persist::Reader& r, SessionStats* out) {
-  out->cold_resolves = r.i32();
-  out->warm_resolves = r.i32();
-  out->anchor_rows_recomputed = r.i64();
-  out->anchor_rows_cold_equivalent = r.i64();
-  out->last_affected_vertices = r.i32();
-  out->transactions = r.i32();
-  out->edits_coalesced = r.i64();
-  out->last_txn_edits = r.i32();
-  out->last_merged_cone_vertices = r.i32();
-  out->last_cone_vertices_sum = r.i64();
-  out->forks_taken = r.i64();
-  out->anchor_rows_shared = r.i32();
-  out->cancelled_resolves = r.i32();
-  out->checkpoints = r.i32();
-  out->restores = r.i32();
-  out->restore_cold_fallbacks = r.i32();
-  out->wal_records = r.i64();
-  out->wal_fsyncs = r.i64();
-  out->wal_retries = r.i64();
-  out->certified_resolves = r.i64();
-  out->certificate_failures = r.i32();
+  // Counters resume from the snapshot and keep counting. One that is
+  // negative or in the top half of its type was never written by a
+  // session and would overflow on a later increment: the stats are
+  // corrupt.
+  const auto count32 = [&r]() {
+    const std::int32_t v = r.i32();
+    if (v < 0 || v > INT32_MAX / 2) r.fail();
+    return v;
+  };
+  const auto count64 = [&r]() {
+    const std::int64_t v = r.i64();
+    if (v < 0 || v > INT64_MAX / 2) r.fail();
+    return v;
+  };
+  out->cold_resolves = count32();
+  out->warm_resolves = count32();
+  out->anchor_rows_recomputed = count64();
+  out->anchor_rows_cold_equivalent = count64();
+  out->last_affected_vertices = count32();
+  out->transactions = count32();
+  out->edits_coalesced = count64();
+  out->last_txn_edits = count32();
+  out->last_merged_cone_vertices = count32();
+  out->last_cone_vertices_sum = count64();
+  out->forks_taken = count64();
+  out->anchor_rows_shared = count32();
+  out->cancelled_resolves = count32();
+  out->checkpoints = count32();
+  out->restores = count32();
+  out->restore_cold_fallbacks = count32();
+  out->wal_records = count64();
+  out->wal_fsyncs = count64();
+  out->wal_retries = count64();
+  out->certified_resolves = count64();
+  out->certificate_failures = count32();
   out->certify_us = r.f64();
   out->warm_topo_us = r.f64();
   out->warm_spfa_us = r.f64();

@@ -3,7 +3,10 @@
 // A SynthesisSession owns one constraint graph plus every product the
 // pipeline derives from it -- forward topological order, anchor
 // analysis, well-posedness verdict, relative schedule -- cached and
-// keyed by the graph's revision counter. Edits flow through the
+// keyed by the graph's revision counter. By Theorem 3 the minimum
+// relative schedule is the analysis's length cells, so the schedule is
+// a view of them (sched::RelativeSchedule::from_lengths), not a second
+// computation or copy. Edits flow through the
 // graph's journaled edit API (cg::ConstraintGraph::edits()); resolve()
 // replays the journal suffix since the last resolve and chooses:
 //
@@ -13,10 +16,10 @@
 //   warm  - constraint-only edits on top of a scheduled state: patch
 //           the dynamic topological order (Pearce-Kelly), flood the
 //           dirty cone from the journal's seed vertices, re-establish
-//           feasibility by label-correcting the previous schedule's
-//           start-time potentials, update the anchor analysis on the
-//           cone only, re-check containment on touched backward edges,
-//           and warm-start the scheduler from the previous offsets.
+//           feasibility by label-correcting the previous start-time
+//           potentials, update the anchor analysis on the cone only,
+//           re-check containment on touched backward edges, and
+//           publish the patched length cells as the schedule.
 //
 // Warm results are bit-identical to a cold recompute of the edited
 // graph (property-tested in tests/property_engine.cpp). Every resolve
@@ -139,9 +142,9 @@ struct Products {
   /// Graph revision these products were computed at.
   std::uint64_t revision = 0;
   anchors::AnchorAnalysis analysis;
+  /// When ok(), `schedule.schedule` views `analysis`'s length cells
+  /// (Theorem 3); `iterations` and `trace` stay empty.
   sched::ScheduleResult schedule;
-  /// Forward topological order the schedule was computed with.
-  std::vector<int> topo;
   /// What certification caught, when it caught anything (kNone
   /// otherwise): these products then come from the cold fallback, and
   /// `certificate` records why the warm results were rejected.
@@ -222,7 +225,9 @@ struct SessionStats {
   /// In-place anchor-analysis patch plus backward-edge containment
   /// recheck.
   double warm_anchor_us = 0;
-  /// Warm-started rescheduling.
+  /// Publishing the patched length cells as the schedule and refreshing
+  /// the potentials from the source's cells (named for the metric that
+  /// reads it).
   double warm_resched_us = 0;
 };
 
@@ -314,6 +319,13 @@ class SynthesisSession {
 
   /// Last resolved products (resolve() must have run at least once).
   [[nodiscard]] const Products& products() const { return products_; }
+
+  /// The forward topological order the session maintains over Gf;
+  /// empty while Gf is cyclic (the last resolve found it so).
+  [[nodiscard]] std::span<const int> topo_order() const {
+    return topo_.valid() ? std::span<const int>(topo_.order())
+                         : std::span<const int>();
+  }
 
   /// True when the most recent resolve()/commit() was served by the
   /// warm path and its products survived certification (no cold
@@ -476,8 +488,9 @@ class SynthesisSession {
   /// slower path to fall back to, so a failure here is a hard error
   /// (RELSCHED_CHECK).
   void certify_cold_products();
-  /// Refreshes topo/potentials after a successful schedule.
-  void adopt_schedule();
+  /// Marks the products scheduled, with the analysis's length cells as
+  /// the schedule (Theorem 3).
+  void publish_schedule();
   /// Replays the journal suffix's min-constraint insertions into topo_
   /// (Pearce-Kelly); false when one closes a forward cycle.
   bool replay_forward_insertions();
@@ -513,9 +526,9 @@ class SynthesisSession {
       std::make_shared<std::atomic<long long>>(0);
   /// Pearce-Kelly order over Gf, patched per forward-edge edit.
   graph::DynamicTopoOrder topo_;
-  /// Zero-profile start times of the last valid schedule: a potential
-  /// function satisfying every G0 edge, re-used as the starting point
-  /// for incremental feasibility.
+  /// Zero-profile start times of the last valid schedule, i.e.
+  /// length(source, .): a potential function satisfying every G0 edge,
+  /// re-used as the starting point for incremental feasibility.
   std::vector<graph::Weight> potentials_;
   /// Dirty cone of the last warm resolve: every vertex whose derived
   /// products (anchor sets, path rows, offsets) may differ from the
@@ -526,8 +539,7 @@ class SynthesisSession {
   // must not pay O(V) allocations before touching its (small) cone.
   /// Membership mask of the merged dirty cone in flight.
   base::VertexMask affected_mask_;
-  /// The cone listed in forward topological order (UpdatePlan /
-  /// cone-restricted reschedule input).
+  /// The cone listed in forward topological order (UpdatePlan input).
   std::vector<VertexId> affected_topo_;
   /// Seed dedup for the journal-suffix fold.
   base::VertexMask fold_seen_;

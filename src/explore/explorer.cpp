@@ -81,9 +81,10 @@ using Clock = std::chrono::steady_clock;
 
 constexpr std::string_view kExploreMagic = "RSEXP001";
 // v3: embedded session products carry the anchor analysis's bit rows
-// and cone-restricted cells (see engine's kSnapshotVersion); earlier
+// and cone-restricted cells (see engine's kSnapshotVersion). v4: the
+// products store no schedule cells (a view of the analysis's). Earlier
 // checkpoints are not readable.
-constexpr std::uint32_t kExploreVersion = 3;
+constexpr std::uint32_t kExploreVersion = 4;
 
 std::shared_ptr<base::WorkStealingPool> resolve_pool(int requested) {
   if (requested > 0) return std::make_shared<base::WorkStealingPool>(requested);

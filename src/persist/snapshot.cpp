@@ -199,7 +199,7 @@ void AnchorAnalysisAccess::save(Writer& w,
     w.u64(cells.size());
     for (const graph::Weight value : cells) w.i64(value);
   };
-  save_cells(a.length_cells_.read());
+  save_cells(a.lengths_.read().value);
   save_cells(a.defining_cells_.read());
 }
 
@@ -243,20 +243,24 @@ bool AnchorAnalysisAccess::load(Reader& r, anchors::AnchorAnalysis* out) {
   // The bit rows fix how many cells each array holds. A count that
   // disagrees, or more cells than the payload has bytes for, is
   // rejected before anything is allocated from it.
-  a.rebuild_starts();
-  const auto load_cells = [&r](std::size_t expect,
-                               std::vector<graph::Weight>* cells) {
+  const auto load_cells = [&r](std::vector<graph::Weight>* cells) {
     const std::uint64_t count = r.u64();
-    if (!r.ok() || count != expect || r.remaining() / 8 < count) {
+    if (!r.ok() || count != cells->size() || r.remaining() / 8 < count) {
       r.fail();
       return false;
     }
-    cells->resize(expect);
     for (graph::Weight& value : *cells) value = r.i64();
     return r.ok();
   };
-  if (!load_cells(a.length_start_.back(), &a.length_cells_.write()) ||
-      !load_cells(a.defining_start_.back(), &a.defining_cells_.write())) {
+  if (r.remaining() / 8 <
+      a.total_anchor_set_size(anchors::AnchorMode::kFull) +
+          a.total_anchor_set_size(anchors::AnchorMode::kRelevant)) {
+    r.fail();
+    return false;
+  }
+  a.rebuild_layouts();
+  if (!load_cells(&a.lengths_.write().value) ||
+      !load_cells(&a.defining_cells_.write())) {
     return false;
   }
   *out = std::move(a);
@@ -412,52 +416,6 @@ bool load_schedule(Reader& r, sched::RelativeSchedule* out) {
   if (!r.ok()) return false;
   schedule.shrink_to_fit();
   *out = std::move(schedule);
-  return true;
-}
-
-void save_schedule_result(Writer& w, const sched::ScheduleResult& result) {
-  w.u8(static_cast<std::uint8_t>(result.status));
-  save_schedule(w, result.schedule);
-  w.i32(result.iterations);
-  w.str(result.message);
-  save_diag(w, result.diag);
-  w.u32(static_cast<std::uint32_t>(result.trace.size()));
-  for (const sched::IterationTrace& trace : result.trace) {
-    w.i32(trace.iteration);
-    save_schedule(w, trace.after_compute);
-    save_schedule(w, trace.after_readjust);
-    w.i32(trace.violated_backward_edges);
-  }
-}
-
-bool load_schedule_result(Reader& r, sched::ScheduleResult* out) {
-  sched::ScheduleResult result;
-  const std::uint8_t status = r.u8();
-  if (status > static_cast<std::uint8_t>(sched::ScheduleStatus::kCancelled)) {
-    r.fail();
-    return false;
-  }
-  result.status = static_cast<sched::ScheduleStatus>(status);
-  if (!load_schedule(r, &result.schedule)) return false;
-  result.iterations = r.i32();
-  result.message = r.str();
-  if (!load_diag(r, &result.diag)) return false;
-  const std::uint32_t traces = r.u32();
-  if (!r.ok() || r.remaining() / 4 < traces) {
-    r.fail();
-    return false;
-  }
-  result.trace.reserve(traces);
-  for (std::uint32_t i = 0; i < traces; ++i) {
-    sched::IterationTrace trace;
-    trace.iteration = r.i32();
-    if (!load_schedule(r, &trace.after_compute)) return false;
-    if (!load_schedule(r, &trace.after_readjust)) return false;
-    trace.violated_backward_edges = r.i32();
-    result.trace.push_back(std::move(trace));
-  }
-  if (!r.ok()) return false;
-  *out = std::move(result);
   return true;
 }
 

@@ -22,7 +22,6 @@
 #include "cg/constraint_graph.hpp"
 #include "persist/serialize.hpp"
 #include "sched/relative_schedule.hpp"
-#include "sched/scheduler.hpp"
 
 namespace relsched::persist {
 
@@ -49,9 +48,5 @@ void save_diag(Writer& w, const certify::Diag& diag);
 
 void save_schedule(Writer& w, const sched::RelativeSchedule& schedule);
 [[nodiscard]] bool load_schedule(Reader& r, sched::RelativeSchedule* out);
-
-void save_schedule_result(Writer& w, const sched::ScheduleResult& result);
-[[nodiscard]] bool load_schedule_result(Reader& r,
-                                        sched::ScheduleResult* out);
 
 }  // namespace relsched::persist

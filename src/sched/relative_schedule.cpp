@@ -19,51 +19,57 @@ std::ostream& operator<<(std::ostream& os, const OffsetView& offsets) {
 }
 
 void RelativeSchedule::reserve(int vertices, std::size_t cells) {
-  start_.reserve(static_cast<std::size_t>(vertices) + 1);
-  anchor_.reserve(cells);
-  value_.reserve(cells);
+  anchors::CellTable& t = cells_.write();
+  t.start.reserve(static_cast<std::size_t>(vertices) + 1);
+  t.anchor.reserve(cells);
+  t.value.reserve(cells);
 }
 
 void RelativeSchedule::add_vertex() {
-  if (start_.empty()) start_.push_back(0);
-  start_.push_back(start_.back());
+  anchors::CellTable& t = cells_.write();
+  if (t.start.empty()) t.start.push_back(0);
+  t.start.push_back(t.start.back());
 }
 
 void RelativeSchedule::add_cell(VertexId anchor, graph::Weight value) {
-  RELSCHED_CHECK(!start_.empty(), "add_cell() before add_vertex()");
-  RELSCHED_CHECK(start_.back() == start_[start_.size() - 2] ||
-                     anchor_.back() < anchor,
+  anchors::CellTable& t = cells_.write();
+  RELSCHED_CHECK(!t.start.empty(), "add_cell() before add_vertex()");
+  RELSCHED_CHECK(t.start.back() == t.start[t.start.size() - 2] ||
+                     t.anchor.back() < anchor,
                  "a vertex's cells must ascend by anchor");
-  RELSCHED_CHECK(anchor_.size() < UINT32_MAX, "too many schedule cells");
-  anchor_.push_back(anchor);
-  value_.push_back(value);
-  ++start_.back();
+  RELSCHED_CHECK(t.anchor.size() < UINT32_MAX, "too many schedule cells");
+  t.anchor.push_back(anchor);
+  t.value.push_back(value);
+  ++t.start.back();
 }
 
 void RelativeSchedule::shrink_to_fit() {
-  start_.shrink_to_fit();
-  anchor_.shrink_to_fit();
-  value_.shrink_to_fit();
+  anchors::CellTable& t = cells_.write();
+  t.start.shrink_to_fit();
+  t.anchor.shrink_to_fit();
+  t.value.shrink_to_fit();
 }
 
 void RelativeSchedule::set(VertexId v, VertexId a, graph::Weight value) {
-  const auto first = anchor_.begin() + start_[v.index()];
-  const auto last = anchor_.begin() + start_[v.index() + 1];
+  anchors::CellTable& t = cells_.write();
+  const auto first = t.anchor.begin() + t.start[v.index()];
+  const auto last = t.anchor.begin() + t.start[v.index() + 1];
   const auto it = std::lower_bound(first, last, a);
-  const auto at = it - anchor_.begin();
+  const auto at = it - t.anchor.begin();
   if (it != last && *it == a) {
-    value_[static_cast<std::size_t>(at)] = value;
+    t.value[static_cast<std::size_t>(at)] = value;
     return;
   }
-  anchor_.insert(it, a);
-  value_.insert(value_.begin() + at, value);
-  for (std::size_t i = v.index() + 1; i < start_.size(); ++i) ++start_[i];
+  t.anchor.insert(it, a);
+  t.value.insert(t.value.begin() + at, value);
+  for (std::size_t i = v.index() + 1; i < t.start.size(); ++i) ++t.start[i];
 }
 
 graph::Weight RelativeSchedule::max_offset(VertexId anchor) const {
+  const anchors::CellTable& t = cells_.read();
   graph::Weight best = 0;
-  for (std::size_t i = 0; i < anchor_.size(); ++i) {
-    if (anchor_[i] == anchor) best = std::max(best, value_[i]);
+  for (std::size_t i = 0; i < t.anchor.size(); ++i) {
+    if (t.anchor[i] == anchor) best = std::max(best, t.value[i]);
   }
   return best;
 }
@@ -72,15 +78,9 @@ std::vector<graph::Weight> RelativeSchedule::start_times(
     const cg::ConstraintGraph& g, const DelayProfile& profile) const {
   const auto topo = g.forward_order();
   RELSCHED_CHECK(topo.has_value(), "start_times requires an acyclic Gf");
-  return start_times(g, profile, *topo);
-}
-
-std::vector<graph::Weight> RelativeSchedule::start_times(
-    const cg::ConstraintGraph& g, const DelayProfile& profile,
-    std::span<const int> topo) const {
   std::vector<graph::Weight> start(static_cast<std::size_t>(g.vertex_count()),
                                    0);
-  for (int node : topo) {
+  for (int node : *topo) {
     const VertexId v(node);
     if (v == g.source()) {
       start[v.index()] = 0;

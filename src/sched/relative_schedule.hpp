@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "anchors/anchor_analysis.hpp"
+#include "base/cow.hpp"
 #include "base/ids.hpp"
 #include "cg/constraint_graph.hpp"
 
@@ -126,23 +127,40 @@ class DelayProfile {
   std::unordered_map<VertexId, int> delays_;
 };
 
-/// All offsets of a schedule in one vertex-major CSR layout: vertex v's
-/// cells are [start_[v], start_[v + 1]) of the anchor and value arrays,
-/// anchors ascending. The layout is fixed when the schedule is built
-/// (the scheduler lays out the tracked sets once); the iteration then
-/// writes values in place.
+/// All offsets of a schedule in one anchors::CellTable, laid out once
+/// when the schedule is built; the iteration then writes values in
+/// place. The table is copy-on-write: copies share it, and so does a
+/// from_lengths() view; a mutator clones a shared table first.
 class RelativeSchedule {
  public:
   RelativeSchedule() = default;
 
+  /// The minimum schedule over full anchor sets: by Theorem 3
+  /// sigma_a^min(v) = length(a, v) for exactly a in A(v), so this shares
+  /// `analysis`'s length table. Precondition: a well-posed graph.
+  [[nodiscard]] static RelativeSchedule from_lengths(
+      const anchors::AnchorAnalysis& analysis) {
+    RelativeSchedule s;
+    s.cells_ = analysis.length_table();
+    return s;
+  }
+
+  /// True when this schedule reads `analysis`'s length table itself.
+  [[nodiscard]] bool views(const anchors::AnchorAnalysis& analysis) const {
+    return &cells_.read() == &analysis.length_table().read();
+  }
+
   [[nodiscard]] int vertex_count() const {
-    return start_.empty() ? 0 : static_cast<int>(start_.size()) - 1;
+    const std::vector<std::uint32_t>& start = cells_->start;
+    return start.empty() ? 0 : static_cast<int>(start.size()) - 1;
   }
   [[nodiscard]] OffsetView offsets(VertexId v) const {
-    const std::size_t b = start_[v.index()];
-    const std::size_t e = start_[v.index() + 1];
-    return OffsetView(std::span<const VertexId>(anchor_).subspan(b, e - b),
-                      std::span<const graph::Weight>(value_).subspan(b, e - b));
+    const anchors::CellTable& t = cells_.read();
+    const std::size_t b = t.start[v.index()];
+    const std::size_t e = t.start[v.index() + 1];
+    return OffsetView(
+        std::span<const VertexId>(t.anchor).subspan(b, e - b),
+        std::span<const graph::Weight>(t.value).subspan(b, e - b));
   }
 
   /// sigma_a(v); nullopt when `a` is not tracked for v.
@@ -170,16 +188,15 @@ class RelativeSchedule {
   /// Vertex v's values, writable in place (aligned with
   /// offsets(v).anchors()).
   [[nodiscard]] std::span<graph::Weight> values(VertexId v) {
-    const std::size_t b = start_[v.index()];
-    return std::span<graph::Weight>(value_).subspan(
-        b, start_[v.index() + 1] - b);
+    anchors::CellTable& t = cells_.write();
+    const std::size_t b = t.start[v.index()];
+    return std::span<graph::Weight>(t.value).subspan(
+        b, t.start[v.index() + 1] - b);
   }
 
-  /// Heap bytes held by the three arrays.
+  /// Heap bytes held by the three arrays (shared ones included).
   [[nodiscard]] std::size_t heap_bytes() const {
-    return start_.capacity() * sizeof(std::uint32_t) +
-           anchor_.capacity() * sizeof(VertexId) +
-           value_.capacity() * sizeof(graph::Weight);
+    return cells_->heap_bytes();
   }
 
   /// Maximum offset w.r.t. `anchor` over all vertices (sigma_a^max, §VI);
@@ -190,23 +207,17 @@ class RelativeSchedule {
   /// order. The source starts at profile time 0.
   [[nodiscard]] std::vector<graph::Weight> start_times(
       const cg::ConstraintGraph& g, const DelayProfile& profile) const;
-  /// Same, with a caller-supplied forward topological order (skips the
-  /// Gf projection + sort; used by the engine's warm path).
-  [[nodiscard]] std::vector<graph::Weight> start_times(
-      const cg::ConstraintGraph& g, const DelayProfile& profile,
-      std::span<const int> topo) const;
 
   /// Equal vertex counts and equal offsets at every vertex.
   friend bool operator==(const RelativeSchedule& a, const RelativeSchedule& b) {
-    return a.vertex_count() == b.vertex_count() && a.anchor_ == b.anchor_ &&
-           a.value_ == b.value_ &&
-           (a.vertex_count() == 0 || a.start_ == b.start_);
+    const anchors::CellTable& x = a.cells_.read();
+    const anchors::CellTable& y = b.cells_.read();
+    return a.vertex_count() == b.vertex_count() && x.anchor == y.anchor &&
+           x.value == y.value && (a.vertex_count() == 0 || x.start == y.start);
   }
 
  private:
-  std::vector<std::uint32_t> start_;  // |V| + 1 entries, or none
-  std::vector<VertexId> anchor_;
-  std::vector<graph::Weight> value_;
+  base::Cow<anchors::CellTable> cells_;
 };
 
 /// Verifies that the start times induced by `schedule` under `profile`

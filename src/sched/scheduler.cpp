@@ -125,12 +125,9 @@ RelativeSchedule zero_schedule(const anchors::AnchorAnalysis& analysis,
 /// (one forward sweep over `order`, a topological order of Gf or a
 /// topologically sorted part of it) and ReadjustOffsets over
 /// `backward` until a sweep produces no violations, at most |Eb|+1
-/// rounds (Theorem 8 / Corollary 2). Cold starts pass all of V and
-/// every backward edge; warm restarts pass the dirty cone and the
-/// backward edges with a head inside it.
-template <typename Order>
+/// rounds (Theorem 8 / Corollary 2).
 void run_rounds(const cg::ConstraintGraph& g, const ScheduleOptions& options,
-                const Order& order, std::span<const EdgeId> backward,
+                std::span<const int> order, std::span<const EdgeId> backward,
                 RelativeSchedule sched, ScheduleResult& result) {
   const int max_rounds = g.backward_edge_count() + 1;
   for (int round = 1; round <= max_rounds; ++round) {
@@ -204,17 +201,6 @@ void schedule_from_zero(const cg::ConstraintGraph& g,
              zero_schedule(analysis, options.mode, g.vertex_count()), result);
 }
 
-/// True when `cells` lists exactly the members of `set`.
-bool same_anchors(std::span<const VertexId> cells,
-                  const anchors::AnchorSetView& set) {
-  std::size_t i = 0;
-  for (VertexId a : set) {
-    if (i == cells.size() || cells[i] != a) return false;
-    ++i;
-  }
-  return i == cells.size();
-}
-
 }  // namespace
 
 ScheduleResult schedule(const cg::ConstraintGraph& g,
@@ -239,81 +225,11 @@ ScheduleResult schedule(const cg::ConstraintGraph& g,
   return result;
 }
 
-ScheduleResult schedule(const cg::ConstraintGraph& g,
-                        const anchors::AnchorAnalysis& analysis,
-                        std::span<const int> topo,
-                        const ScheduleOptions& options) {
-  ScheduleResult result;
-  if (options.prechecks &&
-      (!passes_validation(g, topo, result) ||
-       !passes_wellposed(wellposed::check(g, analysis.anchor_sets(), topo),
-                         result))) {
-    return result;
-  }
-  schedule_from_zero(g, analysis, options, topo, result);
-  return result;
-}
-
-ScheduleResult reschedule(const cg::ConstraintGraph& g,
-                          const anchors::AnchorAnalysis& analysis,
-                          RelativeSchedule&& previous,
-                          const base::VertexMask& affected,
-                          std::span<const VertexId> affected_topo,
-                          const ScheduleOptions& options) {
-  RELSCHED_CHECK(options.mode == anchors::AnchorMode::kFull,
-                 "reschedule() tracks full anchor sets only");
-  ScheduleResult result;
-  // Warm seed: a vertex outside the affected cone keeps its previous
-  // offsets in place (any path whose length changed runs through an
-  // edit seed, so its endpoints are affected -- unaffected minima are
-  // unchanged); affected vertices restart from the paper's r = 0
-  // state. Every seed is therefore <= the minimum schedule, and the
-  // monotone-raise iteration converges to exactly the offsets a cold
-  // schedule() of `g` would produce, in at most as many rounds.
-  // The cells are zeroed in place while every affected vertex still
-  // tracks the same anchors. A Gf edit that changed some A(v) moves
-  // cell boundaries: the layout is then rebuilt in one pass, keeping
-  // the unaffected vertices' cells.
-  bool same_layout = true;
-  for (VertexId v : affected_topo) {
-    if (!same_anchors(previous.offsets(v).anchors(), analysis.anchor_set(v))) {
-      same_layout = false;
-      break;
-    }
-  }
-  if (same_layout) {
-    for (VertexId v : affected_topo) {
-      const std::span<graph::Weight> sigma = previous.values(v);
-      std::fill(sigma.begin(), sigma.end(), 0);
-    }
-  } else {
-    RelativeSchedule relaid;
-    relaid.reserve(g.vertex_count(),
-                   analysis.total_anchor_set_size(anchors::AnchorMode::kFull));
-    for (int vi = 0; vi < g.vertex_count(); ++vi) {
-      const VertexId v(vi);
-      relaid.add_vertex();
-      if (affected.contains(v)) {
-        for (VertexId a : analysis.anchor_set(v)) relaid.add_cell(a, 0);
-      } else {
-        for (const auto& [a, sigma] : previous.offsets(v).entries()) {
-          relaid.add_cell(a, sigma);
-        }
-      }
-    }
-    previous = std::move(relaid);
-  }
-  // An edge with both endpoints unaffected joins two vertices whose
-  // offsets never move off the previous fixpoint, and the cone is
-  // out-closed (an affected tail implies an affected head): only
-  // backward edges with an affected head can be violated.
-  std::vector<EdgeId> candidates;
-  for (EdgeId eid : g.backward_edges()) {
-    if (affected.contains(g.edge(eid).to)) candidates.push_back(eid);
-  }
-  run_rounds(g, options, affected_topo, candidates,
-             std::move(previous), result);
-  return result;
+int iteration_count(const cg::ConstraintGraph& g,
+                    const anchors::AnchorAnalysis& analysis) {
+  ScheduleOptions options;
+  options.prechecks = false;
+  return schedule(g, analysis, options).iterations;
 }
 
 ScheduleResult schedule(const cg::ConstraintGraph& g,

@@ -11,6 +11,12 @@
 // Theorem 8: on a well-posed graph it reaches the minimum relative
 // schedule within L+1 <= |Eb|+1 iterations; Corollary 2: inconsistent
 // constraints are detected after |Eb|+1 iterations.
+//
+// The engine does not iterate: by Theorem 3 a session's full-mode
+// minimum schedule is its anchor analysis's length cells
+// (RelativeSchedule::from_lengths). This iteration serves the
+// restricted modes, the paper's tables and traces, the iteration counts
+// the CLI and design reports print, and tests as an oracle.
 #pragma once
 
 #include <span>
@@ -18,7 +24,6 @@
 #include <vector>
 
 #include "anchors/anchor_analysis.hpp"
-#include "base/vertex_mask.hpp"
 #include "certify/certify.hpp"
 #include "cg/constraint_graph.hpp"
 #include "sched/relative_schedule.hpp"
@@ -78,40 +83,16 @@ ScheduleResult schedule(const cg::ConstraintGraph& g,
                         const anchors::AnchorAnalysis& analysis,
                         const ScheduleOptions& options = {});
 
-/// The same, over `topo`, a topological order of Gf the caller already
-/// holds (the engine's cold resolve passes the order it maintains
-/// instead of projecting and sorting Gf again).
-ScheduleResult schedule(const cg::ConstraintGraph& g,
-                        const anchors::AnchorAnalysis& analysis,
-                        std::span<const int> topo,
-                        const ScheduleOptions& options);
+/// IncrementalOffset rounds the iteration takes to reach the minimum
+/// schedule of `g` (Theorem 8: at most |Eb| + 1), the count the CLI and
+/// design reports print. Runs schedule() without prechecks: `analysis`
+/// must be of `g`, which must be well-posed.
+int iteration_count(const cg::ConstraintGraph& g,
+                    const anchors::AnchorAnalysis& analysis);
 
 /// Convenience overload running the anchor analysis internally.
 ScheduleResult schedule(const cg::ConstraintGraph& g,
                         const ScheduleOptions& options = {});
-
-/// Warm-start rescheduling after an edit (engine layer). `previous`
-/// must be a valid minimum schedule of the pre-edit graph, `affected`
-/// the dirty cone of the edits (closed under out-edges in the full
-/// graph) and `affected_topo` the same set listed in forward
-/// topological order of the edited graph. `previous` is consumed:
-/// unaffected vertices keep their offsets in place (no O(V) rebuild),
-/// affected ones restart from the paper's r = 0 state. Produces offsets
-/// identical to a cold schedule() of `g` -- property-tested
-/// bit-for-bit. Skips prechecks: callers have already re-established
-/// validity, feasibility, and well-posedness.
-///
-/// Tracks full anchor sets only (`options.mode` must be kFull). Every
-/// sweep -- forward and backward -- is restricted to the affected cone:
-/// an unaffected vertex's in-neighbours are all unaffected (the cone is
-/// out-closed), its tracked set A(v) is unchanged, and its previous
-/// offsets are already the cold minima, so no sweep could change it.
-ScheduleResult reschedule(const cg::ConstraintGraph& g,
-                          const anchors::AnchorAnalysis& analysis,
-                          RelativeSchedule&& previous,
-                          const base::VertexMask& affected,
-                          std::span<const VertexId> affected_topo,
-                          const ScheduleOptions& options = {});
 
 /// Projects a schedule computed over full anchor sets down to the
 /// relevant or irredundant sets (Theorems 4 and 6 guarantee identical

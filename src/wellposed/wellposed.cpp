@@ -84,8 +84,8 @@ bool relax_from_seeds(const cg::ConstraintGraph& g,
 }  // namespace
 
 bool is_feasible(const cg::ConstraintGraph& g, std::span<const int> gf_order,
-                 base::Watchdog* watchdog,
-                 const std::vector<bool>* dropped_max) {
+                 base::Watchdog* watchdog, const std::vector<bool>* dropped_max,
+                 std::vector<graph::Weight>* potentials_out) {
   const int n = g.vertex_count();
   if (n == 0) return true;
   const auto relaxed = [&](EdgeId eid) {
@@ -123,7 +123,9 @@ bool is_feasible(const cg::ConstraintGraph& g, std::span<const int> gf_order,
       }
     }
   }
-  return relax_from_seeds(g, potentials, ws, watchdog, relaxed);
+  if (!relax_from_seeds(g, potentials, ws, watchdog, relaxed)) return false;
+  if (potentials_out != nullptr) *potentials_out = std::move(potentials);
+  return true;
 }
 
 bool is_feasible(const cg::ConstraintGraph& g, base::Watchdog* watchdog) {

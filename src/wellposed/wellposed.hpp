@@ -54,10 +54,15 @@ struct CheckResult {
 /// false with watchdog->stopped() set -- callers must treat that as
 /// "undecided", not "infeasible". A non-null `dropped_max` (indexed by
 /// edge id) leaves out the max constraints it flags, as if removed.
-[[nodiscard]] bool is_feasible(const cg::ConstraintGraph& g,
-                               std::span<const int> gf_order,
-                               base::Watchdog* watchdog = nullptr,
-                               const std::vector<bool>* dropped_max = nullptr);
+/// A non-null `potentials` receives, on a true verdict, the longest
+/// paths from the source over G0 (graph::kNegInf where unreached): the
+/// zero-profile start times, and the source's length cells in the
+/// anchor analysis.
+[[nodiscard]] bool is_feasible(
+    const cg::ConstraintGraph& g, std::span<const int> gf_order,
+    base::Watchdog* watchdog = nullptr,
+    const std::vector<bool>* dropped_max = nullptr,
+    std::vector<graph::Weight>* potentials = nullptr);
 
 /// The same, sorting Gf first; from the source alone when Gf is cyclic.
 [[nodiscard]] bool is_feasible(const cg::ConstraintGraph& g,

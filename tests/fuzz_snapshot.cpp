@@ -71,7 +71,7 @@ using relsched::engine::SynthesisSession;
 namespace persist = relsched::persist;
 
 constexpr std::string_view kMagic = "RSNAP001";
-constexpr std::uint32_t kVersion = 4;
+constexpr std::uint32_t kVersion = 5;
 
 struct Tally {
   long long inputs = 0;

@@ -85,10 +85,20 @@ void expect_equivalent(const Products& p, const ColdProducts& c,
     }
   }
   if (p.ok()) {
+    // The session's schedule is a view of its length cells (Theorem 3);
+    // the paper's iteration must land on the same cells, and the
+    // zero-profile start times are the source's length cells.
+    EXPECT_TRUE(p.schedule.schedule.views(p.analysis)) << "edit step " << step;
+    ASSERT_EQ(p.schedule.schedule.vertex_count(), c.schedule.vertex_count())
+        << "edit step " << step;
+    const std::vector<graph::Weight> start =
+        p.schedule.schedule.start_times(g, {});
     for (int vi = 0; vi < g.vertex_count(); ++vi) {
       const VertexId v(vi);
       EXPECT_EQ(p.schedule.schedule.offsets(v), c.schedule.offsets(v))
           << "offsets(v" << vi << "), edit step " << step;
+      EXPECT_EQ(start[v.index()], p.analysis.length(g.source(), v))
+          << "T(v" << vi << ") at the zero profile, edit step " << step;
     }
   }
 }
@@ -261,6 +271,8 @@ TEST_P(EngineProperties, IncrementalResolveMatchesColdRecompute) {
     SynthesisSession session(std::move(g), {});
     if (!session.resolve().ok()) continue;
     ++corpora;
+    expect_equivalent(session.products(), cold_pipeline(session.graph()),
+                      session.graph(), -1);
 
     for (int step = 0; step < 10; ++step) {
       if (!random_edit(session, rng)) continue;

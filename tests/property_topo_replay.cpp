@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <optional>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,7 +34,7 @@ namespace {
 /// True when `order` is a permutation of g's vertices under which every
 /// forward edge points forward.
 bool is_topological_order(const cg::ConstraintGraph& g,
-                          const std::vector<int>& order) {
+                          std::span<const int> order) {
   if (static_cast<int>(order.size()) != g.vertex_count()) return false;
   std::vector<int> pos(order.size(), -1);
   for (std::size_t i = 0; i < order.size(); ++i) {
@@ -114,9 +115,9 @@ std::vector<std::pair<VertexId, VertexId>> random_batch(
   const VertexId sink = g.sink();
   // The session's order before the batch: the replay starts from it.
   std::vector<int> pos(static_cast<std::size_t>(n));
-  for (std::size_t i = 0; i < session.products().topo.size(); ++i) {
-    pos[static_cast<std::size_t>(session.products().topo[i])] =
-        static_cast<int>(i);
+  const std::span<const int> order = session.topo_order();
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    pos[static_cast<std::size_t>(order[i])] = static_cast<int>(i);
   }
   std::vector<std::pair<VertexId, VertexId>> added;
   std::optional<std::pair<VertexId, VertexId>> cycle_arc;
@@ -182,6 +183,23 @@ std::vector<std::pair<VertexId, VertexId>> random_batch(
   return added;
 }
 
+/// The session's schedule, a view of its length cells, equals the
+/// paper's iteration (sched::schedule) cell for cell, and its
+/// zero-profile start times are the source's length cells.
+void expect_iteration_schedule(const cg::ConstraintGraph& g, const Products& p,
+                               int trial, int batch) {
+  const sched::ScheduleResult iterated = sched::schedule(g);
+  ASSERT_TRUE(iterated.ok()) << "trial " << trial << " batch " << batch;
+  EXPECT_TRUE(iterated.schedule == p.schedule.schedule)
+      << "trial " << trial << " batch " << batch;
+  const std::vector<graph::Weight> start = p.schedule.schedule.start_times(g, {});
+  for (int vi = 0; vi < g.vertex_count(); ++vi) {
+    EXPECT_EQ(start[static_cast<std::size_t>(vi)],
+              p.analysis.length(g.source(), VertexId(vi)))
+        << "trial " << trial << " batch " << batch << " v" << vi;
+  }
+}
+
 void expect_matches_cold(const SynthesisSession& session, int trial,
                          int batch) {
   const Products& warm = session.products();
@@ -199,6 +217,7 @@ void expect_matches_cold(const SynthesisSession& session, int trial,
   if (want.ok()) {
     EXPECT_EQ(schedule_digest(warm), schedule_digest(want))
         << "trial " << trial << " batch " << batch;
+    expect_iteration_schedule(session.graph(), warm, trial, batch);
   }
 }
 
@@ -217,8 +236,10 @@ TEST(TopoReplayProperty, BatchedInsertionsAndRemovalsMatchCold) {
     }
     SynthesisSession session(std::move(g), {});
     if (!session.resolve().ok()) continue;
+    expect_matches_cold(session, trial, -1);
     for (int batch = 0; batch < 12; ++batch) {
-      const std::vector<int> before = session.products().topo;
+      const std::vector<int> before(session.topo_order().begin(),
+                                    session.topo_order().end());
       const long long warm_before = session.stats().warm_resolves;
       const long long cold_before = session.stats().cold_resolves;
       const bool was_ok = session.products().ok();
@@ -229,13 +250,15 @@ TEST(TopoReplayProperty, BatchedInsertionsAndRemovalsMatchCold) {
       ++tally.commits;
       expect_matches_cold(session, trial, batch);
       if (p.ok()) {
-        EXPECT_TRUE(is_topological_order(session.graph(), p.topo))
+        EXPECT_TRUE(is_topological_order(session.graph(), session.topo_order()))
             << "trial " << trial << " batch " << batch;
       }
       const bool warm = session.stats().warm_resolves > warm_before;
       if (warm && was_ok && !added.empty()) {
         ++tally.warm_with_insertions;
-        if (p.ok() && p.topo != before) ++tally.reordered;
+        if (p.ok() && !std::ranges::equal(session.topo_order(), before)) {
+          ++tally.reordered;
+        }
       }
       if (!session.graph().forward_order().has_value()) {
         // The replay met the cycle and deferred to the cold path, which
@@ -265,14 +288,15 @@ TEST(TopoReplayProperty, BatchedInsertionsAndRemovalsMatchCold) {
 
     // restore() adopts the session's order and rejects it once any
     // forward arc is turned around.
-    const Products& p = session.products();
-    if (!p.ok()) continue;
+    if (!session.products().ok()) continue;
+    const std::vector<int> order(session.topo_order().begin(),
+                                 session.topo_order().end());
     graph::DynamicTopoOrder topo;
-    ASSERT_TRUE(topo.restore(session.graph(), p.topo));
-    EXPECT_EQ(topo.order(), p.topo);
+    ASSERT_TRUE(topo.restore(session.graph(), order));
+    EXPECT_EQ(topo.order(), order);
     for (const cg::Edge& e : session.graph().edges()) {
       if (!cg::is_forward(e.kind)) continue;
-      std::vector<int> swapped = p.topo;
+      std::vector<int> swapped = order;
       const auto a = std::find(swapped.begin(), swapped.end(), e.from.value());
       const auto b = std::find(swapped.begin(), swapped.end(), e.to.value());
       std::iter_swap(a, b);

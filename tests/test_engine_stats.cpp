@@ -24,8 +24,19 @@ EdgeId find_max_edge(const cg::ConstraintGraph& g) {
   return EdgeId::invalid();
 }
 
+/// A deep copy of the session's offsets. A plain copy would share the
+/// schedule's cells, which are the analysis's length cells, and so
+/// count as a sharer in anchor_rows_shared.
 sched::RelativeSchedule snapshot_offsets(const SynthesisSession& s) {
-  return s.products().schedule.schedule;
+  const sched::RelativeSchedule& schedule = s.products().schedule.schedule;
+  sched::RelativeSchedule copy;
+  for (int vi = 0; vi < schedule.vertex_count(); ++vi) {
+    copy.add_vertex();
+    for (const auto& [a, sigma] : schedule.offsets(VertexId(vi)).entries()) {
+      copy.add_cell(a, sigma);
+    }
+  }
+  return copy;
 }
 
 TEST(SessionStatsTest, TransactionCountersAndConeAccounting) {

@@ -6,6 +6,7 @@
 
 #include <dirent.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -484,7 +485,7 @@ void expect_same_products(const SynthesisSession& a,
   const Products& pb = b.products();
   EXPECT_EQ(pa.revision, pb.revision);
   EXPECT_EQ(pa.schedule.status, pb.schedule.status);
-  EXPECT_EQ(pa.topo, pb.topo);
+  EXPECT_TRUE(std::ranges::equal(a.topo_order(), b.topo_order()));
   ASSERT_EQ(a.graph().vertex_count(), b.graph().vertex_count());
   for (int vi = 0; vi < a.graph().vertex_count(); ++vi) {
     EXPECT_EQ(pa.schedule.schedule.offsets(VertexId(vi)),
@@ -603,7 +604,7 @@ TEST(SessionCheckpoint, RejectsProductsThatDoNotFitTheGraph) {
   w.vec_i64({});
   save_stats(w, donor.stats());
   ASSERT_TRUE(persist::write_framed_file(persist::snapshot_path(dir),
-                                         "RSNAP001", 4, w.buffer())
+                                         "RSNAP001", 5, w.buffer())
                   .ok());
 
   SynthesisSession::RestoreReport report;
@@ -611,6 +612,30 @@ TEST(SessionCheckpoint, RejectsProductsThatDoNotFitTheGraph) {
   EXPECT_EQ(report.error.code, persist::ErrorCode::kFormat);
   EXPECT_EQ(report.error.message,
             "snapshot products do not fit the snapshot graph");
+}
+
+// Restore counts itself in the resumed stats: a stored counter at the
+// top of its type would overflow there, so the stats loader rejects it,
+// and a negative count, as corrupt.
+TEST(SessionCheckpoint, StatsLoaderRejectsCountersNoSessionWrites) {
+  const auto loads = [](const SessionStats& stats) {
+    persist::Writer w;
+    save_stats(w, stats);
+    persist::Reader r(w.buffer());
+    SessionStats out;
+    return load_stats(r, &out) && r.at_end();
+  };
+  SessionStats stats;
+  stats.restores = 3;
+  stats.wal_records = 1 << 20;
+  EXPECT_TRUE(loads(stats));
+  stats.restores = std::numeric_limits<std::int32_t>::max();
+  EXPECT_FALSE(loads(stats));
+  stats.restores = -1;
+  EXPECT_FALSE(loads(stats));
+  stats.restores = 3;
+  stats.wal_records = std::numeric_limits<std::int64_t>::max();
+  EXPECT_FALSE(loads(stats));
 }
 
 // A stored max-constraint weight of INT32_MIN has no bound to negate
@@ -797,7 +822,7 @@ TEST(SessionCheckpoint, ScheduleModeMismatchRejected) {
   ASSERT_TRUE(session.checkpoint(dir).ok());
 
   constexpr std::string_view kMagic = "RSNAP001";
-  constexpr std::uint32_t kVersion = 4;
+  constexpr std::uint32_t kVersion = 5;
   std::string payload;
   ASSERT_TRUE(
       persist::read_framed_file(snapshot_path(dir), kMagic, kVersion, &payload)
@@ -841,7 +866,7 @@ struct CellCountOffsets {
 CellCountOffsets cell_count_offsets(const anchors::AnchorAnalysis& a,
                                     std::size_t analysis_size) {
   const std::size_t length_cells =
-      a.total_anchor_set_size(anchors::AnchorMode::kFull) + a.anchors().size();
+      a.total_anchor_set_size(anchors::AnchorMode::kFull);
   const std::size_t defining_cells =
       a.total_anchor_set_size(anchors::AnchorMode::kRelevant);
   CellCountOffsets at;
@@ -872,15 +897,18 @@ TEST(SnapshotV4, Version3SnapshotIsRefused) {
   ASSERT_TRUE(session.checkpoint(dir).ok());
   std::string payload;
   ASSERT_TRUE(
-      persist::read_framed_file(snapshot_path(dir), "RSNAP001", 4, &payload).ok());
+      persist::read_framed_file(snapshot_path(dir), "RSNAP001", 5, &payload).ok());
   // The same payload framed as a version-3 file: dense anchor rows are
-  // no longer readable, and the framing says so before any parsing.
-  ASSERT_TRUE(
-      persist::write_framed_file(snapshot_path(dir), "RSNAP001", 3, payload, false)
-          .ok());
-  SynthesisSession::RestoreReport report;
-  EXPECT_FALSE(SynthesisSession::restore(dir, {}, &report).has_value());
-  EXPECT_EQ(report.error.code, ErrorCode::kBadVersion);
+  // no longer readable, and the framing says so before any parsing. So
+  // is version 4, whose products stored the schedule's cells.
+  for (const std::uint32_t version : {3u, 4u}) {
+    ASSERT_TRUE(persist::write_framed_file(snapshot_path(dir), "RSNAP001",
+                                           version, payload, false)
+                    .ok());
+    SynthesisSession::RestoreReport report;
+    EXPECT_FALSE(SynthesisSession::restore(dir, {}, &report).has_value());
+    EXPECT_EQ(report.error.code, ErrorCode::kBadVersion);
+  }
 }
 
 TEST(SnapshotV4, CellCountsMustMatchTheBitRows) {
@@ -895,9 +923,8 @@ TEST(SnapshotV4, CellCountsMustMatchTheBitRows) {
     ASSERT_TRUE(persist::load_analysis(r, &loaded));
     ASSERT_TRUE(r.at_end());
   }
-  const std::uint64_t length_count = a.total_anchor_set_size(
-                                         anchors::AnchorMode::kFull) +
-                                     a.anchors().size();
+  const std::uint64_t length_count =
+      a.total_anchor_set_size(anchors::AnchorMode::kFull);
   const std::uint64_t defining_count =
       a.total_anchor_set_size(anchors::AnchorMode::kRelevant);
   struct Patch {
@@ -949,7 +976,7 @@ TEST(SnapshotV4, CorruptCellCountFailsRestoreWithFormatError) {
   ASSERT_TRUE(session.checkpoint(dir).ok());
   std::string payload;
   ASSERT_TRUE(
-      persist::read_framed_file(snapshot_path(dir), "RSNAP001", 4, &payload).ok());
+      persist::read_framed_file(snapshot_path(dir), "RSNAP001", 5, &payload).ok());
   // Payload: graph, mode byte, two flags, products revision, analysis.
   persist::Writer graph_bytes;
   persist::save_graph(graph_bytes, session.graph());
@@ -963,7 +990,7 @@ TEST(SnapshotV4, CorruptCellCountFailsRestoreWithFormatError) {
   for (const std::size_t count_at : {at.length, at.defining}) {
     std::string patched = payload;
     put_u64(patched, analysis_at + count_at, std::uint64_t{1} << 40);
-    ASSERT_TRUE(persist::write_framed_file(snapshot_path(dir), "RSNAP001", 4, patched,
+    ASSERT_TRUE(persist::write_framed_file(snapshot_path(dir), "RSNAP001", 5, patched,
                                   false)
                     .ok());
     SynthesisSession::RestoreReport report;
