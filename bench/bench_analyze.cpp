@@ -54,19 +54,12 @@ using namespace relsched;
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using benchio::median_us;
 
 constexpr double kMaxAnalyzeCostRatio = 0.15;
 constexpr double kMaxSubgraphRatio = 0.10;
 constexpr int kColdRepeats = 5;
 constexpr int kAnalyzeRepeats = 9;
-
-double median_us(std::vector<double>& samples) {
-  std::sort(samples.begin(), samples.end());
-  const std::size_t n = samples.size();
-  return n == 0 ? 0.0
-               : (n % 2 == 1 ? samples[n / 2]
-                             : 0.5 * (samples[n / 2 - 1] + samples[n / 2]));
-}
 
 template <typename Fn>
 double timed_us(Fn&& fn) {

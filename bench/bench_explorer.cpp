@@ -35,14 +35,7 @@ using namespace relsched;
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-double median_us(std::vector<double>& samples) {
-  std::sort(samples.begin(), samples.end());
-  const std::size_t n = samples.size();
-  return n == 0 ? 0.0
-                : (n % 2 == 1 ? samples[n / 2]
-                              : 0.5 * (samples[n / 2 - 1] + samples[n / 2]));
-}
+using benchio::median_us;
 
 std::string fmt(double v, int precision = 1) {
   char buf[32];

@@ -2,17 +2,29 @@
 // builder just rich enough for flat records ({"k": v} objects, arrays
 // of them, numbers/strings/bools). CI jobs archive the emitted
 // BENCH_*.json files so runs can be diffed across commits without
-// scraping the human-readable tables.
+// scraping the human-readable tables. Also the one median the bench
+// binaries report timings by.
 #pragma once
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "base/json.hpp"
 
 namespace relsched::benchio {
+
+/// Median of `samples`, which it sorts in place; 0 when empty.
+inline double median_us(std::vector<double>& samples) {
+  std::sort(samples.begin(), samples.end());
+  const std::size_t n = samples.size();
+  return n == 0 ? 0.0
+                : (n % 2 == 1 ? samples[n / 2]
+                              : 0.5 * (samples[n / 2 - 1] + samples[n / 2]));
+}
 
 /// Streaming builder for one JSON value. Nested containers are built
 /// separately and spliced in with `raw()`.

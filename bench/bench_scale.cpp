@@ -99,6 +99,7 @@ using namespace relsched;
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using benchio::median_us;
 
 constexpr double kRequiredAnchorSpeedup = 2.0;
 
@@ -115,14 +116,6 @@ int cores_available() {
 double min_us(const std::vector<double>& samples) {
   return samples.empty() ? 0.0
                          : *std::min_element(samples.begin(), samples.end());
-}
-
-double median_us(std::vector<double>& samples) {
-  std::sort(samples.begin(), samples.end());
-  const std::size_t n = samples.size();
-  return n == 0 ? 0.0
-               : (n % 2 == 1 ? samples[n / 2]
-                             : 0.5 * (samples[n / 2 - 1] + samples[n / 2]));
 }
 
 /// The process's peak resident set so far (VmHWM), in MB; 0 where

@@ -34,64 +34,10 @@ const char* kind_label(cg::EdgeKind kind) {
   return "?";
 }
 
-/// Zero-profile delay contribution (mirrors the certifier's copy of
-/// sched::DelayProfile::delay_of with an empty profile).
-Weight zero_profile_delay(const cg::ConstraintGraph& g, VertexId v) {
-  if (g.vertex(v).delay.is_bounded() && v != g.source()) {
-    return g.vertex(v).delay.cycles();
-  }
-  return 0;
-}
-
-/// Kahn's algorithm over the forward subgraph (mirrors the certifier's
-/// independent order; the analysis must not borrow the scheduler's).
-/// Empty result = cycle (with vertices present).
-std::vector<int> forward_topo_order(const cg::ConstraintGraph& g) {
-  const int n = g.vertex_count();
-  std::vector<int> indegree(static_cast<std::size_t>(n), 0);
-  for (const cg::Edge& e : g.edges()) {
-    if (cg::is_forward(e.kind)) ++indegree[e.to.index()];
-  }
-  std::vector<int> order;
-  order.reserve(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) {
-    if (indegree[static_cast<std::size_t>(v)] == 0) order.push_back(v);
-  }
-  for (std::size_t head = 0; head < order.size(); ++head) {
-    for (EdgeId eid : g.out_edges(VertexId(order[head]))) {
-      const cg::Edge& e = g.edge(eid);
-      if (!cg::is_forward(e.kind)) continue;
-      if (--indegree[e.to.index()] == 0) order.push_back(e.to.value());
-    }
-  }
-  if (static_cast<int>(order.size()) != n) order.clear();
-  return order;
-}
-
-/// Zero-profile start times off the anchor analysis, via the Theorem 3
-/// identity sigma_a^min(v) = length(a, v):
-///   T0(v) = max(0, max_{a in A(v)} T0(a) + d0(a) + length(a, v)),
-/// evaluated in forward topological order (T0(source) = 0). Identical
-/// to the certifier's recursion over the minimum schedule's offsets.
-std::vector<Weight> zero_profile_start_times(
-    const cg::ConstraintGraph& g, const anchors::AnchorAnalysis& analysis,
-    const std::vector<int>& topo) {
-  std::vector<Weight> t0(static_cast<std::size_t>(g.vertex_count()), 0);
-  for (const int node : topo) {
-    const VertexId v(node);
-    if (v == g.source()) continue;
-    Weight t = 0;
-    for (const auto [a, len] : analysis.lengths_at(v)) {
-      t = std::max(t, t0[a.index()] + zero_profile_delay(g, a) + len);
-    }
-    t0[v.index()] = t;
-  }
-  return t0;
-}
-
 /// Slack record of constraint edge `eid` (min or max; never call on a
 /// sequencing edge). Preconditions: valid + feasible + well-posed
-/// graph, `t0` current zero-profile start times.
+/// graph, `t0` current zero-profile start times (the source's length
+/// cells).
 ConstraintSlack constraint_slack(const cg::ConstraintGraph& g,
                                  const anchors::AnchorAnalysis& analysis,
                                  const std::vector<Weight>& t0, EdgeId eid) {
@@ -187,40 +133,39 @@ int Report::binding_count() const {
 Report analyze(const cg::ConstraintGraph& g,
                const anchors::AnchorAnalysis* analysis) {
   Report r;
-  std::optional<anchors::AnchorAnalysis> owned;
+  // Cold path: the cold check decides validity, feasibility and
+  // containment and supplies the analysis. A caller-provided analysis
+  // (the engine's certified products) implies validity and feasibility
+  // -- they are its own preconditions -- so only containment is asked.
+  std::optional<wellposed::ColdCheck> cold;
   if (analysis == nullptr) {
-    // Cold path: establish validity and feasibility ourselves before
-    // the anchor pipeline may run. A caller-provided analysis (the
-    // engine's certified products) implies both -- validity and
-    // feasibility are its own preconditions -- so the warm path skips
-    // these full-graph sweeps entirely.
-    if (const auto issues = g.validate(); !issues.empty()) {
-      r.status = Status::kInvalid;
-      r.message = issues.front().message;
-      return r;
-    }
-    certify::Diag cycle = certify::find_positive_cycle(g);
-    if (!cycle.ok()) {
-      r.status = Status::kInfeasible;
-      r.diag = std::move(cycle);
-      return r;
-    }
-    owned.emplace(anchors::AnchorAnalysis::compute(g));
-    analysis = &*owned;
+    cold.emplace(wellposed::cold_check(g));
+    analysis = &cold->analysis;
   }
-  for (const EdgeId eid : g.backward_edges()) {
-    const cg::Edge& e = g.edge(eid);
-    const VertexId bad = analysis->anchor_set(e.from).first_missing_in(
-        analysis->anchor_set(e.to));
-    if (bad.is_valid()) {
+  const wellposed::CheckResult verdict =
+      cold.has_value()
+          ? std::move(cold->verdict)
+          : wellposed::check_containment(g, analysis->anchor_sets());
+  r.message = verdict.message;
+  r.diag = verdict.diag;
+  switch (verdict.status) {
+    case wellposed::Status::kWellPosed:
+      break;
+    case wellposed::Status::kIllPosed:
       r.status = Status::kIllPosed;
-      r.diag = certify::make_containment_diag(g, eid, bad);
       return r;
-    }
+    case wellposed::Status::kInfeasible:
+      r.status = Status::kInfeasible;
+      return r;
+    case wellposed::Status::kInvalid:
+    case wellposed::Status::kUndecided:  // no watchdog: never
+      r.status = Status::kInvalid;
+      return r;
   }
 
-  const std::vector<int> topo = forward_topo_order(g);
-  const std::vector<Weight> t0 = zero_profile_start_times(g, *analysis, topo);
+  // T0, the zero-profile start times, are the source's length cells.
+  std::vector<Weight> t0;
+  analysis->length_column(g.source(), t0);
   for (const cg::Edge& e : g.edges()) {
     if (e.kind == cg::EdgeKind::kSequencing) continue;
     r.slacks.push_back(constraint_slack(g, *analysis, t0, e.id));

@@ -106,7 +106,8 @@ struct Report {
   /// Witness for kInfeasible / kIllPosed (certify::verify_witness
   /// replayable); kNone otherwise.
   certify::Diag diag;
-  /// Human reason for kInvalid.
+  /// The cold verdict's message (wellposed::cold_check); only kInvalid
+  /// renders it.
   std::string message;
 
   [[nodiscard]] bool ok() const { return status == Status::kOk; }
@@ -115,7 +116,8 @@ struct Report {
 };
 
 /// Runs the analysis. Pass the engine's cached analysis (computed for
-/// exactly `g`) to skip recomputing it; nullptr computes internally.
+/// exactly `g`) to skip recomputing it; with nullptr,
+/// wellposed::cold_check decides the graph and computes it.
 /// A non-null analysis is trusted: its own preconditions (valid, polar,
 /// feasible graph) stand in for the validity and positive-cycle sweeps,
 /// so those full-graph passes are skipped. Never schedules, never

@@ -25,9 +25,11 @@ constexpr std::string_view kSnapshotMagic = "RSNAP001";
 // struct-of-arrays core refactor). v3: SessionStats grew wal_retries
 // (the serving layer's flaky-filesystem counter). v5: products store no
 // schedule cells (a view of the analysis's, rebound on load), iteration
-// count, order copy or length(a, a) cells. Older snapshots are not
-// readable.
-constexpr std::uint32_t kSnapshotVersion = 5;
+// count, order copy or length(a, a) cells. v6: no schedule-mode byte
+// (sessions always track the full anchor sets) and no potentials (the
+// source's length cells on ok products; otherwise the next resolve is
+// cold and recomputes them). Older snapshots are not readable.
+constexpr std::uint32_t kSnapshotVersion = 6;
 
 double us_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::micro>(b - a).count();
@@ -280,8 +282,8 @@ void SynthesisSession::cold_resolve() {
   sched::ScheduleResult& out = products_.schedule;
 
   // One Gf adjacency and one topological order serve the whole cold
-  // pass: validation, feasibility and the anchor analysis all read
-  // them. The order is reset first, on every exit path, so it
+  // check (validation, feasibility, the anchor analysis and
+  // containment). The order is reset first, on every exit path, so it
   // stays coherent with the graph: failed resolves (invalid,
   // infeasible, ill-posed, cancelled) do not patch the order
   // edge-by-edge the way the warm path does, so without this reset a
@@ -290,45 +292,20 @@ void SynthesisSession::cold_resolve() {
   // own snapshot. (On a forward cycle the reset fails, flagging the
   // order invalid.)
   const bool acyclic = topo_.reset(graph_);
-  if (const auto issues = graph_.validate(
-          acyclic ? std::optional<std::span<const int>>(topo_.order())
-                  : std::nullopt);
-      !issues.empty()) {
-    out.status = sched::ScheduleStatus::kInvalidGraph;
-    out.message = issues.front().message;
-    return;
-  }
-  // Theorem 1, from the order: AnchorAnalysis::compute requires
-  // feasibility, so it cannot be deferred past it. The pass leaves the
-  // longest paths from the source: the source's length cells, and the
-  // zero-profile start times the warm SPFA repairs from.
-  if (!wellposed::is_feasible(graph_, topo_.order(), &watchdog_, nullptr,
-                              &potentials_)) {
-    if (watchdog_.stopped()) {
-      // Aborted, not infeasible: feasibility is undecided.
-      cancelled_products();
-      return;
-    }
-    out.status = sched::ScheduleStatus::kInfeasible;
-    out.message = "positive cycle with unbounded delays set to 0";
-    out.diag = certify::find_positive_cycle(graph_);
-    return;
-  }
-  products_.analysis = anchors::AnchorAnalysis::compute(
-      graph_, topo_.order(), &watchdog_, potentials_);
-  if (watchdog_.stopped()) {
+  wellposed::ColdCheck check = wellposed::cold_check(
+      graph_,
+      acyclic ? std::span<const int>(topo_.order()) : std::span<const int>(),
+      nullptr, &watchdog_);
+  if (check.verdict.status == wellposed::Status::kUndecided) {
     cancelled_products();
     return;
   }
-  // Feasibility is settled; Theorem 2 is the containment check alone.
-  const wellposed::CheckResult wp =
-      wellposed::check_containment(graph_, products_.analysis.anchor_sets());
-  if (wp.status == wellposed::Status::kIllPosed) {
-    out.status = sched::ScheduleStatus::kIllPosed;
-    out.message = wp.message;
-    out.diag = wp.diag;
-    return;
-  }
+  // The potentials are the zero-profile start times the warm SPFA
+  // repairs from; an ill-posed verdict keeps its analysis.
+  potentials_ = std::move(check.potentials);
+  products_.analysis = std::move(check.analysis);
+  out = sched::verdict_result(check.verdict);
+  if (!out.ok()) return;
 
   // Theorem 3: the minimum schedule is the length cells just computed.
   publish_schedule();
@@ -476,10 +453,7 @@ bool SynthesisSession::try_incremental(const std::vector<VertexId>& seeds,
   stats_.warm_anchor_us += us_between(t_spfa, t_anchor);
   if (wp.status == wellposed::Status::kIllPosed) {
     // Mirrors the cold path: keep the analysis, drop the schedule.
-    products_.schedule = sched::ScheduleResult{};
-    products_.schedule.status = sched::ScheduleStatus::kIllPosed;
-    products_.schedule.message = wp.message;
-    products_.schedule.diag = wp.diag;
+    products_.schedule = sched::verdict_result(wp);
     return true;
   }
 
@@ -550,15 +524,9 @@ certify::Diag SynthesisSession::certify_warm_products() {
     // cold check of the same graph, which also extracts the
     // authoritative witness for the verdict.
     const wellposed::CheckResult wp = wellposed::check(graph_);
-    sched::ScheduleStatus expect = sched::ScheduleStatus::kScheduled;
-    if (wp.status == wellposed::Status::kInfeasible) {
-      expect = sched::ScheduleStatus::kInfeasible;
-    } else if (wp.status == wellposed::Status::kIllPosed) {
-      expect = sched::ScheduleStatus::kIllPosed;
-    }
-    if (products_.schedule.status == expect) {
-      products_.schedule.message = wp.message;
-      products_.schedule.diag = wp.diag;
+    sched::ScheduleResult expect = sched::verdict_result(wp);
+    if (products_.schedule.status == expect.status) {
+      products_.schedule = std::move(expect);
     } else {
       caught.code = certify::Code::kVerdictMismatch;
       caught.message =
@@ -615,9 +583,6 @@ persist::Error SynthesisSession::checkpoint(const std::string& dir) {
 
   persist::Writer w;
   persist::save_graph(w, graph_);
-  // Mode byte: sessions always schedule against the full anchor sets
-  // (AnchorMode::kFull == 0). Kept so the RSNAP001 layout is unchanged.
-  w.u8(0);
   w.b(resolved_once_);
   // Pending state (unresolved edits or a forced-cold marker) cannot be
   // warm-resumed: the restored session recomputes cold on its first
@@ -627,13 +592,6 @@ persist::Error SynthesisSession::checkpoint(const std::string& dir) {
   w.b(topo_.valid());
   static const std::vector<int> kNoOrder;
   w.vec_i32(topo_.valid() ? topo_.order() : kNoOrder);
-  // Potentials are only a warm-start seed; after a structural edit they
-  // can be stale at the old cardinality, and restore would reject them.
-  static const std::vector<graph::Weight> kNoPotentials;
-  w.vec_i64(potentials_.size() ==
-                    static_cast<std::size_t>(graph_.vertex_count())
-                ? potentials_
-                : kNoPotentials);
   save_stats(w, stats_);
 
   if (persist::Error e =
@@ -676,9 +634,6 @@ std::optional<SynthesisSession> SynthesisSession::restore(
   if (!persist::load_graph(r, &g)) {
     return reject("snapshot graph payload is invalid");
   }
-  if (const std::uint8_t mode = r.u8(); !r.ok() || mode != 0) {
-    return reject("snapshot schedule mode is not full anchor sets");
-  }
 
   SynthesisSession s(std::move(g), options);
   const bool resolved_once = r.b();
@@ -688,7 +643,6 @@ std::optional<SynthesisSession> SynthesisSession::restore(
   }
   const bool topo_valid = r.b();
   std::vector<int> topo_order = r.vec_i32();
-  std::vector<graph::Weight> potentials = r.vec_i64();
   if (!load_stats(r, &s.stats_) || !r.at_end()) {
     return reject("snapshot payload is truncated or oversized");
   }
@@ -702,21 +656,14 @@ std::optional<SynthesisSession> SynthesisSession::restore(
       !s.topo_.restore(s.graph_, std::move(topo_order))) {
     return reject("snapshot topological order is inconsistent with the graph");
   }
-  if (!potentials.empty() &&
-      potentials.size() != static_cast<std::size_t>(s.graph_.vertex_count())) {
-    return reject("snapshot potentials have the wrong cardinality");
-  }
 
   s.resolved_once_ = resolved_once;
   s.force_cold_ = pending_cold || !topo_valid;
   if (resolved_once && !s.force_cold_ && s.products_.ok()) {
-    // Recomputed, not trusted: the potentials seed future warm SPFA
-    // repairs, and reading them from the source's length cells (which
-    // verify_restored certifies) is as cheap as validating the
-    // serialized copy.
+    // The potentials that seed future warm SPFA repairs are the
+    // source's length cells (which verify_restored certifies); the
+    // snapshot stores none.
     s.products_.analysis.length_column(s.graph_.source(), s.potentials_);
-  } else {
-    s.potentials_ = std::move(potentials);
   }
   s.consumed_edits_ = s.graph_.revision();
   ++s.stats_.restores;
@@ -839,14 +786,8 @@ void SynthesisSession::verify_restored(RestoreReport& report) {
     // Failure verdicts (and any restored kCancelled placeholder) are
     // cross-checked against an independent cold check, mirroring
     // certify_warm_products().
-    const wellposed::CheckResult wp = wellposed::check(graph_);
-    sched::ScheduleStatus expect = sched::ScheduleStatus::kScheduled;
-    if (wp.status == wellposed::Status::kInfeasible) {
-      expect = sched::ScheduleStatus::kInfeasible;
-    } else if (wp.status == wellposed::Status::kIllPosed) {
-      expect = sched::ScheduleStatus::kIllPosed;
-    }
-    trusted = products_.schedule.status == expect;
+    trusted = products_.schedule.status ==
+              sched::verdict_result(wellposed::check(graph_)).status;
   }
   if (!trusted) {
     ++stats_.restore_cold_fallbacks;

@@ -64,7 +64,9 @@ void apply(engine::SynthesisSession& session, const EditOp& op) {
 
 Objective min_latency() {
   return [](const cg::ConstraintGraph& g, const engine::Products& products) {
-    const auto start = products.schedule.schedule.start_times(g, {});
+    // The zero-profile start times are the source's length cells.
+    std::vector<graph::Weight> start;
+    products.analysis.length_column(g.source(), start);
     return static_cast<double>(
         *std::max_element(start.begin(), start.end()));
   };

@@ -386,17 +386,19 @@ std::vector<RedundantEdge> redundant_constraints(
 }
 
 std::vector<RedundantEdge> redundant_constraints(const cg::ConstraintGraph& g) {
-  if (!g.validate().empty() || !wellposed::is_feasible(g)) return {};
-  return redundant_constraints(g, anchors::AnchorAnalysis::compute(g));
+  const wellposed::ColdCheck check = wellposed::cold_check(g);
+  if (!check.analysed()) return {};
+  return redundant_constraints(g, check.analysis);
 }
 
 std::vector<StrippedEdge> strip_redundant(cg::ConstraintGraph& g) {
   std::vector<StrippedEdge> out;
-  if (!g.validate().empty() || !wellposed::is_feasible(g)) return out;
   // Anchor sets -- and with them every cone -- are invariant under the
   // removals below (that is exactly what edge_redundant guarantees), so
   // one analysis of the original graph stays valid for every re-check.
-  const anchors::AnchorAnalysis analysis = anchors::AnchorAnalysis::compute(g);
+  const wellposed::ColdCheck check = wellposed::cold_check(g);
+  if (!check.analysed()) return out;
+  const anchors::AnchorAnalysis& analysis = check.analysis;
   std::vector<RedundantEdge> candidates = redundant_constraints(g, analysis);
   // Descending edge-id order: remove_constraint swap-pops the *last*
   // edge into the freed slot, so removing from the top keeps every
@@ -439,9 +441,9 @@ Report analyze(const cg::ConstraintGraph& g,
 
   // Structural validity gates everything: the downstream analyses
   // assume a polar graph with acyclic Gf.
-  const std::vector<cg::ValidationIssue> issues = g.validate();
-  if (!issues.empty()) {
-    for (const cg::ValidationIssue& issue : issues) {
+  const wellposed::ColdCheck check = wellposed::cold_check(g, {}, analysis);
+  if (check.verdict.status == wellposed::Status::kInvalid) {
+    for (const cg::ValidationIssue& issue : check.issues) {
       Finding f;
       f.rule = Rule::kInvalidGraph;
       f.severity = severity(f.rule);
@@ -454,7 +456,7 @@ Report analyze(const cg::ConstraintGraph& g,
 
   // Feasibility (Theorem 1). Anchor analysis requires it, so an
   // infeasible graph yields exactly the unsat-core finding.
-  if (!wellposed::is_feasible(g)) {
+  if (check.verdict.status == wellposed::Status::kInfeasible) {
     const UnsatCore core = unsat_core(g);
     Finding f;
     f.rule = Rule::kUnsatCore;
@@ -472,19 +474,14 @@ Report analyze(const cg::ConstraintGraph& g,
     }
     f.suggestion = "relax or remove any one of the listed max constraints";
     f.edges = core.core;
-    f.diag = certify::find_positive_cycle(g);
+    f.diag = check.verdict.diag;
     report.findings.push_back(std::move(f));
     return report;
   }
-
-  std::optional<anchors::AnchorAnalysis> owned;
-  if (analysis == nullptr) {
-    owned = anchors::AnchorAnalysis::compute(g);
-    analysis = &*owned;
-  }
+  if (analysis == nullptr) analysis = &check.analysis;
 
   // Well-posedness (Theorem 2), exhaustively: every backward edge whose
-  // tail tracks an anchor the head does not (wellposed::check stops at
+  // tail tracks an anchor the head does not (the cold check stops at
   // the first).
   bool ill_posed = false;
   for (const cg::Edge& e : g.edges()) {

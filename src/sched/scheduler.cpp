@@ -160,37 +160,6 @@ void run_rounds(const cg::ConstraintGraph& g, const ScheduleOptions& options,
   result.message = "no convergence within |Eb|+1 iterations";
 }
 
-/// A sorted Gf as validate() takes it.
-std::optional<std::span<const int>> as_order(
-    const std::optional<std::vector<int>>& topo) {
-  if (!topo.has_value()) return std::nullopt;
-  return std::span<const int>(*topo);
-}
-
-/// Structural validation over `gf_order` (std::nullopt: Gf is cyclic).
-/// False, with `result` carrying the verdict, when it fails.
-bool passes_validation(const cg::ConstraintGraph& g,
-                       std::optional<std::span<const int>> gf_order,
-                       ScheduleResult& result) {
-  const auto issues = g.validate(gf_order);
-  if (issues.empty()) return true;
-  result.status = ScheduleStatus::kInvalidGraph;
-  result.message = issues.front().message;
-  return false;
-}
-
-/// The well-posedness verdict `wp` as a schedule status. False, with
-/// `result` carrying the verdict, unless `wp` is well-posed.
-bool passes_wellposed(const wellposed::CheckResult& wp, ScheduleResult& result) {
-  if (wp.status == wellposed::Status::kWellPosed) return true;
-  result.status = wp.status == wellposed::Status::kInfeasible
-                      ? ScheduleStatus::kInfeasible
-                      : ScheduleStatus::kIllPosed;
-  result.message = wp.message;
-  result.diag = wp.diag;
-  return false;
-}
-
 /// Iterates from the paper's r = 0 state: offset 0 for every tracked
 /// anchor.
 void schedule_from_zero(const cg::ConstraintGraph& g,
@@ -203,20 +172,44 @@ void schedule_from_zero(const cg::ConstraintGraph& g,
 
 }  // namespace
 
+ScheduleResult verdict_result(const wellposed::CheckResult& verdict) {
+  ScheduleResult result;
+  switch (verdict.status) {
+    case wellposed::Status::kWellPosed:
+      result.status = ScheduleStatus::kScheduled;
+      break;
+    case wellposed::Status::kIllPosed:
+      result.status = ScheduleStatus::kIllPosed;
+      break;
+    case wellposed::Status::kInfeasible:
+      result.status = ScheduleStatus::kInfeasible;
+      break;
+    case wellposed::Status::kInvalid:
+      result.status = ScheduleStatus::kInvalidGraph;
+      break;
+    case wellposed::Status::kUndecided:
+      result.status = ScheduleStatus::kCancelled;
+      break;
+  }
+  result.message = verdict.message;
+  result.diag = verdict.diag;
+  return result;
+}
+
 ScheduleResult schedule(const cg::ConstraintGraph& g,
                         const anchors::AnchorAnalysis& analysis,
                         const ScheduleOptions& options) {
-  ScheduleResult result;
   const std::optional<std::vector<int>> topo = g.forward_order();
+  const std::span<const int> order =
+      topo.has_value() ? std::span<const int>(*topo) : std::span<const int>();
   if (options.prechecks) {
-    // The analysis in hand supplies the anchor sets: only validation
-    // and feasibility are computed here.
-    if (!passes_validation(g, as_order(topo), result) ||
-        !passes_wellposed(wellposed::check(g, analysis.anchor_sets(), *topo),
-                          result)) {
-      return result;
-    }
-  } else if (!topo.has_value()) {
+    // The analysis in hand answers the anchor question.
+    const ScheduleResult verdict =
+        verdict_result(wellposed::cold_check(g, order, &analysis).verdict);
+    if (!verdict.ok()) return verdict;
+  }
+  ScheduleResult result;
+  if (!topo.has_value()) {
     result.status = ScheduleStatus::kInvalidGraph;
     result.message = "forward constraint graph has a cycle";
     return result;
@@ -234,24 +227,19 @@ int iteration_count(const cg::ConstraintGraph& g,
 
 ScheduleResult schedule(const cg::ConstraintGraph& g,
                         const ScheduleOptions& options) {
-  // AnchorAnalysis::compute requires a valid, feasible graph; surface
-  // those failures as statuses instead of tripping its preconditions.
-  // Each check runs once, over one topological order of Gf.
-  ScheduleResult result;
   const std::optional<std::vector<int>> topo = g.forward_order();
-  if (!passes_validation(g, as_order(topo), result)) return result;
-  if (!wellposed::is_feasible(g, *topo)) {
-    result.status = ScheduleStatus::kInfeasible;
-    result.message = "positive cycle with unbounded delays set to 0";
-    return result;
+  const wellposed::ColdCheck check = wellposed::cold_check(
+      g, topo.has_value() ? std::span<const int>(*topo)
+                          : std::span<const int>());
+  // Without prechecks an ill-posed graph is still iterated (Corollary
+  // 2); validity and feasibility, which the analysis needs, still stop.
+  if (!check.analysed() ||
+      (options.prechecks &&
+       check.verdict.status == wellposed::Status::kIllPosed)) {
+    return verdict_result(check.verdict);
   }
-  const auto analysis = anchors::AnchorAnalysis::compute(g, *topo);
-  if (options.prechecks &&
-      !passes_wellposed(
-          wellposed::check_containment(g, analysis.anchor_sets()), result)) {
-    return result;
-  }
-  schedule_from_zero(g, analysis, options, *topo, result);
+  ScheduleResult result;
+  schedule_from_zero(g, check.analysis, options, *topo, result);
   return result;
 }
 

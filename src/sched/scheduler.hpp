@@ -27,6 +27,7 @@
 #include "certify/certify.hpp"
 #include "cg/constraint_graph.hpp"
 #include "sched/relative_schedule.hpp"
+#include "wellposed/wellposed.hpp"
 
 namespace relsched::sched {
 
@@ -72,13 +73,21 @@ struct ScheduleResult {
   std::vector<IterationTrace> trace;
   std::string message;
   /// Witness-carrying diagnostic for kInfeasible / kIllPosed precheck
-  /// failures (forwarded from wellposed::check); kNone otherwise.
+  /// failures (forwarded from wellposed::cold_check); kNone otherwise.
   certify::Diag diag;
 
   [[nodiscard]] bool ok() const { return status == ScheduleStatus::kScheduled; }
 };
 
-/// Schedules `g` against precomputed anchor analysis.
+/// A cold verdict (wellposed::cold_check, wellposed::check) as a
+/// schedule result with its message and witness: kWellPosed maps to
+/// kScheduled (no schedule yet), kInvalid to kInvalidGraph and
+/// kUndecided to kCancelled.
+[[nodiscard]] ScheduleResult verdict_result(
+    const wellposed::CheckResult& verdict);
+
+/// Schedules `g` against precomputed anchor analysis. The prechecks are
+/// wellposed::cold_check with `analysis` as its anchor analysis.
 ScheduleResult schedule(const cg::ConstraintGraph& g,
                         const anchors::AnchorAnalysis& analysis,
                         const ScheduleOptions& options = {});
@@ -90,7 +99,9 @@ ScheduleResult schedule(const cg::ConstraintGraph& g,
 int iteration_count(const cg::ConstraintGraph& g,
                     const anchors::AnchorAnalysis& analysis);
 
-/// Convenience overload running the anchor analysis internally.
+/// Convenience overload: wellposed::cold_check decides the graph and
+/// supplies the analysis. Without prechecks an ill-posed graph is still
+/// iterated (Corollary 2); an invalid or infeasible one never is.
 ScheduleResult schedule(const cg::ConstraintGraph& g,
                         const ScheduleOptions& options = {});
 

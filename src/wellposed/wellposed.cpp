@@ -17,6 +17,10 @@ const char* to_string(Status status) {
       return "ill-posed";
     case Status::kInfeasible:
       return "infeasible";
+    case Status::kInvalid:
+      return "invalid";
+    case Status::kUndecided:
+      return "undecided";
   }
   return "?";
 }
@@ -168,7 +172,7 @@ CheckResult ill_posed_at(const cg::ConstraintGraph& g, const cg::Edge& e,
           g.vertex(e.from).name, "': A(", g.vertex(e.from).name,
           ") not contained in A(", g.vertex(e.to).name, ")"),
       certify::Diag{}};
-  // Witness: the smallest-id counterexample anchor a in A(tail) \
+  // Witness: the smallest-id counterexample anchor a in A(tail) minus
   // A(head) with its defining path. The anchor sets handed in may be
   // stale or corrupted (the engine feeds incrementally patched ones); a
   // wrong claim produces a witness certify::verify_witness rejects,
@@ -194,23 +198,51 @@ CheckResult infeasible_result(const cg::ConstraintGraph& g) {
 
 }  // namespace
 
+ColdCheck cold_check(const cg::ConstraintGraph& g,
+                     std::span<const int> gf_order,
+                     const anchors::AnchorAnalysis* analysis,
+                     base::Watchdog* watchdog) {
+  ColdCheck out;
+  CheckResult& verdict = out.verdict;
+  std::optional<std::vector<int>> sorted;
+  if (gf_order.empty()) {
+    sorted = g.forward_order();
+    if (sorted.has_value()) gf_order = *sorted;
+  }
+  const bool acyclic = !gf_order.empty() || sorted.has_value();
+  out.issues = g.validate(acyclic
+                              ? std::optional<std::span<const int>>(gf_order)
+                              : std::nullopt);
+  if (!out.issues.empty()) {
+    verdict.status = Status::kInvalid;
+    verdict.message = out.issues.front().message;
+    return out;
+  }
+  // The anchor analysis requires feasibility, so it cannot come later.
+  if (!is_feasible(g, gf_order, watchdog, nullptr, &out.potentials)) {
+    if (watchdog != nullptr && watchdog->stopped()) {
+      verdict.status = Status::kUndecided;
+    } else {
+      verdict = infeasible_result(g);
+    }
+    return out;
+  }
+  if (analysis == nullptr) {
+    out.analysis = anchors::AnchorAnalysis::compute(g, gf_order, watchdog,
+                                                    out.potentials);
+    if (watchdog != nullptr && watchdog->stopped()) {
+      out.analysis = {};
+      verdict.status = Status::kUndecided;
+      return out;
+    }
+    analysis = &out.analysis;
+  }
+  verdict = check_containment(g, analysis->anchor_sets());
+  return out;
+}
+
 CheckResult check(const cg::ConstraintGraph& g) {
-  const std::optional<std::vector<int>> order = g.forward_order();
-  RELSCHED_CHECK(order.has_value(), "anchor analysis requires an acyclic Gf");
-  return check(g, anchors::find_anchor_sets(g, *order), *order);
-}
-
-CheckResult check(const cg::ConstraintGraph& g,
-                  const anchors::AnchorSets& anchor_sets) {
-  if (!is_feasible(g)) return infeasible_result(g);
-  return check_containment(g, anchor_sets);
-}
-
-CheckResult check(const cg::ConstraintGraph& g,
-                  const anchors::AnchorSets& anchor_sets,
-                  std::span<const int> gf_order) {
-  if (!is_feasible(g, gf_order)) return infeasible_result(g);
-  return check_containment(g, anchor_sets);
+  return cold_check(g).verdict;
 }
 
 CheckResult check_containment(const cg::ConstraintGraph& g,

@@ -1,5 +1,8 @@
 // Well-posedness analysis of timing constraints (paper §III-B, §IV-B/C, §V-A).
 //
+//   - The cold check (cold_check): the paper's questions asked once
+//     each, in its order, over one topological order of Gf. Every
+//     front door that decides a graph from scratch maps its verdict.
 //   - Feasibility (Definition 6, Theorem 1): constraints satisfiable when
 //     all unbounded delays are 0 <=> no positive cycle in G0.
 //   - Well-posedness (Definition 7, Theorem 2): constraints satisfiable
@@ -26,6 +29,8 @@ enum class Status {
   kWellPosed,
   kIllPosed,    // some constraint unsatisfiable for some delay profile
   kInfeasible,  // unsatisfiable even with all unbounded delays = 0
+  kInvalid,     // the paper's structural assumptions fail (validate())
+  kUndecided,   // a watchdog stopped the check before a verdict
 };
 
 [[nodiscard]] const char* to_string(Status status);
@@ -104,19 +109,56 @@ struct SpfaWorkspace {
                                            std::span<const VertexId> dirty,
                                            base::Watchdog* watchdog = nullptr);
 
-/// checkWellposed (paper §IV-B). Checks feasibility, then anchor-set
-/// containment A(tail) subset-of A(head) on every backward edge
-/// (forward edges satisfy containment by construction).
-CheckResult check(const cg::ConstraintGraph& g);
-CheckResult check(const cg::ConstraintGraph& g,
-                  const anchors::AnchorSets& anchor_sets);
-/// The same, deciding feasibility over `gf_order` (see is_feasible).
-CheckResult check(const cg::ConstraintGraph& g,
-                  const anchors::AnchorSets& anchor_sets,
-                  std::span<const int> gf_order);
+/// The cold verdict of `g` and what deciding it produced (cold_check).
+struct ColdCheck {
+  /// The first question that fails decides: kInvalid (the first
+  /// issue's message, no witness), kInfeasible (the positive cycle
+  /// certify::find_positive_cycle finds), kIllPosed (the first violating
+  /// backward edge with its containment counterexample); kWellPosed
+  /// when none does, kUndecided when the watchdog tripped.
+  CheckResult verdict;
+  /// Every structural issue, in validate() order (kInvalid only).
+  std::vector<cg::ValidationIssue> issues;
+  /// The anchor analysis, when analysed() and the caller handed none in.
+  anchors::AnchorAnalysis analysis;
+  /// G0's longest paths from the source (is_feasible's potentials),
+  /// once feasibility is established.
+  std::vector<graph::Weight> potentials;
 
-/// The containment half of check() alone, for callers that already
-/// established feasibility: kWellPosed or kIllPosed, never kInfeasible.
+  /// The verdict got past feasibility: the anchor analysis exists.
+  [[nodiscard]] bool analysed() const {
+    return verdict.status == Status::kWellPosed ||
+           verdict.status == Status::kIllPosed;
+  }
+};
+
+/// The cold questions, each asked once, in the paper's order, over one
+/// topological order of Gf -- `gf_order`, or (when empty) Gf sorted
+/// here once:
+///   1. the structural assumptions (cg::ConstraintGraph::validate);
+///   2. feasibility (Theorem 1) by is_feasible, keeping its potentials;
+///   3. findAnchorSet: the anchor analysis, with the source's length
+///      cells taken from those potentials -- or the caller's non-null
+///      `analysis`, reused as it is;
+///   4. checkWellposed (Theorem 2): containment A(tail) subset-of
+///      A(head) on every backward edge.
+/// The engine's cold resolve, both sched::schedule entry points,
+/// check(), lint and analyze decide a graph this way and only map the
+/// verdict. A non-null `watchdog` is charged by steps 2 and 3; when it
+/// trips the verdict is kUndecided.
+[[nodiscard]] ColdCheck cold_check(const cg::ConstraintGraph& g,
+                                   std::span<const int> gf_order = {},
+                                   const anchors::AnchorAnalysis* analysis =
+                                       nullptr,
+                                   base::Watchdog* watchdog = nullptr);
+
+/// checkWellposed (paper §IV-B): cold_check's verdict -- kInvalid on a
+/// graph that fails validation.
+[[nodiscard]] CheckResult check(const cg::ConstraintGraph& g);
+
+/// The containment question of cold_check() alone, for callers that
+/// already hold a valid, feasible graph's anchor sets: kWellPosed or
+/// kIllPosed.
 CheckResult check_containment(const cg::ConstraintGraph& g,
                               const anchors::AnchorSets& anchor_sets);
 

@@ -1,7 +1,6 @@
 // Fuzz target for session snapshot restore (RSNAP001 payloads read by
 // engine::SynthesisSession::restore: graph, products with the anchor
-// analysis and the CSR relative schedule, the Gf order, potentials and
-// statistics).
+// analysis and the schedule's verdict, the Gf order and statistics).
 //
 // The input is a snapshot payload. It is sealed into a framed file with
 // the current magic, version and checksum, so every mutation reaches
@@ -71,7 +70,7 @@ using relsched::engine::SynthesisSession;
 namespace persist = relsched::persist;
 
 constexpr std::string_view kMagic = "RSNAP001";
-constexpr std::uint32_t kVersion = 5;
+constexpr std::uint32_t kVersion = 6;
 
 struct Tally {
   long long inputs = 0;

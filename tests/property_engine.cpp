@@ -43,7 +43,7 @@ ColdProducts cold_pipeline(const cg::ConstraintGraph& g) {
     return c;
   }
   c.analysis = anchors::AnchorAnalysis::compute(g);
-  const auto wp = wellposed::check(g, c.analysis->anchor_sets());
+  const auto wp = wellposed::check_containment(g, c.analysis->anchor_sets());
   if (wp.status == wellposed::Status::kIllPosed) {
     c.status = sched::ScheduleStatus::kIllPosed;
     c.message = wp.message;

@@ -9,7 +9,8 @@
 // kept as this oracle), with and without the order, and with any one
 // max constraint dropped (lint's unsat-core probes). The same graphs'
 // cold resolves and unsat cores must match the verdicts recorded in
-// tests/data/feasibility_oracle.txt.
+// tests/data/feasibility_oracle.txt, and every other front door that
+// decides a graph cold must agree with the cold resolve.
 #include <fstream>
 #include <random>
 #include <sstream>
@@ -18,11 +19,13 @@
 
 #include <gtest/gtest.h>
 
+#include "analyze/analyze.hpp"
 #include "cg/graph_io.hpp"
 #include "engine/session.hpp"
 #include "feasibility_cases.hpp"
 #include "graph/algorithms.hpp"
 #include "lint/lint.hpp"
+#include "sched/scheduler.hpp"
 #include "wellposed/wellposed.hpp"
 
 namespace relsched {
@@ -144,6 +147,90 @@ TEST(FeasibilityProperty, ColdResolveMatchesRecordedOracle) {
         << "case " << want.index;
     EXPECT_EQ(p.schedule.message, want.message) << "case " << want.index;
   }
+}
+
+/// One front door's cold verdict: its class ("invalid", "infeasible",
+/// "ill-posed" or "ok"), message and witness.
+struct FrontDoorVerdict {
+  std::string verdict;
+  std::string message;
+  certify::Code code = certify::Code::kNone;
+  std::string diag;
+};
+
+std::string describe(const FrontDoorVerdict& v) {
+  return cat(v.verdict, " | ", v.message, " | ", static_cast<int>(v.code),
+             " | ", v.diag);
+}
+
+FrontDoorVerdict of_schedule(const sched::ScheduleResult& r) {
+  std::string verdict = sched::to_string(r.status);
+  if (r.status == sched::ScheduleStatus::kScheduled) verdict = "ok";
+  if (r.status == sched::ScheduleStatus::kInvalidGraph) verdict = "invalid";
+  return {verdict, r.message, r.diag.code, r.diag.message};
+}
+
+FrontDoorVerdict of_wellposed(const wellposed::CheckResult& r) {
+  std::string verdict = wellposed::to_string(r.status);
+  if (r.status == wellposed::Status::kWellPosed) verdict = "ok";
+  return {verdict, r.message, r.diag.code, r.diag.message};
+}
+
+FrontDoorVerdict of_analyze(const analyze::Report& r) {
+  return {analyze::to_string(r.status), r.message, r.diag.code,
+          r.diag.message};
+}
+
+/// Lint's first error finding. Lint words its infeasible and ill-posed
+/// findings itself (the unsat core, the constraint in user terms), so
+/// the cold verdict's message is carried for the invalid class only.
+FrontDoorVerdict of_lint(const lint::Report& r, const std::string& message) {
+  for (const lint::Finding& f : r.findings) {
+    if (f.severity != lint::Severity::kError) continue;
+    switch (f.rule) {
+      case lint::Rule::kInvalidGraph:
+        return {"invalid", f.message, f.diag.code, f.diag.message};
+      case lint::Rule::kUnsatCore:
+        return {"infeasible", message, f.diag.code, f.diag.message};
+      case lint::Rule::kIllPosedConstraint:
+        return {"ill-posed", message, f.diag.code, f.diag.message};
+      default:
+        return {cat("unexpected rule ", lint::rule_id(f.rule)), f.message,
+                f.diag.code, f.diag.message};
+    }
+  }
+  return {"ok", message, certify::Code::kNone, ""};
+}
+
+// The engine's cold resolve, sched::schedule(g), wellposed::check(g),
+// analyze::analyze(g) and lint::analyze(g) all decide a graph through
+// wellposed::cold_check: on every recorded case they give the same
+// verdict class, message and witness.
+TEST(FeasibilityProperty, FrontDoorsAgreeWithTheColdResolve) {
+  std::mt19937 rng(testing::kFeasibilitySeed);
+  int infeasible = 0;
+  int ill_posed = 0;
+  int invalid = 0;
+  for (int i = 0; i < testing::kFeasibilityCases; ++i) {
+    const cg::ConstraintGraph g = testing::feasibility_case(rng);
+    engine::SynthesisSession session(g, {});
+    const FrontDoorVerdict want = of_schedule(session.resolve().schedule);
+    infeasible += want.verdict == "infeasible" ? 1 : 0;
+    ill_posed += want.verdict == "ill-posed" ? 1 : 0;
+    invalid += want.verdict == "invalid" ? 1 : 0;
+    EXPECT_EQ(describe(of_schedule(sched::schedule(g))), describe(want))
+        << "case " << i << ": sched::schedule";
+    EXPECT_EQ(describe(of_wellposed(wellposed::check(g))), describe(want))
+        << "case " << i << ": wellposed::check";
+    EXPECT_EQ(describe(of_analyze(analyze::analyze(g))), describe(want))
+        << "case " << i << ": analyze::analyze";
+    EXPECT_EQ(describe(of_lint(lint::analyze(g), want.message)),
+              describe(want))
+        << "case " << i << ": lint::analyze";
+  }
+  EXPECT_GT(infeasible, 30);
+  EXPECT_GT(ill_posed, 5);
+  EXPECT_GT(invalid, 80);
 }
 
 // The source must be an anchor of every vertex: v6 hangs off v0 only

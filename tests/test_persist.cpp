@@ -595,16 +595,14 @@ TEST(SessionCheckpoint, RejectsProductsThatDoNotFitTheGraph) {
   ASSERT_GE(fig.g.revision(), donor.products().revision);
   persist::Writer w;
   persist::save_graph(w, fig.g);
-  w.u8(0);      // full anchor sets
   w.b(true);    // resolved once
   w.b(false);   // nothing pending
   save_products(w, donor.products());
   w.b(true);
   w.vec_i32(*fig.g.forward_order());
-  w.vec_i64({});
   save_stats(w, donor.stats());
   ASSERT_TRUE(persist::write_framed_file(persist::snapshot_path(dir),
-                                         "RSNAP001", 5, w.buffer())
+                                         "RSNAP001", 6, w.buffer())
                   .ok());
 
   SynthesisSession::RestoreReport report;
@@ -810,47 +808,6 @@ TEST(SessionCheckpoint, CorruptSnapshotRejectedStructurally) {
   EXPECT_EQ(report.error.code, ErrorCode::kIo);
 }
 
-// Sessions only schedule against full anchor sets, so a snapshot whose
-// mode byte (right after the graph payload) names a restricted mode is
-// malformed. The framing is rewritten around the patched payload so the
-// checksum passes and the mode check itself is reached.
-TEST(SessionCheckpoint, ScheduleModeMismatchRejected) {
-  const std::string dir = persist::temp_dir("ckpt_mode");
-  testing::Fig2Graph fig;
-  SynthesisSession session(std::move(fig.g), {});
-  ASSERT_TRUE(session.resolve().ok());
-  ASSERT_TRUE(session.checkpoint(dir).ok());
-
-  constexpr std::string_view kMagic = "RSNAP001";
-  constexpr std::uint32_t kVersion = 5;
-  std::string payload;
-  ASSERT_TRUE(
-      persist::read_framed_file(snapshot_path(dir), kMagic, kVersion, &payload)
-          .ok());
-  persist::Writer graph_bytes;
-  persist::save_graph(graph_bytes, session.graph());
-  const std::size_t mode_at = graph_bytes.buffer().size();
-  ASSERT_LT(mode_at, payload.size());
-  ASSERT_EQ(payload[mode_at], '\0');  // the one mode sessions write
-
-  SynthesisSession::RestoreReport report;
-  for (const char mode : {'\1', '\2', '\xff'}) {
-    std::string patched = payload;
-    patched[mode_at] = mode;
-    ASSERT_TRUE(persist::write_framed_file(snapshot_path(dir), kMagic,
-                                           kVersion, patched, false)
-                    .ok());
-    EXPECT_FALSE(SynthesisSession::restore(dir, {}, &report).has_value());
-    EXPECT_EQ(report.error.code, ErrorCode::kFormat);
-  }
-  // The untouched payload still restores.
-  ASSERT_TRUE(persist::write_framed_file(snapshot_path(dir), kMagic, kVersion,
-                                         payload, false)
-                  .ok());
-  EXPECT_TRUE(SynthesisSession::restore(dir, {}, &report).has_value())
-      << report.error.message;
-}
-
 // ---- Snapshot v4: cone-restricted anchor cells -------------------------
 //
 // Since v4 the analysis payload ends with two cell arrays (length
@@ -897,11 +854,12 @@ TEST(SnapshotV4, Version3SnapshotIsRefused) {
   ASSERT_TRUE(session.checkpoint(dir).ok());
   std::string payload;
   ASSERT_TRUE(
-      persist::read_framed_file(snapshot_path(dir), "RSNAP001", 5, &payload).ok());
+      persist::read_framed_file(snapshot_path(dir), "RSNAP001", 6, &payload).ok());
   // The same payload framed as a version-3 file: dense anchor rows are
   // no longer readable, and the framing says so before any parsing. So
-  // is version 4, whose products stored the schedule's cells.
-  for (const std::uint32_t version : {3u, 4u}) {
+  // is version 4, whose products stored the schedule's cells, and
+  // version 5, which stored a schedule-mode byte and potentials.
+  for (const std::uint32_t version : {3u, 4u, 5u}) {
     ASSERT_TRUE(persist::write_framed_file(snapshot_path(dir), "RSNAP001",
                                            version, payload, false)
                     .ok());
@@ -976,13 +934,13 @@ TEST(SnapshotV4, CorruptCellCountFailsRestoreWithFormatError) {
   ASSERT_TRUE(session.checkpoint(dir).ok());
   std::string payload;
   ASSERT_TRUE(
-      persist::read_framed_file(snapshot_path(dir), "RSNAP001", 5, &payload).ok());
-  // Payload: graph, mode byte, two flags, products revision, analysis.
+      persist::read_framed_file(snapshot_path(dir), "RSNAP001", 6, &payload).ok());
+  // Payload: graph, two flags, products revision, analysis.
   persist::Writer graph_bytes;
   persist::save_graph(graph_bytes, session.graph());
   persist::Writer analysis_bytes;
   persist::save_analysis(analysis_bytes, session.products().analysis);
-  const std::size_t analysis_at = graph_bytes.buffer().size() + 1 + 2 + 8;
+  const std::size_t analysis_at = graph_bytes.buffer().size() + 2 + 8;
   ASSERT_EQ(payload.substr(analysis_at, analysis_bytes.buffer().size()),
             analysis_bytes.buffer());
   const CellCountOffsets at = cell_count_offsets(
@@ -990,7 +948,7 @@ TEST(SnapshotV4, CorruptCellCountFailsRestoreWithFormatError) {
   for (const std::size_t count_at : {at.length, at.defining}) {
     std::string patched = payload;
     put_u64(patched, analysis_at + count_at, std::uint64_t{1} << 40);
-    ASSERT_TRUE(persist::write_framed_file(snapshot_path(dir), "RSNAP001", 5, patched,
+    ASSERT_TRUE(persist::write_framed_file(snapshot_path(dir), "RSNAP001", 6, patched,
                                   false)
                     .ok());
     SynthesisSession::RestoreReport report;

@@ -62,6 +62,67 @@ TEST(CheckWellposed, Fig3bIsIllPosed) {
   EXPECT_EQ(check(f.g).status, Status::kIllPosed);
 }
 
+TEST(ColdCheck, InvalidGraphKeepsEveryIssue) {
+  // v1 and v2 feed the sink but hang off nothing: two issues.
+  cg::ConstraintGraph g;
+  const VertexId v0 = g.add_vertex("v0", cg::Delay::bounded(0));
+  const VertexId v1 = g.add_vertex("v1", cg::Delay::bounded(1));
+  const VertexId v2 = g.add_vertex("v2", cg::Delay::bounded(1));
+  const VertexId sink = g.add_vertex("vn", cg::Delay::bounded(0));
+  g.add_sequencing_edge(v0, sink);
+  g.add_sequencing_edge(v1, sink);
+  g.add_sequencing_edge(v2, sink);
+  const std::vector<cg::ValidationIssue> issues = g.validate();
+  ASSERT_GE(issues.size(), 2u);
+  const ColdCheck cold = cold_check(g);
+  EXPECT_EQ(cold.verdict.status, Status::kInvalid);
+  EXPECT_EQ(cold.verdict.message, issues.front().message);
+  ASSERT_EQ(cold.issues.size(), issues.size());
+  for (std::size_t i = 0; i < issues.size(); ++i) {
+    EXPECT_EQ(cold.issues[i].message, issues[i].message);
+  }
+  EXPECT_FALSE(cold.analysed());
+  EXPECT_EQ(check(g).status, Status::kInvalid);
+}
+
+TEST(ColdCheck, KeepsTheAnalysisOnIllPosedAndReusesTheCallers) {
+  Fig3bGraph f;
+  const ColdCheck cold = cold_check(f.g);
+  ASSERT_EQ(cold.verdict.status, Status::kIllPosed);
+  ASSERT_TRUE(cold.analysed());
+  EXPECT_EQ(cold.analysis.anchors().size(), 3u);
+  // The source's length cells are the feasibility pass's potentials.
+  std::vector<graph::Weight> column;
+  cold.analysis.length_column(f.g.source(), column);
+  EXPECT_EQ(column, cold.potentials);
+  // A caller's analysis answers the anchor question as it is.
+  const ColdCheck reused = cold_check(f.g, {}, &cold.analysis);
+  EXPECT_EQ(reused.verdict.status, Status::kIllPosed);
+  EXPECT_EQ(reused.verdict.diag.message, cold.verdict.diag.message);
+  EXPECT_TRUE(reused.analysis.anchors().empty());
+}
+
+// Every step budget too small for the whole check trips it, in the
+// feasibility pass or in the anchor analysis (the potentials exist):
+// undecided, never a verdict, and no partial analysis is handed out.
+TEST(ColdCheck, WatchdogTripIsUndecided) {
+  Fig2Graph f;
+  int in_feasibility = 0;
+  int in_analysis = 0;
+  for (std::uint64_t limit = 1;; ++limit) {
+    ASSERT_LT(limit, 10000u);
+    base::Watchdog dog(base::CancelToken{}, base::Watchdog::kNoDeadline,
+                       limit);
+    const ColdCheck cold = cold_check(f.g, {}, nullptr, &dog);
+    if (cold.verdict.status == Status::kWellPosed) break;
+    ASSERT_EQ(cold.verdict.status, Status::kUndecided) << "limit " << limit;
+    EXPECT_TRUE(cold.analysis.anchors().empty()) << "limit " << limit;
+    ++(cold.potentials.empty() ? in_feasibility : in_analysis);
+  }
+  EXPECT_GT(in_feasibility, 0);
+  EXPECT_GT(in_analysis, 0);
+}
+
 TEST(MakeWellposed, Fig3aCannotBeRepaired) {
   Fig3aGraph f;
   const auto result = make_wellposed(f.g);
