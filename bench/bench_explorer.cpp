@@ -106,8 +106,8 @@ int main(int argc, char** argv) {
     const int delta = 1 + (i / static_cast<int>(max_edges.size())) % 8;
     explore::Candidate c;
     c.label = "e" + std::to_string(edge.value()) + "+" + std::to_string(delta);
-    c.edits.push_back(explore::EditOp::set_bound(edge, bound + delta + 1));
-    c.edits.push_back(explore::EditOp::set_bound(edge, bound + delta));
+    c.edits.push_back(engine::Edit::set_bound(edge, bound + delta + 1));
+    c.edits.push_back(engine::Edit::set_bound(edge, bound + delta));
     candidates.push_back(std::move(c));
   }
 

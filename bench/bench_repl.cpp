@@ -68,7 +68,6 @@ extern char** environ;
 namespace {
 
 using relsched::benchio::edit_request;
-using relsched::benchio::ScriptEdit;
 using relsched::serve::Json;
 
 constexpr relsched::benchio::ServeScript kScript{
@@ -264,8 +263,7 @@ void drive_session(Harness& h, int session, const std::string& design_text,
     }
     if (applied >= steps) break;
 
-    const ScriptEdit e =
-        kScript.edit(session, static_cast<int>(applied), vertices);
+    const auto e = kScript.edit(session, static_cast<int>(applied), vertices);
     Json reply;
     std::string error;
     if (!client.call_with_backoff(edit_request(sid, e), &reply,
@@ -709,7 +707,7 @@ int run_phase2(Harness& h, relsched::benchio::Json& out) {
       return 1;
     }
     for (int j = 0; j < steps; ++j) {
-      const ScriptEdit e = kScript.edit(97, j, g.vertex_count());
+      const auto e = kScript.edit(97, j, g.vertex_count());
       Json reply;
       if (!client.call_with_backoff(edit_request(sid, e), &reply,
                                     std::chrono::seconds(30), &error) ||

@@ -570,7 +570,7 @@ bool run_explorer_check(int vertices, std::uint64_t seed) {
     explore::Candidate c;
     c.label = cat("loosen_", i);
     const int bound = std::abs(graph.edge(targets[i]).fixed_weight);
-    c.edits.push_back(explore::EditOp::set_bound(
+    c.edits.push_back(engine::Edit::set_bound(
         targets[i], bound + 1 + static_cast<int>(i % 3)));
     candidates.push_back(std::move(c));
   }

@@ -64,7 +64,6 @@ namespace {
 
 using relsched::benchio::edit_request;
 using relsched::benchio::mix64;
-using relsched::benchio::ScriptEdit;
 using relsched::serve::Json;
 
 constexpr relsched::benchio::ServeScript kScript{
@@ -243,8 +242,7 @@ void drive_session(Harness& h, int session, const std::string& design_text,
     }
     if (applied >= steps) break;
 
-    const ScriptEdit e =
-        kScript.edit(session, static_cast<int>(applied), vertices);
+    const auto e = kScript.edit(session, static_cast<int>(applied), vertices);
     Json reply;
     std::string error;
     const auto t0 = Clock::now();

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,15 +23,6 @@ inline std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// One scripted edit, drawn deterministically from (session, step).
-struct ScriptEdit {
-  enum class Kind { kAddMin, kAddMax, kSetDelay };
-  Kind kind = Kind::kAddMin;
-  int a = 0;
-  int b = 0;
-  long long cycles = 0;
-};
-
 /// One bench's script: `salt` seeds its edit stream, the rest shape its
 /// generated designs (session s has base_vertices + (s % vertex_steps)
 /// * vertex_step vertices, or small_vertices in a small run).
@@ -46,8 +36,8 @@ struct ServeScript {
   int max_anchors;
   const char* name;
 
-  [[nodiscard]] ScriptEdit edit(int session, int step, int vertices) const {
-    ScriptEdit e;
+  /// One scripted edit, drawn deterministically from (session, step).
+  [[nodiscard]] engine::Edit edit(int session, int step, int vertices) const {
     const std::uint64_t r =
         mix64((static_cast<std::uint64_t>(session) << 20) ^
               static_cast<std::uint64_t>(step) ^ salt);
@@ -58,30 +48,22 @@ struct ServeScript {
     int to = 1 + static_cast<int>((r >> 24) % static_cast<std::uint64_t>(span));
     if (from == to) to = from == span ? 1 : from + 1;
     if (from > to) std::swap(from, to);
+    const auto draw = static_cast<std::int64_t>(r >> 40);
     switch (r % 5) {
       case 0:
       case 1:
       case 2:
-        e.kind = ScriptEdit::Kind::kAddMin;
-        e.a = from;
-        e.b = to;
-        e.cycles = 1 + static_cast<long long>((r >> 40) % 6);
-        break;
+        return engine::Edit::add_min(VertexId(from), VertexId(to),
+                                     1 + draw % 6);
       case 3:
         // Generous bound: usually feasible; when not, infeasible is a
         // valid, digest-covered outcome the oracle reproduces too.
-        e.kind = ScriptEdit::Kind::kAddMax;
-        e.a = from;
-        e.b = to;
-        e.cycles = 4000 + static_cast<long long>((r >> 40) % 512);
-        break;
+        return engine::Edit::add_max(VertexId(from), VertexId(to),
+                                     4000 + draw % 512);
       default:
-        e.kind = ScriptEdit::Kind::kSetDelay;
-        e.a = from;
-        e.cycles = static_cast<long long>((r >> 40) % 7);  // 0..6, bounded
-        break;
+        return engine::Edit::set_delay(
+            VertexId(from), cg::Delay::bounded(static_cast<int>(draw % 7)));
     }
-    return e;
   }
 
   [[nodiscard]] cg::ConstraintGraph design(int session, bool small) const {
@@ -111,57 +93,21 @@ struct ServeScript {
     std::vector<std::string> digests;
     digests.reserve(static_cast<std::size_t>(steps));
     for (int j = 0; j < steps; ++j) {
-      const ScriptEdit e = edit(session, j, vertices);
-      switch (e.kind) {
-        case ScriptEdit::Kind::kAddMin:
-          s.add_min_constraint(VertexId(e.a), VertexId(e.b),
-                               static_cast<int>(e.cycles));
-          break;
-        case ScriptEdit::Kind::kAddMax:
-          s.add_max_constraint(VertexId(e.a), VertexId(e.b),
-                               static_cast<int>(e.cycles));
-          break;
-        case ScriptEdit::Kind::kSetDelay:
-          s.set_delay(VertexId(e.a),
-                      cg::Delay::bounded(static_cast<int>(e.cycles)));
-          break;
-      }
-      const engine::Products& products = s.resolve();
-      char buf[17];
-      std::snprintf(buf, sizeof buf, "%016llx",
-                    static_cast<unsigned long long>(
-                        serve::products_digest(products)));
-      digests.emplace_back(buf);
+      s.apply(edit(session, j, vertices));
+      digests.push_back(serve::hex16(serve::products_digest(s.resolve())));
     }
     return digests;
   }
 };
 
 /// The one-edit "edit" request that carries `e` to session `sid`.
-inline serve::Json edit_request(const std::string& sid, const ScriptEdit& e) {
+inline serve::Json edit_request(const std::string& sid, const engine::Edit& e) {
   using serve::Json;
-  Json edit = Json::object();
-  switch (e.kind) {
-    case ScriptEdit::Kind::kAddMin:
-    case ScriptEdit::Kind::kAddMax:
-      edit.set("kind", Json::string(e.kind == ScriptEdit::Kind::kAddMin
-                                        ? "add_min"
-                                        : "add_max"));
-      edit.set("from", Json::number(static_cast<long long>(e.a)));
-      edit.set("to", Json::number(static_cast<long long>(e.b)));
-      edit.set("cycles", Json::number(e.cycles));
-      break;
-    case ScriptEdit::Kind::kSetDelay:
-      edit.set("kind", Json::string("set_delay"));
-      edit.set("vertex", Json::number(static_cast<long long>(e.a)));
-      edit.set("cycles", Json::number(e.cycles));
-      break;
-  }
   Json request = Json::object();
   request.set("op", Json::string("edit"));
   request.set("session", Json::string(sid));
   Json edits = Json::array();
-  edits.push(std::move(edit));
+  edits.push(serve::edit_json(e));
   request.set("edits", std::move(edits));
   return request;
 }

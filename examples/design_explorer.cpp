@@ -91,7 +91,7 @@ void explore_incrementally(const std::string& design_name,
   std::vector<explore::Candidate> candidates;
   for (int b = bound; b >= 0; --b) {
     candidates.push_back({"bound=" + std::to_string(b),
-                          {explore::EditOp::set_bound(swept, b)}});
+                          {engine::Edit::set_bound(swept, b)}});
   }
   explore::Explorer explorer(std::move(session), {});
   const explore::ExplorationResult result =

@@ -27,7 +27,7 @@ std::string join(const Range& items, std::string_view sep) {
 template <typename... Args>
 std::string cat(const Args&... args) {
   std::ostringstream os;
-  (os << ... << args);
+  ((os << args), ...);
   return os.str();
 }
 

@@ -21,7 +21,7 @@ std::string sanitize(std::string_view name) {
 
 }  // namespace
 
-DesignControl generate_design_control(const seq::Design& design,
+DesignControl generate_design_control(const seq::Design& /*design*/,
                                       const driver::SynthesisResult& synthesis,
                                       const ControlOptions& options) {
   RELSCHED_CHECK(synthesis.ok(), "control generation requires a synthesized design");

@@ -680,6 +680,63 @@ std::optional<SynthesisSession> SynthesisSession::restore(
   return s;
 }
 
+const char* Edit::refusal(const cg::ConstraintGraph& g) const {
+  const auto vertex = [&g](std::int64_t id) {
+    return id >= 0 && id < g.vertex_count();
+  };
+  const bool bound = value >= 0 && value <= kMaxEditCycles;
+  switch (op) {
+    case Op::kAddMin:
+    case Op::kAddMax:
+      if (!vertex(a) || !vertex(b)) return "an out-of-range vertex id";
+      if (a == b) return "a constraint from a vertex to itself";
+      return bound ? nullptr : "an out-of-range bound";
+    case Op::kRemoveConstraint:
+    case Op::kSetBound:
+      if (a < 0 || a >= g.edge_count()) return "an out-of-range edge id";
+      return bound || op == Op::kRemoveConstraint ? nullptr
+                                                  : "an out-of-range bound";
+    case Op::kSetDelay:
+      if (!vertex(a)) return "an out-of-range vertex id";
+      return value >= -1 && value <= kMaxEditCycles ? nullptr
+                                                    : "an out-of-range delay";
+    case Op::kResolve:
+      break;
+  }
+  return "no edit op";
+}
+
+void SynthesisSession::apply(const Edit& edit) {
+  if (const char* why = edit.refusal(graph_); why != nullptr) {
+    throw ApiError(cat("edit carries ", why));
+  }
+  // refusal() has range-checked every operand, so each narrows exactly.
+  const auto a = static_cast<int>(edit.a);
+  const auto b = static_cast<int>(edit.b);
+  const auto cycles = static_cast<int>(edit.value);
+  using Op = Edit::Op;
+  switch (edit.op) {
+    case Op::kAddMin:
+      add_min_constraint(VertexId(a), VertexId(b), cycles);
+      return;
+    case Op::kAddMax:
+      add_max_constraint(VertexId(a), VertexId(b), cycles);
+      return;
+    case Op::kRemoveConstraint:
+      remove_constraint(EdgeId(a));
+      return;
+    case Op::kSetBound:
+      set_constraint_bound(EdgeId(a), cycles);
+      return;
+    case Op::kSetDelay:
+      set_delay(VertexId(a), cycles < 0 ? cg::Delay::unbounded()
+                                        : cg::Delay::bounded(cycles));
+      return;
+    case Op::kResolve:
+      return;  // refused above
+  }
+}
+
 persist::Error SynthesisSession::replay_wal(const std::string& path,
                                             RestoreReport* report) {
   RELSCHED_CHECK(wal_ == nullptr, "replay_wal() must run before attach_wal()");
@@ -696,7 +753,6 @@ persist::Error SynthesisSession::apply_records(
     const std::vector<persist::WalRecord>& records, const std::string& origin,
     RestoreReport* report) {
   RELSCHED_CHECK(!in_txn_, "apply_records() inside an open transaction");
-  const std::string& path = origin;
 
   using Op = persist::WalRecord::Op;
   for (const persist::WalRecord& rec : records) {
@@ -713,57 +769,16 @@ persist::Error SynthesisSession::apply_records(
           persist::ErrorCode::kStateMismatch,
           cat("WAL record at revision ", rec.revision,
               " does not follow the session's revision ", graph_.revision()),
-          path);
+          origin);
     }
-    const std::int32_t vertices = graph_.vertex_count();
-    const std::int32_t edges = graph_.edge_count();
-    auto bad = [&](const char* what) {
-      return persist::Error::make(persist::ErrorCode::kFormat,
-                                  cat("WAL record carries ", what), path);
-    };
-    // The edit API double-checks semantic invariants the id-range checks
-    // here cannot see (polarity, edge kinds); its rejection of a record
-    // means the log does not describe this graph's history.
+    // A record apply() or the edit API refuses does not describe this
+    // graph's history.
     try {
-      switch (rec.op) {
-        case Op::kAddMin:
-        case Op::kAddMax:
-          if (rec.a < 0 || rec.a >= vertices || rec.b < 0 ||
-              rec.b >= vertices) {
-            return bad("an out-of-range vertex id");
-          }
-          if (rec.op == Op::kAddMin) {
-            add_min_constraint(VertexId(rec.a), VertexId(rec.b),
-                               static_cast<int>(rec.value));
-          } else {
-            add_max_constraint(VertexId(rec.a), VertexId(rec.b),
-                               static_cast<int>(rec.value));
-          }
-          break;
-        case Op::kRemoveConstraint:
-          if (rec.a < 0 || rec.a >= edges) return bad("an out-of-range edge id");
-          remove_constraint(EdgeId(rec.a));
-          break;
-        case Op::kSetBound:
-          if (rec.a < 0 || rec.a >= edges) return bad("an out-of-range edge id");
-          set_constraint_bound(EdgeId(rec.a), static_cast<int>(rec.value));
-          break;
-        case Op::kSetDelay:
-          if (rec.a < 0 || rec.a >= vertices) {
-            return bad("an out-of-range vertex id");
-          }
-          set_delay(VertexId(rec.a),
-                    rec.value < 0
-                        ? cg::Delay::unbounded()
-                        : cg::Delay::bounded(static_cast<int>(rec.value)));
-          break;
-        case Op::kResolve:
-          break;  // handled above
-      }
+      apply(Edit::from_record(rec));
     } catch (const ApiError& e) {
-      return persist::Error::make(
-          persist::ErrorCode::kFormat,
-          cat("WAL record rejected by the edit API: ", e.what()), path);
+      return persist::Error::make(persist::ErrorCode::kFormat,
+                                  cat("WAL record rejected: ", e.what()),
+                                  origin);
     }
     if (report != nullptr) ++report->replayed_edits;
   }

@@ -60,6 +60,7 @@
 #include "base/vertex_mask.hpp"
 #include "base/watchdog.hpp"
 #include "cg/constraint_graph.hpp"
+#include "engine/edit.hpp"
 #include "graph/dynamic_topo.hpp"
 #include "persist/serialize.hpp"
 #include "persist/wal.hpp"
@@ -258,31 +259,32 @@ class SynthesisSession {
   // (no-op without an attached WAL), carrying the post-edit revision so
   // recovery can line records up against a snapshot.
 
+  /// Applies a data-borne edit through the typed method below, after
+  /// edit.refusal(): a refused edit throws ApiError and changes nothing
+  /// (a graph invariant throws ApiError from the typed method).
+  void apply(const Edit& edit);
+
   EdgeId add_min_constraint(VertexId from, VertexId to, int min_cycles) {
     const EdgeId e = graph_.add_min_constraint(from, to, min_cycles);
-    wal_edit(persist::WalRecord::Op::kAddMin, from.value(), to.value(),
-             min_cycles);
+    wal_edit(Edit::add_min(from, to, min_cycles));
     return e;
   }
   EdgeId add_max_constraint(VertexId from, VertexId to, int max_cycles) {
     const EdgeId e = graph_.add_max_constraint(from, to, max_cycles);
-    wal_edit(persist::WalRecord::Op::kAddMax, from.value(), to.value(),
-             max_cycles);
+    wal_edit(Edit::add_max(from, to, max_cycles));
     return e;
   }
   void remove_constraint(EdgeId e) {
     graph_.remove_constraint(e);
-    wal_edit(persist::WalRecord::Op::kRemoveConstraint, e.value(), 0, 0);
+    wal_edit(Edit::remove_constraint(e));
   }
   void set_constraint_bound(EdgeId e, int cycles) {
     graph_.set_constraint_bound(e, cycles);
-    wal_edit(persist::WalRecord::Op::kSetBound, e.value(), 0, cycles);
+    wal_edit(Edit::set_bound(e, cycles));
   }
   void set_delay(VertexId v, cg::Delay delay) {
     graph_.set_delay(v, delay);
-    wal_edit(persist::WalRecord::Op::kSetDelay, v.value(), 0,
-             delay.is_bounded() ? static_cast<std::int64_t>(delay.cycles())
-                                : std::int64_t{-1});
+    wal_edit(Edit::set_delay(v, delay));
   }
 
   // ---- Transactions ------------------------------------------------------
@@ -457,8 +459,8 @@ class SynthesisSession {
 
   /// Applies a batch of WAL records (already parsed, e.g. streamed from
   /// a replication primary) on top of the current state: edits with
-  /// revisions the session has not seen are re-applied through the
-  /// journaled edit API -- so with a WAL attached, replicated edits are
+  /// revisions the session has not seen are re-applied through apply()
+  /// -- so with a WAL attached, replicated edits are
   /// re-journaled into *this* session's own log -- and each commit
   /// marker past the resolved revision triggers a resolve(). `origin`
   /// labels errors (a path or peer name). replay_wal() is this plus
@@ -501,16 +503,10 @@ class SynthesisSession {
   /// watchdog's stop reason; the next resolve recomputes cold.
   void cancelled_products();
   /// Appends one edit record to the attached WAL (no-op without one).
-  void wal_edit(persist::WalRecord::Op op, std::int32_t a, std::int32_t b,
-                std::int64_t value) {
-    if (wal_ == nullptr) return;
-    persist::WalRecord rec;
-    rec.op = op;
-    rec.revision = graph_.revision();
-    rec.a = a;
-    rec.b = b;
-    rec.value = value;
-    wal_->append(rec);
+  void wal_edit(const Edit& edit) {
+    if (wal_ != nullptr) {
+      wal_->append({edit.op, graph_.revision(), edit.a, edit.b, edit.value});
+    }
   }
   /// Re-certifies just-restored products; discards them (cold
   /// re-resolve) when the certificate fails.

@@ -11,57 +11,6 @@
 
 namespace relsched::explore {
 
-EditOp EditOp::set_bound(EdgeId e, int cycles) {
-  EditOp op;
-  op.kind = Kind::kSetBound;
-  op.edge = e;
-  op.cycles = cycles;
-  return op;
-}
-
-EditOp EditOp::add_min(VertexId from, VertexId to, int min_cycles) {
-  EditOp op;
-  op.kind = Kind::kAddMin;
-  op.from = from;
-  op.to = to;
-  op.cycles = min_cycles;
-  return op;
-}
-
-EditOp EditOp::add_max(VertexId from, VertexId to, int max_cycles) {
-  EditOp op;
-  op.kind = Kind::kAddMax;
-  op.from = from;
-  op.to = to;
-  op.cycles = max_cycles;
-  return op;
-}
-
-EditOp EditOp::remove(EdgeId e) {
-  EditOp op;
-  op.kind = Kind::kRemove;
-  op.edge = e;
-  return op;
-}
-
-void apply(engine::SynthesisSession& session, const EditOp& op) {
-  switch (op.kind) {
-    case EditOp::Kind::kSetBound:
-      session.set_constraint_bound(op.edge, op.cycles);
-      return;
-    case EditOp::Kind::kAddMin:
-      session.add_min_constraint(op.from, op.to, op.cycles);
-      return;
-    case EditOp::Kind::kAddMax:
-      session.add_max_constraint(op.from, op.to, op.cycles);
-      return;
-    case EditOp::Kind::kRemove:
-      session.remove_constraint(op.edge);
-      return;
-  }
-  RELSCHED_CHECK(false, "unknown edit op kind");
-}
-
 Objective min_latency() {
   return [](const cg::ConstraintGraph& g, const engine::Products& products) {
     // The zero-profile start times are the source's length cells.
@@ -143,12 +92,11 @@ std::uint64_t Explorer::config_hash(
   for (const Candidate& c : candidates) {
     w.str(c.label);
     w.u32(static_cast<std::uint32_t>(c.edits.size()));
-    for (const EditOp& op : c.edits) {
-      w.u8(static_cast<std::uint8_t>(op.kind));
-      w.i32(op.edge.value());
-      w.i32(op.from.value());
-      w.i32(op.to.value());
-      w.i32(op.cycles);
+    for (const engine::Edit& e : c.edits) {
+      w.u8(static_cast<std::uint8_t>(e.op));
+      w.i64(e.a);
+      w.i64(e.b);
+      w.i64(e.value);
     }
   }
   return persist::fnv1a64(w.buffer());
@@ -260,7 +208,7 @@ void Explorer::run_candidate(const Candidate& candidate, int index,
     fork.set_cancellation(options_.cancel, budget_deadline(),
                           options_.candidate_step_limit);
     fork.begin_txn();
-    for (const EditOp& op : candidate.edits) apply(fork, op);
+    for (const engine::Edit& e : candidate.edits) fork.apply(e);
     const engine::Products* products = &fork.commit();
     if (products->schedule.status == sched::ScheduleStatus::kCancelled &&
         !stop_requested()) {

@@ -35,30 +35,12 @@
 
 namespace relsched::explore {
 
-/// One journaled edit of a candidate, replayed onto a fork. Edge ids
-/// refer to the base session's graph (stable across forks; a kRemove
-/// inside the list invalidates ids exactly like
-/// cg::ConstraintGraph::remove_constraint documents).
-struct EditOp {
-  enum class Kind { kSetBound, kAddMin, kAddMax, kRemove };
-  Kind kind = Kind::kSetBound;
-  EdgeId edge = EdgeId::invalid();      // kSetBound / kRemove
-  VertexId from = VertexId::invalid();  // kAddMin / kAddMax
-  VertexId to = VertexId::invalid();
-  int cycles = 0;  // bound for kSetBound / kAddMin / kAddMax
-
-  static EditOp set_bound(EdgeId e, int cycles);
-  static EditOp add_min(VertexId from, VertexId to, int min_cycles);
-  static EditOp add_max(VertexId from, VertexId to, int max_cycles);
-  static EditOp remove(EdgeId e);
-};
-
-/// Applies one op through the session's journaled edit API.
-void apply(engine::SynthesisSession& session, const EditOp& op);
-
+/// Edits applied to a fork in order. Edge ids refer to the base graph
+/// (stable across forks; a remove_constraint inside the list invalidates
+/// ids as cg::ConstraintGraph::remove_constraint documents).
 struct Candidate {
   std::string label;
-  std::vector<EditOp> edits;
+  std::vector<engine::Edit> edits;
 };
 
 /// Score of a resolved candidate; lower is better. Called only for

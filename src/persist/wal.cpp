@@ -34,8 +34,8 @@ std::string encode_record(const WalRecord& record) {
   Writer payload;
   payload.u64(record.revision);
   payload.u8(static_cast<std::uint8_t>(record.op));
-  payload.i32(record.a);
-  payload.i32(record.b);
+  payload.i32(static_cast<std::int32_t>(record.a));
+  payload.i32(static_cast<std::int32_t>(record.b));
   payload.i64(record.value);
   Writer frame;
   frame.u32(kPayloadSize);

@@ -64,8 +64,10 @@ struct WalRecord {
   ///   kSetBound            a = edge id, value = bound
   ///   kSetDelay            a = vertex, value = cycles (-1 = unbounded)
   ///   kResolve             (none)
-  std::int32_t a = -1;
-  std::int32_t b = -1;
+  /// 64-bit until replay range-checks them; the log stores the i32 ids
+  /// of edits the session applied.
+  std::int64_t a = -1;
+  std::int64_t b = -1;
   std::int64_t value = 0;
 };
 

@@ -7,8 +7,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
+#include <limits>
+#include <utility>
 
 #include "base/errno_text.hpp"
+#include "base/error.hpp"
 #include "base/json.hpp"
 #include "base/strings.hpp"
 
@@ -62,8 +66,11 @@ bool Json::as_bool(bool fallback) const {
 
 long long Json::as_int(long long fallback) const {
   if (kind_ == Kind::kInt) return int_;
-  if (kind_ == Kind::kDouble) return static_cast<long long>(double_);
-  return fallback;
+  if (kind_ != Kind::kDouble || std::isnan(double_)) return fallback;
+  // Saturate: a double beyond the long long range has no conversion.
+  if (double_ >= 0x1p63) return std::numeric_limits<long long>::max();
+  if (double_ < -0x1p63) return std::numeric_limits<long long>::min();
+  return static_cast<long long>(double_);
 }
 
 double Json::as_double(double fallback) const {
@@ -467,6 +474,128 @@ class Parser {
 
 std::optional<Json> Json::parse(std::string_view text, std::string* error) {
   return Parser(text).run(error);
+}
+
+// ---- Edits -----------------------------------------------------------------
+
+namespace {
+
+/// The edit kind table, in op order: each kind's wire name, its op, and
+/// the request keys of its operands a, b and value (nullptr: unused,
+/// decoded as 0). An absent or non-numeric id reads -1 and an absent
+/// value `value_if_absent`, which Edit::refusal refuses unless it is
+/// set_bound's bound 0.
+struct EditKind {
+  std::string_view name;
+  engine::Edit::Op op;
+  const char* a_key;
+  const char* b_key;
+  const char* value_key;
+  long long value_if_absent;
+};
+
+using Op = engine::Edit::Op;
+constexpr EditKind kEditKinds[] = {
+    {"add_min", Op::kAddMin, "from", "to", "cycles", -1},
+    {"add_max", Op::kAddMax, "from", "to", "cycles", -1},
+    {"remove_constraint", Op::kRemoveConstraint, "edge", nullptr, nullptr, 0},
+    {"set_bound", Op::kSetBound, "edge", nullptr, "cycles", 0},
+    {"set_delay", Op::kSetDelay, "vertex", nullptr, "cycles", -2},
+};
+
+const EditKind& kind_of(Op op) {
+  const auto row = static_cast<std::size_t>(op) - 1;
+  RELSCHED_CHECK(row < std::size(kEditKinds) && kEditKinds[row].op == op,
+                 "no wire kind for an edit op");
+  return kEditKinds[row];
+}
+
+}  // namespace
+
+std::optional<engine::Edit> decode_edit(const Json& edit, std::string* error) {
+  const Json* kind = edit.get("kind");
+  if (kind == nullptr || !kind->is_string()) {
+    *error = "missing kind";
+    return std::nullopt;
+  }
+  const auto field = [&edit](const char* key,
+                             std::int64_t absent) -> std::int64_t {
+    if (key == nullptr) return 0;
+    const Json* v = edit.get(key);
+    return v != nullptr && v->is_number() ? v->as_int() : absent;
+  };
+  for (const EditKind& k : kEditKinds) {
+    if (k.name == kind->as_string()) {
+      return engine::Edit{k.op, field(k.a_key, -1), field(k.b_key, -1),
+                          field(k.value_key, k.value_if_absent)};
+    }
+  }
+  *error = cat("unknown kind \"", kind->as_string(), "\"");
+  return std::nullopt;
+}
+
+Json edit_json(const engine::Edit& edit) {
+  const EditKind& k = kind_of(edit.op);
+  Json j = Json::object();
+  j.set("kind", Json::string(std::string(k.name)));
+  const std::pair<const char*, std::int64_t> operands[] = {
+      {k.a_key, edit.a}, {k.b_key, edit.b}, {k.value_key, edit.value}};
+  for (const auto& [key, v] : operands) {
+    if (key != nullptr) j.set(key, Json::number(static_cast<long long>(v)));
+  }
+  return j;
+}
+
+bool decode_edits(const Json& request, const cg::ConstraintGraph& g,
+                  std::vector<engine::Edit>* out, std::string* error) {
+  const Json* edits = request.get("edits");
+  if (edits == nullptr || !edits->is_array()) {
+    *error = "edit requires an edits array";
+    return false;
+  }
+  for (std::size_t i = 0; i < edits->size(); ++i) {
+    std::string why;
+    const std::optional<engine::Edit> edit = decode_edit(*edits->at(i), &why);
+    if (!edit.has_value()) {
+      *error = cat("edit #", i, ": ", why);
+      return false;
+    }
+    if (edit->refusal(g) != nullptr) {
+      *error = cat("edit #", i, ": ", kind_of(edit->op).name,
+                   " operands out of range");
+      return false;
+    }
+    out->push_back(*edit);
+  }
+  return true;
+}
+
+Json record_json(const persist::WalRecord& record) {
+  Json j = Json::object();
+  j.set("op", Json::number(static_cast<long long>(record.op)));
+  j.set("rev", Json::number(static_cast<long long>(record.revision)));
+  j.set("a", Json::number(static_cast<long long>(record.a)));
+  j.set("b", Json::number(static_cast<long long>(record.b)));
+  j.set("v", Json::number(static_cast<long long>(record.value)));
+  return j;
+}
+
+bool decode_record(const Json& record, persist::WalRecord* out) {
+  const auto field = [&record](const char* key, long long absent) {
+    const Json* v = record.get(key);
+    return v != nullptr ? v->as_int() : absent;
+  };
+  // A non-numeric op reads 0, which is no op.
+  const long long op = field("op", 0);
+  const Json* rev = record.get("rev");
+  if (op < static_cast<long long>(Op::kAddMin) ||
+      op > static_cast<long long>(Op::kResolve) || rev == nullptr ||
+      !rev->is_number()) {
+    return false;
+  }
+  *out = {static_cast<Op>(op), static_cast<std::uint64_t>(rev->as_int()),
+          field("a", -1), field("b", -1), field("v", 0)};
+  return true;
 }
 
 // ---- Hex helpers -----------------------------------------------------------

@@ -21,7 +21,9 @@
 //   {"op":"edit","session":"<id>","edits":[
 //       {"kind":"add_min","from":3,"to":9,"cycles":4},
 //       {"kind":"add_max","from":3,"to":9,"cycles":40},
-//       {"kind":"set_delay","vertex":2,"cycles":-1}]}  -> one txn+resolve
+//       {"kind":"set_delay","vertex":2,"cycles":-1},
+//       {"kind":"set_bound","edge":5,"cycles":7},
+//       {"kind":"remove_constraint","edge":5}]}        -> one txn+resolve
 //   {"op":"resolve","session":"<id>"}                  -> status + digest
 //   {"op":"evict","session":"<id>"}                    -> snapshot + drop
 //   {"op":"close","session":"<id>"}                    -> drop (disk kept)
@@ -75,6 +77,10 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "cg/constraint_graph.hpp"
+#include "engine/edit.hpp"
+#include "persist/wal.hpp"
 
 namespace relsched::serve {
 
@@ -150,6 +156,37 @@ class Json {
   std::vector<Json> items_;                               // array
   std::vector<std::pair<std::string, Json>> fields_;      // object
 };
+
+// ---- Edits -----------------------------------------------------------------
+// Each element of an "edit" request's "edits" array is one engine::Edit,
+// spelled by the edit kind table in protocol.cpp.
+
+/// Decodes one element, operands unchecked; nullopt with *error set to
+/// `missing kind` or `unknown kind "<k>"` on failure.
+[[nodiscard]] std::optional<engine::Edit> decode_edit(const Json& edit,
+                                                      std::string* error);
+
+/// Renders an edit as one element (the inverse of decode_edit), e.g.
+/// {"kind":"add_min","from":1,"to":2,"cycles":3}.
+[[nodiscard]] Json edit_json(const engine::Edit& edit);
+
+/// Decodes an "edit" request's batch and checks every edit against `g`
+/// (Edit::refusal). On failure returns false with the bad_request detail
+/// in *error: `edit requires an edits array`, `edit #i: missing kind`,
+/// `edit #i: unknown kind "<k>"` or `edit #i: <kind> operands out of
+/// range`.
+[[nodiscard]] bool decode_edits(const Json& request, const cg::ConstraintGraph& g,
+                                std::vector<engine::Edit>* out,
+                                std::string* error);
+
+/// One record of a repl_append batch:
+/// {"op":<WalRecord::Op>,"rev":R,"a":A,"b":B,"v":V}.
+[[nodiscard]] Json record_json(const persist::WalRecord& record);
+
+/// Decodes one repl_append record; false when "op" is not an op number
+/// or "rev" is not a number. Absent operands read -1 (a, b) and 0 (v);
+/// replay checks them (Edit::refusal) before they narrow.
+[[nodiscard]] bool decode_record(const Json& record, persist::WalRecord* out);
 
 // ---- Hex helpers -----------------------------------------------------------
 // Session ids and digests travel as fixed-width lowercase hex;

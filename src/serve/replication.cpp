@@ -308,8 +308,7 @@ bool Replicator::step_session(const SessionView& view) {
     Json records = Json::array();
     std::uint64_t last_marker_revision = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      const persist::WalRecord& rec = tail.records[i];
-      std::int64_t value = rec.value;
+      persist::WalRecord rec = tail.records[i];
       if (rec.op != persist::WalRecord::Op::kResolve) {
         ++shipped_edit_records_;
         if (!corruption_injected_ && options_.corrupt_record_at > 0 &&
@@ -321,20 +320,13 @@ bool Replicator::step_session(const SessionView& view) {
           // bound or an unused delay can be absorbed without changing
           // the schedule); the standby still applies it cleanly -- only
           // the digest oracle can tell, which is what the bench gates.
-          value += 1000;
+          rec.value += 1000;
           corruption_injected_ = true;
         }
       } else {
         last_marker_revision = rec.revision;
       }
-      Json j = Json::object();
-      j.set("op", Json::number(static_cast<long long>(
-                      static_cast<std::uint8_t>(rec.op))));
-      j.set("rev", number(rec.revision));
-      j.set("a", Json::number(static_cast<long long>(rec.a)));
-      j.set("b", Json::number(static_cast<long long>(rec.b)));
-      j.set("v", Json::number(static_cast<long long>(value)));
-      records.push(std::move(j));
+      records.push(record_json(rec));
     }
     request.set("records", std::move(records));
     if (last_marker_revision != 0) {

@@ -834,84 +834,6 @@ struct Server::Impl {
     return reply;
   }
 
-  /// Validated form of one edit in an "edit" request's batch.
-  struct Edit {
-    enum class Kind { kAddMin, kAddMax, kSetDelay, kRemove, kSetBound };
-    Kind kind = Kind::kAddMin;
-    int a = 0;  // from / vertex / edge
-    int b = 0;  // to
-    long long cycles = 0;
-  };
-
-  /// Parses and range-checks the batch up front, so a malformed edit is
-  /// rejected before the transaction opens (no partially-applied junk
-  /// for trivially-detectable garbage).
-  static bool parse_edits(const Json& request, const cg::ConstraintGraph& g,
-                          std::vector<Edit>* out, std::string* error) {
-    const Json* edits = request.get("edits");
-    if (edits == nullptr || !edits->is_array()) {
-      *error = "edit requires an edits array";
-      return false;
-    }
-    constexpr long long kMaxCycles = 1'000'000'000;
-    const int vertices = g.vertex_count();
-    const int edges = g.edge_count();
-    for (std::size_t i = 0; i < edits->size(); ++i) {
-      const Json& e = *edits->at(i);
-      const Json* kind = e.get("kind");
-      if (kind == nullptr || !kind->is_string()) {
-        *error = cat("edit #", i, ": missing kind");
-        return false;
-      }
-      Edit parsed;
-      const std::string& k = kind->as_string();
-      auto field = [&e](const char* name, long long fallback) {
-        const Json* v = e.get(name);
-        return v != nullptr && v->is_number() ? v->as_int() : fallback;
-      };
-      if (k == "add_min" || k == "add_max") {
-        parsed.kind = k == "add_min" ? Edit::Kind::kAddMin : Edit::Kind::kAddMax;
-        const long long from = field("from", -1);
-        const long long to = field("to", -1);
-        parsed.cycles = field("cycles", -1);
-        if (from < 0 || from >= vertices || to < 0 || to >= vertices ||
-            from == to || parsed.cycles < 0 || parsed.cycles > kMaxCycles) {
-          *error = cat("edit #", i, ": ", k, " operands out of range");
-          return false;
-        }
-        parsed.a = static_cast<int>(from);
-        parsed.b = static_cast<int>(to);
-      } else if (k == "set_delay") {
-        parsed.kind = Edit::Kind::kSetDelay;
-        const long long vertex = field("vertex", -1);
-        parsed.cycles = field("cycles", -2);
-        if (vertex < 0 || vertex >= vertices || parsed.cycles < -1 ||
-            parsed.cycles > kMaxCycles) {
-          *error = cat("edit #", i, ": set_delay operands out of range");
-          return false;
-        }
-        parsed.a = static_cast<int>(vertex);
-      } else if (k == "remove_constraint" || k == "set_bound") {
-        parsed.kind = k == "set_bound" ? Edit::Kind::kSetBound
-                                       : Edit::Kind::kRemove;
-        const long long edge = field("edge", -1);
-        parsed.cycles = field("cycles", 0);
-        if (edge < 0 || edge >= edges ||
-            (parsed.kind == Edit::Kind::kSetBound &&
-             (parsed.cycles < 0 || parsed.cycles > kMaxCycles))) {
-          *error = cat("edit #", i, ": ", k, " operands out of range");
-          return false;
-        }
-        parsed.a = static_cast<int>(edge);
-      } else {
-        *error = cat("edit #", i, ": unknown kind \"", k, "\"");
-        return false;
-      }
-      out->push_back(parsed);
-    }
-    return true;
-  }
-
   /// Looks up the session named by the request. On any failure, returns
   /// a ready error reply in *fail.
   std::shared_ptr<SessionEntry> lookup(const Json& request, Json* fail) {
@@ -1005,38 +927,16 @@ struct Server::Impl {
   Json edit_locked(SessionEntry& entry, const Json& request)
       RELSCHED_REQUIRES(entry.mutex) {
     engine::SynthesisSession& session = *entry.session;
-    std::vector<Edit> edits;
+    // The whole batch is checked against the pre-batch graph before the
+    // transaction opens: no partially-applied trivial garbage.
+    std::vector<engine::Edit> edits;
     std::string parse_error;
-    if (!parse_edits(request, session.graph(), &edits, &parse_error)) {
+    if (!decode_edits(request, session.graph(), &edits, &parse_error)) {
       return bad_request(parse_error);
     }
     try {
       session.begin_txn();
-      for (const Edit& e : edits) {
-        switch (e.kind) {
-          case Edit::Kind::kAddMin:
-            session.add_min_constraint(VertexId(e.a), VertexId(e.b),
-                                       static_cast<int>(e.cycles));
-            break;
-          case Edit::Kind::kAddMax:
-            session.add_max_constraint(VertexId(e.a), VertexId(e.b),
-                                       static_cast<int>(e.cycles));
-            break;
-          case Edit::Kind::kSetDelay:
-            session.set_delay(VertexId(e.a),
-                              e.cycles < 0 ? cg::Delay::unbounded()
-                                           : cg::Delay::bounded(
-                                                 static_cast<int>(e.cycles)));
-            break;
-          case Edit::Kind::kRemove:
-            session.remove_constraint(EdgeId(e.a));
-            break;
-          case Edit::Kind::kSetBound:
-            session.set_constraint_bound(EdgeId(e.a),
-                                         static_cast<int>(e.cycles));
-            break;
-        }
-      }
+      for (const engine::Edit& e : edits) session.apply(e);
       session.commit();
     } catch (const std::exception& ex) {
       // A structurally-valid edit the graph still rejected (e.g.
@@ -1394,22 +1294,10 @@ struct Server::Impl {
     std::vector<persist::WalRecord> records;
     records.reserve(records_j->size());
     for (std::size_t i = 0; i < records_j->size(); ++i) {
-      const Json& rj = *records_j->at(i);
-      const Json* op = rj.get("op");
-      const Json* rev = rj.get("rev");
-      if (op == nullptr || !op->is_number() || op->as_int() < 1 ||
-          op->as_int() > 6 || rev == nullptr || !rev->is_number()) {
+      persist::WalRecord rec;
+      if (!decode_record(*records_j->at(i), &rec)) {
         return bad_request(cat("record #", i, " malformed"));
       }
-      persist::WalRecord rec;
-      rec.op = static_cast<persist::WalRecord::Op>(op->as_int());
-      rec.revision = static_cast<std::uint64_t>(rev->as_int());
-      const Json* a = rj.get("a");
-      const Json* b = rj.get("b");
-      const Json* v = rj.get("v");
-      rec.a = a != nullptr ? static_cast<std::int32_t>(a->as_int()) : -1;
-      rec.b = b != nullptr ? static_cast<std::int32_t>(b->as_int()) : -1;
-      rec.value = v != nullptr ? v->as_int() : 0;
       records.push_back(rec);
     }
 

@@ -182,7 +182,7 @@ TEST(FuzzCertify, ExplorerCandidatesMatchColdUnderCertification) {
       const EdgeId e = edges[rng() % edges.size()];
       explore::Candidate cand;
       cand.label = cat("c", c);
-      cand.edits.push_back(explore::EditOp::set_bound(
+      cand.edits.push_back(engine::Edit::set_bound(
           e, perturbed_bound(base.graph(), e, rng)));
       candidates.push_back(std::move(cand));
     }
@@ -192,11 +192,10 @@ TEST(FuzzCertify, ExplorerCandidatesMatchColdUnderCertification) {
     const auto result = explorer.explore(candidates, explore::min_latency());
     for (std::size_t c = 0; c < candidates.size(); ++c) {
       const auto& slot = result.candidates[c];
-      // Cold reference: replay the candidate's edit on a fresh graph.
-      cg::ConstraintGraph cand_graph = base_graph;
-      cand_graph.set_constraint_bound(candidates[c].edits[0].edge,
-                                      candidates[c].edits[0].cycles);
-      engine::SynthesisSession cold(cand_graph, copts);
+      // Cold reference: replay the candidate's edit on a fresh session
+      // (its first resolve is cold).
+      engine::SynthesisSession cold(base_graph, copts);
+      cold.apply(candidates[c].edits[0]);
       const engine::Products& ref = cold.resolve();
       ASSERT_EQ(slot.feasible, ref.ok()) << "iter " << iter << " cand " << c;
       if (slot.feasible) {
@@ -205,7 +204,7 @@ TEST(FuzzCertify, ExplorerCandidatesMatchColdUnderCertification) {
       } else {
         // Satellite: the explorer surfaces the per-candidate witness.
         EXPECT_TRUE(slot.diag.has_witness()) << slot.error;
-        EXPECT_EQ(certify::verify_witness(cand_graph, slot.diag),
+        EXPECT_EQ(certify::verify_witness(cold.graph(), slot.diag),
                   std::nullopt);
       }
       EXPECT_EQ(slot.stats.certificate_failures, 0);

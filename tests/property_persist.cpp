@@ -204,7 +204,9 @@ TEST(PersistProperty, RandomizedKillPointsRecoverBitIdentical) {
       steps.push_back({*spec, victim.graph().revision()});
       // An occasional mid-script snapshot: later kills then recover
       // from that snapshot plus a shorter WAL suffix.
-      if (rng() % 4 == 0) ASSERT_TRUE(victim.checkpoint(dir).ok());
+      if (rng() % 4 == 0) {
+        ASSERT_TRUE(victim.checkpoint(dir).ok());
+      }
     }
     expect_products_match(reference.products(), victim.products(), g,
                           "script " + std::to_string(script) + " pre-kill");

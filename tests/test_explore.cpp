@@ -61,21 +61,22 @@ std::vector<Candidate> sweep_candidates(const cg::ConstraintGraph& g) {
       Candidate c;
       c.label = "edge" + std::to_string(e.id.value()) + "/" +
                 std::to_string(delta);
-      c.edits.push_back(EditOp::set_bound(e.id, std::max(0, bound + delta)));
+      c.edits.push_back(
+          engine::Edit::set_bound(e.id, std::max(0, bound + delta)));
       out.push_back(std::move(c));
     }
     if (e.kind == cg::EdgeKind::kMaxConstraint) {
       out.push_back({"drop" + std::to_string(e.id.value()),
-                     {EditOp::remove(e.id)}});
+                     {engine::Edit::remove_constraint(e.id)}});
       tighten_all.edits.push_back(
-          EditOp::set_bound(e.id, std::max(0, bound - 1)));
+          engine::Edit::set_bound(e.id, std::max(0, bound - 1)));
     }
   }
   if (!tighten_all.edits.empty()) out.push_back(std::move(tighten_all));
   const VertexId source(0);
   const VertexId sink(g.vertex_count() - 1);
-  out.push_back({"min-span", {EditOp::add_min(source, sink, 1)}});
-  out.push_back({"max-span", {EditOp::add_max(source, sink, 50)}});
+  out.push_back({"min-span", {engine::Edit::add_min(source, sink, 1)}});
+  out.push_back({"max-span", {engine::Edit::add_max(source, sink, 50)}});
   return out;
 }
 
@@ -173,8 +174,9 @@ TEST(ExplorerTest, ForkedCandidatesMatchIndependentSessions) {
     engine::SynthesisSession fresh(g, {});
     bool api_error = false;
     try {
-      for (const EditOp& op : candidates[static_cast<std::size_t>(c.index)].edits) {
-        apply(fresh, op);
+      for (const engine::Edit& e :
+           candidates[static_cast<std::size_t>(c.index)].edits) {
+        fresh.apply(e);
       }
     } catch (const ApiError&) {
       api_error = true;
@@ -213,7 +215,7 @@ TEST(ExplorerTest, InfeasibleCandidatesCarryReplayableWitnesses) {
 
   std::vector<Candidate> candidates;
   candidates.push_back({"baseline", {}});
-  candidates.push_back({"too-tight", {EditOp::set_bound(max_edge, 0)}});
+  candidates.push_back({"too-tight", {engine::Edit::set_bound(max_edge, 0)}});
   Explorer explorer(engine::SynthesisSession(f.g, {}), {});
   const ExplorationResult result = explorer.explore(candidates, min_latency());
 
@@ -251,7 +253,7 @@ TEST(ExplorerTest, DuplicateCandidatesTieBreakOnSmallestIndex) {
   ASSERT_TRUE(max_edge.is_valid());
   // Three byte-identical candidates: identical scores, so the reduction
   // must pick index 0 -- and report identical products for all three.
-  const Candidate dup{"dup", {EditOp::set_bound(max_edge, 3)}};
+  const Candidate dup{"dup", {engine::Edit::set_bound(max_edge, 3)}};
   Explorer explorer(engine::SynthesisSession(std::move(fig.g), {}), {});
   const ExplorationResult result =
       explorer.explore({dup, dup, dup}, min_latency());

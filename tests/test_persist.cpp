@@ -726,6 +726,36 @@ TEST(SessionCheckpoint, WalTailReplaysEditsPastSnapshot) {
   expect_same_products(session, *restored);
 }
 
+TEST(SessionCheckpoint, ReplayRefusesRecordsBeyondTheEditLimits) {
+  testing::Fig2Graph fig;
+  const VertexId v1 = fig.v1, v4 = fig.v4;
+  SynthesisSession session(std::move(fig.g), {});
+  ASSERT_TRUE(session.resolve().ok());
+  const EdgeId max_edge = find_max_edge(session.graph());
+  const std::uint64_t revision = session.graph().revision();
+  const int bound = session.graph().edge(max_edge).fixed_weight;
+  const cg::Delay delay = session.graph().vertex(v1).delay;
+
+  // Each operand narrowed to 32 bits would be valid: the bound 3, the
+  // vertex 1, the delay 2.
+  using Op = persist::WalRecord::Op;
+  constexpr std::int64_t k2to32 = std::int64_t{1} << 32;
+  const persist::WalRecord kRecords[] = {
+      {Op::kSetBound, revision + 1, max_edge.value(), 0, k2to32 + 3},
+      {Op::kAddMin, revision + 1, k2to32 + 1, v4.value(), 1},
+      {Op::kSetDelay, revision + 1, v1.value(), 0, k2to32 + 2},
+  };
+  for (const persist::WalRecord& rec : kRecords) {
+    const persist::Error error = session.apply_records({rec}, "stream");
+    EXPECT_EQ(error.code, ErrorCode::kFormat) << error.render();
+    EXPECT_EQ(session.graph().revision(), revision);
+  }
+  EXPECT_EQ(session.graph().edge(max_edge).fixed_weight, bound);
+  EXPECT_EQ(session.graph().vertex(v1).delay, delay);
+  EXPECT_EQ(session.graph().edge_count(), 8);
+  EXPECT_TRUE(session.resolve().ok());
+}
+
 TEST(SessionCheckpoint, TornWalTailDroppedAndReported) {
   const std::string dir = persist::temp_dir("ckpt_torn");
   testing::Fig2Graph fig;

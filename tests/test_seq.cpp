@@ -122,7 +122,9 @@ TEST(ToConstraintGraph, ConstraintsBecomeMinMaxEdges) {
       ++min_edges;
       EXPECT_EQ(e.fixed_weight, 2);
     }
-    if (e.kind == cg::EdgeKind::kMaxConstraint) EXPECT_EQ(e.fixed_weight, -5);
+    if (e.kind == cg::EdgeKind::kMaxConstraint) {
+      EXPECT_EQ(e.fixed_weight, -5);
+    }
   }
   EXPECT_EQ(min_edges, 1);
 }

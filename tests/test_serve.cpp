@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -28,6 +29,7 @@
 #include "bench_json.hpp"
 #include "cg/graph_io.hpp"
 #include "engine/session.hpp"
+#include "persist/wal.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -143,6 +145,25 @@ TEST(Json, MalformedInputsRejectedWithError) {
     std::string error;
     EXPECT_FALSE(Json::parse(text, &error).has_value()) << text;
     EXPECT_FALSE(error.empty()) << text;
+  }
+}
+
+TEST(Json, IntReadOfHugeDoubleSaturates) {
+  const struct {
+    const char* text;
+    long long want;
+  } kCases[] = {
+      {"1e300", std::numeric_limits<long long>::max()},
+      {"-1e300", std::numeric_limits<long long>::min()},
+      {"9.3e18", std::numeric_limits<long long>::max()},
+      {"-2.5", -2},
+      {"4294967297.0", 4294967297LL},
+  };
+  for (const auto& c : kCases) {
+    std::string error;
+    const std::optional<Json> j = Json::parse(c.text, &error);
+    ASSERT_TRUE(j.has_value()) << error;
+    EXPECT_EQ(j->as_int(), c.want) << c.text;
   }
 }
 
@@ -437,6 +458,104 @@ TEST(ServeEndToEnd, UnknownSessionAndMalformedRequestsRejected) {
   EXPECT_EQ(field(reply, "code").as_string(), kCodeBadRequest);
   reply = live.call(client, resolve_request(sid));
   EXPECT_EQ(field(reply, "revision").as_int(), revision);
+}
+
+// The edit wire texts, pinned byte for byte: one element per kind as
+// the kind table renders it (and decodes it back), then every "edit"
+// rejection reply. A rejected batch changes nothing.
+TEST(ServeEdits, KindTableRendersAndDecodesEachKind) {
+  using engine::Edit;
+  const struct {
+    Edit edit;
+    const char* wire;
+  } kCases[] = {
+      {Edit::add_min(VertexId(1), VertexId(2), 3),
+       R"({"kind":"add_min","from":1,"to":2,"cycles":3})"},
+      {Edit::add_max(VertexId(1), VertexId(2), 40),
+       R"({"kind":"add_max","from":1,"to":2,"cycles":40})"},
+      {Edit::set_delay(VertexId(2), cg::Delay::unbounded()),
+       R"({"kind":"set_delay","vertex":2,"cycles":-1})"},
+      {Edit::set_delay(VertexId(2), cg::Delay::bounded(6)),
+       R"({"kind":"set_delay","vertex":2,"cycles":6})"},
+      {Edit::set_bound(EdgeId(5), 7),
+       R"({"kind":"set_bound","edge":5,"cycles":7})"},
+      {Edit::remove_constraint(EdgeId(5)),
+       R"({"kind":"remove_constraint","edge":5})"},
+  };
+  for (const auto& c : kCases) {
+    EXPECT_EQ(edit_json(c.edit).render(), c.wire);
+    std::string error;
+    const std::optional<Json> parsed = Json::parse(c.wire, &error);
+    ASSERT_TRUE(parsed.has_value()) << error;
+    const std::optional<Edit> decoded = decode_edit(*parsed, &error);
+    ASSERT_TRUE(decoded.has_value()) << c.wire << ": " << error;
+    EXPECT_TRUE(*decoded == c.edit) << c.wire;
+  }
+}
+
+TEST(ServeEdits, RejectionTextsArePinned) {
+  LiveServer live;
+  Client client = live.connect();
+  testing::Fig2Graph fig;
+  Json opened = live.call(client, open_request(cg::to_text(fig.g)));
+  ASSERT_TRUE(field(opened, "ok").as_bool()) << opened.render();
+  const std::string sid = field(opened, "session").as_string();
+  const long long revision = field(opened, "revision").as_int();
+
+  // Fig 2 has 6 vertices and 8 edges.
+  const struct {
+    const char* edits;  // the request's "edits" value; nullptr: absent
+    const char* error;
+  } kCases[] = {
+      {nullptr, "edit requires an edits array"},
+      {R"({"kind":"add_min"})", "edit requires an edits array"},
+      {R"([{}])", "edit #0: missing kind"},
+      {R"([{"kind":3,"from":1,"to":2,"cycles":3}])", "edit #0: missing kind"},
+      {R"([{"kind":"add_min","from":0,"to":5,"cycles":1},{"kind":"nop"}])",
+       R"(edit #1: unknown kind "nop")"},
+      {R"([{"kind":"add_min","from":0,"to":6,"cycles":1}])",
+       "edit #0: add_min operands out of range"},
+      {R"([{"kind":"add_min","from":2,"to":2,"cycles":1}])",
+       "edit #0: add_min operands out of range"},
+      {R"([{"kind":"add_min","from":0,"to":5}])",
+       "edit #0: add_min operands out of range"},
+      {R"([{"kind":"add_max","from":0,"to":5,"cycles":1000000001}])",
+       "edit #0: add_max operands out of range"},
+      {R"([{"kind":"add_max","from":-1,"to":5,"cycles":9}])",
+       "edit #0: add_max operands out of range"},
+      {R"([{"kind":"set_delay","vertex":2,"cycles":-2}])",
+       "edit #0: set_delay operands out of range"},
+      {R"([{"kind":"set_delay","vertex":2}])",
+       "edit #0: set_delay operands out of range"},
+      {R"([{"kind":"set_delay","vertex":4294967298,"cycles":1}])",
+       "edit #0: set_delay operands out of range"},
+      {R"([{"kind":"set_bound","edge":8,"cycles":1}])",
+       "edit #0: set_bound operands out of range"},
+      {R"([{"kind":"set_bound","edge":7,"cycles":-1}])",
+       "edit #0: set_bound operands out of range"},
+      {R"([{"kind":"set_bound","edge":7,"cycles":4294967299}])",
+       "edit #0: set_bound operands out of range"},
+      {R"([{"kind":"remove_constraint"}])",
+       "edit #0: remove_constraint operands out of range"},
+  };
+  for (const auto& c : kCases) {
+    std::string request = R"({"op":"edit","session":")" + sid + "\"";
+    if (c.edits != nullptr) request += std::string(R"(,"edits":)") + c.edits;
+    request += "}";
+    std::string error;
+    const std::optional<Json> parsed = Json::parse(request, &error);
+    ASSERT_TRUE(parsed.has_value()) << error;
+    const Json reply = live.call(client, *parsed);
+    EXPECT_EQ(reply.render(),
+              Json::object()
+                  .set("ok", Json::boolean(false))
+                  .set("code", Json::string(kCodeBadRequest))
+                  .set("error", Json::string(c.error))
+                  .render())
+        << request;
+  }
+  Json resolved = live.call(client, resolve_request(sid));
+  EXPECT_EQ(field(resolved, "revision").as_int(), revision);
 }
 
 TEST(ServeEndToEnd, ConnectionCapShedsWithRetryAfter) {
@@ -854,6 +973,57 @@ TEST(ServeReplication, StreamsToStandbyAndPromoteServesIdenticalState) {
   Json fenced = standby.call(sclient, subscribe);
   EXPECT_FALSE(field(fenced, "ok").as_bool());
   EXPECT_EQ(field(fenced, "code").as_string(), kCodeBadRequest);
+}
+
+TEST(ServeReplication, OutOfRangeOperandAnswersResyncAndAppliesNothing) {
+  LiveServer standby(64, 16, [](ServerOptions& o) { o.standby = true; });
+  LiveServer primary(64, 16, [&](ServerOptions& o) {
+    o.replicate_to = standby.options.socket_path;
+  });
+  Client client = primary.connect();
+  testing::Fig2Graph fig;
+  Json opened = primary.call(client, open_request(cg::to_text(fig.g)));
+  ASSERT_TRUE(field(opened, "ok").as_bool()) << opened.render();
+  const std::string sid = field(opened, "session").as_string();
+  Json edited = primary.call(
+      client,
+      one_edit_request(sid, add_min_edit(fig.v0.value(), fig.v4.value(), 4)));
+  ASSERT_TRUE(field(edited, "ok").as_bool()) << edited.render();
+  ASSERT_FALSE(field(edited, "repl_degraded").as_bool()) << edited.render();
+
+  // Continue the standby's own cursor with one add_min record whose
+  // "from" is 2^32 + 1: narrowed to 32 bits it would name vertex 1.
+  Client sclient = standby.connect();
+  Json subscribe = Json::object();
+  subscribe.set("op", Json::string("repl_subscribe"));
+  Json cursors = standby.call(sclient, subscribe);
+  ASSERT_EQ(field(cursors, "sessions").size(), 1u) << cursors.render();
+  const Json& cursor = *field(cursors, "sessions").at(0);
+  const long long revision = field(cursor, "revision").as_int();
+  Json record = Json::object();
+  record.set("op", Json::number(static_cast<long long>(
+                       persist::WalRecord::Op::kAddMin)));
+  record.set("rev", Json::number(revision + 1));
+  record.set("a", Json::number(4294967297LL));
+  record.set("b", Json::number(static_cast<long long>(fig.v4.value())));
+  record.set("v", Json::number(1LL));
+  Json records = Json::array();
+  records.push(std::move(record));
+  Json append = Json::object();
+  append.set("op", Json::string("repl_append"));
+  append.set("session", Json::string(sid));
+  append.set("epoch", Json::number(field(cursor, "epoch").as_int()));
+  append.set("wal_base", Json::number(field(cursor, "wal_base").as_int()));
+  append.set("seq", Json::number(field(cursor, "next_seq").as_int()));
+  append.set("records", std::move(records));
+
+  const long long applied_before =
+      field(stats_of(standby, sclient), "repl_records_applied").as_int();
+  Json ack = standby.call(sclient, append);
+  EXPECT_TRUE(field(ack, "ok").as_bool()) << ack.render();
+  EXPECT_TRUE(field(ack, "resync").as_bool()) << ack.render();
+  EXPECT_EQ(field(stats_of(standby, sclient), "repl_records_applied").as_int(),
+            applied_before);
 }
 
 Json op_request(const char* op) {

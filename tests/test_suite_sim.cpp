@@ -41,7 +41,9 @@ TEST(SuiteSim, TrafficSwitchesLightsOnEvents) {
   EXPECT_EQ(r.output_at(fl, r.end_cycle), 2);
   // The farm-green phase must not end before the timeout fires.
   for (const auto& [cycle, value] : r.port_writes.at(fl)) {
-    if (value == 2) EXPECT_GE(cycle, 20);
+    if (value == 2) {
+      EXPECT_GE(cycle, 20);
+    }
   }
 }
 
